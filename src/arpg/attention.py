@@ -41,12 +41,6 @@ class RopeTable:
         theta = np.arange(max_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
         return cls(max_positions, head_dim, base, np.cos(theta), np.sin(theta))
 
-    def extend(self, max_positions: int) -> "RopeTable":
-        """Recompute (never copy-extrapolate) a table covering more positions."""
-        if max_positions <= self.max_positions:
-            return self
-        return RopeTable.build(max_positions, self.head_dim, self.base)
-
     def gather(self, positions: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
         """cos/sin rows for integer positions of any shape, cast to dtype."""
         p = np.asarray(positions)
@@ -103,31 +97,8 @@ def causal_mask(n: int) -> AttentionMask:
     return AttentionMask("causal", np.tril(np.ones((n, n), dtype=bool)))
 
 
-def build_block_causal_mask(step_sizes: list[int]) -> AttentionMask:
-    """Intra-block bidirectional, inter-block causal; blocks are decode steps."""
-    if not step_sizes or any(s <= 0 for s in step_sizes):
-        raise ValueError("step sizes must be positive, got %r" % (step_sizes,))
-    block = np.repeat(np.arange(len(step_sizes)), step_sizes)
-    return AttentionMask("block_causal", block[None, :] <= block[:, None])
-
-
 def cross_full_mask(num_queries: int, num_keys: int) -> AttentionMask:
     return AttentionMask("cross_full", np.ones((num_queries, num_keys), dtype=bool))
-
-
-def chunk_extend_mask(past_len: int, chunk: int, pattern: str) -> AttentionMask:
-    """Mask rows for appending a decode-step chunk against past_len cached keys.
-
-    block_causal: the chunk was sampled in one step, so its tokens see each
-    other; causal: they see only earlier chunk tokens, in fed order.
-    """
-    allowed = np.ones((chunk, past_len + chunk), dtype=bool)
-    intra = allowed[:, past_len:]
-    if pattern == "causal":
-        intra &= np.tril(np.ones((chunk, chunk), dtype=bool))
-    elif pattern != "block_causal":
-        raise ValueError("unknown attention pattern %r" % pattern)
-    return AttentionMask(pattern, allowed)
 
 
 def prefix_lengths(mask: AttentionMask) -> np.ndarray:

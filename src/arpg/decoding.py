@@ -5,10 +5,12 @@ are read by [MASK] queries against the cache built so far, tokens are sampled,
 and the sampled chunk is fed through the content pass to extend the cache.
 Everything runs on the row-stable inference kernels, so a chunked run and the
 from-scratch sequential rebuild agree bit for bit at S = T, and query chunking
-never changes logits. Inpaint and expand are the same loop with a prefill.
+never changes logits. One core, _decode_region, runs every decode: generate
+is its empty-prefix case, while inpaint and expand prefill the known tokens
+into the cache first and decode only the positions left.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -82,7 +84,7 @@ class KvCache:
 
     @property
     def length(self) -> int:
-        return self._layer_fill[0]
+        return self._out_fill[0]
 
     @property
     def out_streams(self) -> int:
@@ -127,23 +129,6 @@ def cache_scalar_count(config: md.ModelConfig, seq_len: int) -> int:
     return streams * 2 * config.hidden * (1 + seq_len)
 
 
-def update_kv_cache(cache: KvCache, new_k: np.ndarray, new_v: np.ndarray,
-                    stream: int = 0) -> KvCache:
-    """Functional spelling of the content-kv append the forward pass performs.
-
-    new_k/new_v are [m, heads, head_dim] chunks; rows already cached are
-    untouched. Returns the same cache for chaining.
-    """
-    k = np.asarray(new_k)
-    v = np.asarray(new_v)
-    head_dim = cache.config.hidden // cache.config.heads
-    if k.shape != v.shape or k.ndim != 3 or k.shape[1:] != (cache.config.heads, head_dim):
-        raise ValueError("kv chunk must be [m, %d, %d], got %r/%r"
-                         % (cache.config.heads, head_dim, k.shape, v.shape))
-    cache.out_append(stream, k, v)
-    return cache
-
-
 # ---------------------------------------------------------------- config
 
 @dataclass
@@ -185,8 +170,7 @@ class GenerationState:
 
     permutation: np.ndarray
     tokens: np.ndarray
-    cursor: int = 0
-    caches: tuple = field(default=())
+    caches: tuple
 
 
 def _grid_shape(config: md.ModelConfig, dc: DecodeConfig) -> tuple[int, int]:
@@ -228,10 +212,14 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
     Filters apply in order: temperature scaling, top-k truncation, nucleus
     truncation keeping the smallest prefix of descending probabilities whose
     mass reaches top_p, renormalize, then one inverse-cdf draw per row.
+    A row holding a NaN or infinite logit raises RuntimeError.
     """
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2:
         raise ValueError("logits must be [rows, vocab], got shape %r" % (lg.shape,))
+    finite = np.isfinite(lg).all(axis=-1)
+    if not finite.all():
+        raise RuntimeError("non-finite logits in row %d" % int(np.argmin(finite)))
     if temperature == 0.0:
         return np.argmax(lg, axis=-1)
     z = lg / temperature
@@ -323,6 +311,47 @@ def _decode_order(dc: DecodeConfig, grid_h: int, grid_w: int,
     return fixed_order(dc.order, grid_h, grid_w)
 
 
+def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
+                       flat_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Decode order restricted to a subset of raster indices, as positions."""
+    if dc.order == "random":
+        return flat_idx[rng.permutation(flat_idx.size)] + 1
+    order = fixed_order(dc.order, grid_h, grid_w)
+    rank = np.empty(grid_h * grid_w, dtype=np.int64)
+    rank[order - 1] = np.arange(order.size)
+    return flat_idx[np.argsort(rank[flat_idx], kind="stable")] + 1
+
+
+def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
+                   grid_h, grid_w, steps, dc, state_sink):
+    """Decode raster indices todo_idx of a grid_h x grid_w grid in steps chunks.
+
+    The known prefix_ids are fed into the cache behind the condition at
+    rotary positions prefix_pos (raster index + 1) before decoding starts;
+    together with todo_idx they cover the grid. state_sink, when given,
+    receives the GenerationState (decode order as positions, tokens in decode
+    order, caches).
+    """
+    out = np.empty(grid_h * grid_w, dtype=np.int64)
+    out[prefix_pos - 1] = prefix_ids
+    if todo_idx.size:
+        rng = np.random.default_rng(dc.seed)
+        order_pos = _rank_of_positions(dc, grid_h, grid_w, todo_idx, rng)
+        counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
+        scales = _step_scales(dc, counts, todo_idx.size)
+        use_cfg = any(s != 1.0 for s in scales)
+        caches = _open_caches(params, class_id, 1 + out.size, use_cfg,
+                              dc.attention_pattern)
+        if prefix_ids.size:
+            _prefill(params, caches, prefix_ids, prefix_pos)
+        sampled = _decode_positions(params, caches, order_pos, counts, scales,
+                                    dc, rng)
+        if state_sink is not None:
+            state_sink.append(GenerationState(order_pos, sampled, caches))
+        out[order_pos - 1] = sampled
+    return TokenGrid(out.reshape(grid_h, grid_w), class_id)
+
+
 # ---------------------------------------------------------------- generate
 
 def generate(params: md.ArpgParams, class_id: int, dc: DecodeConfig,
@@ -332,25 +361,11 @@ def generate(params: md.ArpgParams, class_id: int, dc: DecodeConfig,
     state_sink, when given, receives the GenerationState (permutation, tokens
     in decode order, caches) for callers that log or inspect the run.
     """
-    cfg = params.config
-    grid_h, grid_w = _grid_shape(cfg, dc)
-    total = cfg.seq_len
-    rng = np.random.default_rng(dc.seed)
-    perm = _decode_order(dc, grid_h, grid_w, rng)
-    counts = schedule_counts(DecodeSchedule(dc.schedule, dc.steps, total))
-    scales = _step_scales(dc, counts, total)
-    use_cfg = any(s != 1.0 for s in scales)
-    caches = _open_caches(params, class_id, 1 + total, use_cfg,
-                          dc.attention_pattern)
-    state = GenerationState(perm, np.empty(total, dtype=np.int64), caches=caches)
-    state.tokens[:] = _decode_positions(params, caches, perm, counts, scales,
-                                        dc, rng)
-    state.cursor = total
-    if state_sink is not None:
-        state_sink.append(state)
-    out = np.empty(total, dtype=np.int64)
-    out[perm - 1] = state.tokens
-    return TokenGrid(out.reshape(grid_h, grid_w), class_id)
+    grid_h, grid_w = _grid_shape(params.config, dc)
+    empty = np.empty(0, dtype=np.int64)
+    return _decode_region(params, class_id, empty, empty,
+                          np.arange(grid_h * grid_w), grid_h, grid_w,
+                          dc.steps, dc, state_sink)
 
 
 def sequential_reference_generate(params: md.ArpgParams, class_id: int,
@@ -392,17 +407,6 @@ def sequential_reference_generate(params: md.ArpgParams, class_id: int,
 
 # ---------------------------------------------------------------- editing
 
-def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
-                       flat_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Decode order restricted to a subset of raster indices, as positions."""
-    if dc.order == "random":
-        return flat_idx[rng.permutation(flat_idx.size)] + 1
-    order = fixed_order(dc.order, grid_h, grid_w)
-    rank = np.empty(grid_h * grid_w, dtype=np.int64)
-    rank[order - 1] = np.arange(order.size)
-    return flat_idx[np.argsort(rank[flat_idx], kind="stable")] + 1
-
-
 def _known_indices(known, grid_size: int) -> np.ndarray:
     arr = np.asarray(known)
     if arr.dtype == bool:
@@ -426,31 +430,13 @@ def inpaint(params: md.ArpgParams, partial: TokenGrid, known,
     cfg = params.config
     grid_h, grid_w = _grid_shape(cfg, dc)
     partial.validate(cfg.vocab_size, cfg.seq_len)
-    total = cfg.seq_len
-    idx = _known_indices(known, total)
+    idx = _known_indices(known, cfg.seq_len)
     if idx.size == 0:
         raise ValueError("known set is empty; use generate instead")
-    if idx.size == total:
-        return TokenGrid(partial.tokens.copy().reshape(grid_h, grid_w), class_id)
-    unknown = np.setdiff1d(np.arange(total), idx)
-    rng = np.random.default_rng(dc.seed)
-    order_pos = _rank_of_positions(dc, grid_h, grid_w, unknown, rng)
-    counts = schedule_counts(DecodeSchedule(dc.schedule,
-                                            min(dc.steps, unknown.size),
-                                            unknown.size))
-    scales = _step_scales(dc, counts, unknown.size)
-    use_cfg = any(s != 1.0 for s in scales)
-    caches = _open_caches(params, class_id, 1 + total, use_cfg,
-                          dc.attention_pattern)
-    _prefill(params, caches, partial.flat[idx], idx + 1)
-    sampled = _decode_positions(params, caches, order_pos, counts, scales,
-                                dc, rng)
-    if state_sink is not None:
-        state_sink.append(GenerationState(order_pos, sampled,
-                                          cursor=sampled.size, caches=caches))
-    out = partial.flat.copy()
-    out[order_pos - 1] = sampled
-    return TokenGrid(out.reshape(grid_h, grid_w), class_id)
+    todo = np.setdiff1d(np.arange(cfg.seq_len), idx)
+    return _decode_region(params, class_id, partial.flat[idx], idx + 1, todo,
+                          grid_h, grid_w, min(dc.steps, todo.size), dc,
+                          state_sink)
 
 
 def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
@@ -481,25 +467,7 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
     rows = np.arange(old_h)[:, None] + off_r
     cols = np.arange(old_w)[None, :] + off_c
     base_idx = (rows * new_w + cols).reshape(-1)
-    out = np.full(total, -1, dtype=np.int64)
-    out[base_idx] = base.flat
-    remaining = np.flatnonzero(out < 0)
-    if remaining.size == 0:
-        return TokenGrid(out.reshape(new_h, new_w), base.class_id)
-    rng = np.random.default_rng(dc.seed)
-    order_pos = _rank_of_positions(dc, new_h, new_w, remaining, rng)
-    counts = schedule_counts(DecodeSchedule(dc.schedule,
-                                            min(dc.steps, remaining.size),
-                                            remaining.size))
-    scales = _step_scales(dc, counts, remaining.size)
-    use_cfg = any(s != 1.0 for s in scales)
-    caches = _open_caches(params, base.class_id, 1 + total, use_cfg,
-                          dc.attention_pattern)
-    _prefill(params, caches, base.flat, base_idx + 1)
-    sampled = _decode_positions(params, caches, order_pos, counts, scales,
-                                dc, rng)
-    if state_sink is not None:
-        state_sink.append(GenerationState(order_pos, sampled,
-                                          cursor=sampled.size, caches=caches))
-    out[order_pos - 1] = sampled
-    return TokenGrid(out.reshape(new_h, new_w), base.class_id)
+    todo = np.setdiff1d(np.arange(total), base_idx)
+    return _decode_region(params, base.class_id, base.flat, base_idx + 1, todo,
+                          new_h, new_w, min(dc.steps, todo.size), dc,
+                          state_sink)

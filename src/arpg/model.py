@@ -11,7 +11,7 @@ the decoding engine's cache-equality guarantees rest on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,12 +113,8 @@ class Pass2Layer:
 
 @dataclass
 class ActivationBlock:
-    """Optional capture of one forward: content states, projected kv, query states."""
+    """Optional capture of one forward's final-layer attention probabilities."""
 
-    h: np.ndarray | None = None
-    k: np.ndarray | None = None
-    v: np.ndarray | None = None
-    o: np.ndarray | None = None
     pass1_probs: np.ndarray | None = None  # final content layer [B, H, S, S]
     pass2_probs: np.ndarray | None = None  # final query layer [B, H, Q, S]
 
@@ -291,13 +287,11 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
                                   rate, dropout_rng))
         if sink is not None:
             capture.pass1_probs = sink[0]
-    if capture is not None:
-        capture.h = x.data
     return x
 
 
-def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray,
-               capture: ActivationBlock | None = None) -> list[tuple[Tensor, Tensor]]:
+def project_kv(params: ArpgParams, h: Tensor,
+               positions: np.ndarray) -> list[tuple[Tensor, Tensor]]:
     """Normalized content states -> per-stream (k, v), k rotated at its position.
 
     One stream with the shared projection; one per query layer without it.
@@ -316,9 +310,6 @@ def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray,
         for layer in params.pass2:
             k = apply_rope(_split_heads(nc.matmul(hn, layer.wk), cfg.heads), positions, table)
             pairs.append((k, _split_heads(nc.matmul(hn, layer.wv), cfg.heads)))
-    if capture is not None:
-        capture.k = pairs[0][0].data
-        capture.v = pairs[0][1].data
     return pairs
 
 
@@ -348,14 +339,11 @@ def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
                                   rate, dropout_rng))
         if sink is not None:
             capture.pass2_probs = sink[0]
-    if capture is not None:
-        capture.o = o.data
     return nc.matmul(nc.rms_norm(o, params.final_norm), params.head)
 
 
 def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
                         cond_tokens: np.ndarray, perms: np.ndarray,
-                        capture: ActivationBlock | None = None,
                         dropout_rng: np.random.Generator | None = None
                         ) -> tuple[Tensor, np.ndarray]:
     """Teacher forcing on shuffled sequences.
@@ -373,9 +361,9 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
     shuffled = np.take_along_axis(input_ids, perms - 1, axis=1)
     in_ids = np.concatenate([cond_tokens[:, None], shuffled[:, :-1]], axis=1)
     in_pos = np.concatenate([np.zeros((b, 1), dtype=perms.dtype), perms[:, :-1]], axis=1)
-    h = pass1_hidden(params, in_ids, in_pos, causal_mask(t), capture, dropout_rng)
-    kv = project_kv(params, h, in_pos, capture)
-    logits = pass2_logits(params, kv, perms, causal_mask(t), capture, dropout_rng)
+    h = pass1_hidden(params, in_ids, in_pos, causal_mask(t), dropout_rng=dropout_rng)
+    kv = project_kv(params, h, in_pos)
+    logits = pass2_logits(params, kv, perms, causal_mask(t), dropout_rng=dropout_rng)
     return logits, shuffled
 
 

@@ -56,14 +56,6 @@ def test_rope_position_out_of_range():
         at.apply_rope(x, np.array([8]), table)
 
 
-def test_rope_extend_recomputes():
-    small = at.RopeTable.build(8, 8, base=777.0)
-    big = small.extend(32)
-    assert big.max_positions == 32 and big.base == 777.0
-    assert np.array_equal(big.cos[:8], small.cos)
-    assert small.extend(4) is small
-
-
 def test_rope_gradient_fd():
     rng = np.random.default_rng(3)
     table = at.RopeTable.build(16, 8)
@@ -80,40 +72,6 @@ def test_rope_gradient_fd():
 
 
 # ---------------------------------------------------------------- masks
-
-def test_block_mask_single_block_bidirectional():
-    m = at.build_block_causal_mask([5])
-    assert m.allowed.all()
-
-
-def test_block_mask_unit_blocks_are_causal():
-    m = at.build_block_causal_mask([1] * 6)
-    assert np.array_equal(m.allowed, at.causal_mask(6).allowed)
-
-
-def test_block_mask_two_three():
-    m = at.build_block_causal_mask([2, 3]).allowed
-    assert m[1, 0] and m[0, 1]          # intra-block bidirectional
-    assert m[2, 4] and m[4, 2]          # indices 2 and 4 share the second block
-    assert m[4, 1]                      # later block sees earlier
-    assert not m[0, 2] and not m[1, 4]  # earlier block never sees later
-
-
-def test_block_mask_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        at.build_block_causal_mask([2, 0, 1])
-    with pytest.raises(ValueError):
-        at.build_block_causal_mask([])
-
-
-def test_chunk_extend_mask_patterns():
-    blk = at.chunk_extend_mask(3, 2, "block_causal").allowed
-    assert blk.shape == (2, 5) and blk.all()
-    cau = at.chunk_extend_mask(3, 2, "causal").allowed
-    assert cau[:, :3].all() and cau[0, 3] and not cau[0, 4] and cau[1, 4]
-    with pytest.raises(ValueError):
-        at.chunk_extend_mask(3, 2, "diagonal")
-
 
 def test_prefix_lengths():
     lens = at.prefix_lengths(at.causal_mask(4))

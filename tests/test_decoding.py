@@ -59,16 +59,6 @@ def test_cache_scalar_count_closed_form():
     assert dec.cache_scalar_count(cfg, cfg.seq_len) == streams * 2 * cfg.hidden * 65
 
 
-def test_update_kv_cache_appends_and_validates():
-    params = tiny_params()
-    cache = dec.KvCache(params.config, 17, params.dtype)
-    chunk = np.zeros((2, 4, 8), dtype=np.float64)
-    dec.update_kv_cache(cache, chunk, chunk)
-    assert cache.out_view(0)[0].shape[0] == 2
-    with pytest.raises(ValueError):
-        dec.update_kv_cache(cache, np.zeros((2, 8, 4)), np.zeros((2, 8, 4)))
-
-
 def test_cache_vs_rebuild_logits_on_trajectory():
     # three chunked steps against the cache vs a from-scratch content pass
     params = tiny_params(seed=2)
@@ -161,6 +151,18 @@ def test_sample_tokens_top_k_truncates():
     assert set(draws) == {0, 1}
 
 
+def test_sample_tokens_rejects_non_finite_rows():
+    logits = np.zeros((3, 8))
+    logits[1] = np.nan
+    for kw in ({}, {"top_k": 4, "top_p": 0.9}, {"temperature": 0.0}):
+        with pytest.raises(RuntimeError, match="row 1"):
+            dec.sample_tokens(logits, rng=np.random.default_rng(0), **kw)
+    one = np.zeros((3, 8))
+    one[2, 5] = np.nan
+    with pytest.raises(RuntimeError, match="row 2"):
+        dec.sample_tokens(one, rng=np.random.default_rng(0))
+
+
 def test_decode_config_validation():
     with pytest.raises(ValueError):
         dec.DecodeConfig(steps=0)
@@ -189,12 +191,12 @@ def test_generate_deterministic_and_covering():
 
 
 def test_generate_matches_sequential_oracle():
-    params = tiny_params(seed=6)
-    for seed in (0, 1, 2):
-        dc = dec.DecodeConfig(steps=16, temperature=0.0, seed=seed)
-        fast = dec.generate(params, seed % 4, dc)
-        slow = dec.sequential_reference_generate(params, seed % 4, dc)
-        assert np.array_equal(fast.tokens, slow.tokens)
+    for params in (tiny_params(seed=6), tiny_params(seed=6, pass1_layers=0)):
+        for seed in (0, 1, 2):
+            dc = dec.DecodeConfig(steps=16, temperature=0.0, seed=seed)
+            fast = dec.generate(params, seed % 4, dc)
+            slow = dec.sequential_reference_generate(params, seed % 4, dc)
+            assert np.array_equal(fast.tokens, slow.tokens)
 
 
 def test_generate_matches_oracle_with_cfg_and_sampling():
@@ -234,6 +236,59 @@ def test_generate_rejects_bad_grid_or_class():
         dec.generate(params, 0, dec.DecodeConfig(steps=4, grid_h=3, grid_w=5))
     with pytest.raises(ValueError):
         dec.generate(params, 0, dec.DecodeConfig(steps=17))
+
+
+# Golden decodes: literal grids and decode orders for S < T and the edit
+# paths, which no bit-exact oracle covers.
+GOLDEN_PARTIAL = dec.TokenGrid(np.array([[14, 6, 3, 11], [13, 4, 5, 1],
+                                         [15, 15, 11, 9], [9, 10, 11, 9]]), 3)
+GOLDEN_KNOWN = np.array([[1, 1, 1, 0], [0, 0, 0, 1],
+                         [0, 0, 0, 0], [1, 0, 0, 1]], dtype=bool)
+GOLDEN = {
+    "generate_random_cfg_topk_topp": (
+        lambda p, sink: dec.generate(
+            p, 1, dec.DecodeConfig(steps=5, cfg_scale=3.0, top_k=8, top_p=0.9,
+                                   seed=21), sink),
+        [[6, 4, 13, 1], [6, 11, 9, 10], [15, 3, 14, 13], [8, 10, 7, 6]],
+        [5, 10, 7, 13, 8, 12, 1, 6, 2, 9, 15, 14, 11, 4, 16, 3]),
+    "generate_spiral_block_causal": (
+        lambda p, sink: dec.generate(
+            p, 2, dec.DecodeConfig(steps=5, order="spiral_in",
+                                   attention_pattern="block_causal", seed=3), sink),
+        [[1, 3, 12, 9], [8, 7, 9, 1], [5, 15, 12, 7], [2, 11, 2, 7]],
+        [1, 2, 3, 4, 8, 12, 16, 15, 14, 13, 9, 5, 6, 7, 11, 10]),
+    "inpaint_random_mask": (
+        lambda p, sink: dec.inpaint(p, GOLDEN_PARTIAL, GOLDEN_KNOWN, 3,
+                                    dec.DecodeConfig(steps=4, seed=5), sink),
+        [[14, 6, 3, 15], [15, 4, 10, 1], [6, 13, 0, 0], [9, 6, 14, 9]],
+        [12, 11, 5, 7, 6, 9, 4, 15, 10, 14]),
+    "expand_outpaint": (
+        lambda p, sink: dec.expand(p, GOLDEN_PARTIAL, 6, 7, "outpaint",
+                                   dec.DecodeConfig(steps=6, seed=8), sink),
+        [[14, 6, 3, 11, 0, 1, 0], [13, 4, 5, 1, 10, 3, 14],
+         [15, 15, 11, 9, 7, 6, 9], [9, 10, 11, 9, 9, 4, 9],
+         [5, 6, 10, 2, 6, 3, 5], [3, 15, 2, 7, 14, 6, 11]],
+        [41, 34, 28, 21, 31, 40, 32, 30, 27, 5, 36, 33, 20, 12, 39, 26, 13,
+         38, 29, 6, 35, 19, 42, 14, 7, 37]),
+    "expand_resolution": (
+        lambda p, sink: dec.expand(p, GOLDEN_PARTIAL, 6, 7, "resolution",
+                                   dec.DecodeConfig(steps=6, seed=8), sink),
+        [[0, 1, 0, 9, 3, 13, 7], [6, 14, 6, 3, 11, 9, 9],
+         [4, 13, 4, 5, 1, 9, 5], [5, 15, 15, 11, 9, 10, 2],
+         [6, 9, 10, 11, 9, 3, 5], [3, 15, 2, 7, 14, 6, 11]],
+        [41, 34, 20, 13, 27, 40, 28, 22, 15, 1, 36, 29, 8, 4, 39, 14, 5, 38,
+         21, 2, 35, 7, 42, 6, 3, 37]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_decode_golden(case):
+    run, want_grid, want_perm = GOLDEN[case]
+    sink = []
+    out = run(tiny_params(seed=17), sink)
+    assert out.tokens.tolist() == want_grid
+    assert sink[0].permutation.tolist() == want_perm
+    assert np.array_equal(sink[0].tokens, out.flat[sink[0].permutation - 1])
 
 
 # ---------------------------------------------------------------- editing

@@ -1,9 +1,16 @@
 """Softmax attention with a hand-derived backward, rotary embeddings, masks.
 
-Layouts: batched attention works on [..., H, T, head_dim]; rotary embedding
-works on [..., T, H, head_dim] (rotation happens before the head transpose).
-The decoding engine uses the per-query-row kernel at the bottom, whose bits
-never depend on how queries are grouped into calls.
+Layouts: the batched kernels (attention_forward/attention_backward and the
+`attention` tape op) work on [..., H, T, head_dim]. The training route keeps
+activations joined, [B, T, H * head_dim], and its two fused tape ops read
+them in place: `self_attention` takes the fused q|k|v projection [B, T, 3d],
+`cross_attention` takes q [B, Q, d] and k, v [B, S, d]. Both hand the
+kernels per-head strided views (reshape + transpose, no copy) and return the
+joined heads [B, T, d]; their backwards write one fresh joined gradient per
+input. Rotary embedding rotates each head_dim group of the last axis, in
+either layout, at per-token positions. The decoding engine uses the
+per-query-row kernel at the bottom, whose bits never depend on how queries
+are grouped into calls.
 """
 
 from __future__ import annotations
@@ -50,33 +57,46 @@ class RopeTable:
         return self.cos[p].astype(dtype), self.sin[p].astype(dtype)
 
 
-def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate even/odd feature pairs of x [..., T, H, hd] by cos/sin [..., T, hd//2]."""
-    hd = x.shape[-1]
-    xp = x.reshape(x.shape[:-1] + (hd // 2, 2))
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Rotate even/odd feature pairs of x [..., T, H, hd] by cos/sin [..., T, hd//2].
+
+    The result goes to `out` (any layout of x's shape) or to a fresh array
+    that owns its buffer.
+    """
     c = cos[..., None, :]  # broadcast over the head axis
     s = sin[..., None, :]
-    x0, x1 = xp[..., 0], xp[..., 1]
-    out = np.empty(x.shape, dtype=x.dtype)  # owns its buffer, unlike a reshape
-    op = out.reshape(xp.shape)
-    op[..., 0] = x0 * c - x1 * s
-    op[..., 1] = x0 * s + x1 * c
+    x0, x1 = x[..., 0::2], x[..., 1::2]
+    if out is None:
+        out = np.empty(x.shape, dtype=x.dtype)
+    out[..., 0::2] = x0 * c - x1 * s
+    out[..., 1::2] = x0 * s + x1 * c
     return out
 
 
 def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
-    """Tape op: rotate x [..., T, H, head_dim] at the given positions [..., T]."""
-    if x.shape[-1] != table.head_dim:
-        raise ValueError("head_dim mismatch: x has %d, table %d" % (x.shape[-1], table.head_dim))
+    """Tape op: rotate x at the given positions [..., T].
+
+    x is [..., T, H, head_dim], or joined [..., T, H * head_dim] when the
+    positions cover every axis but the last.
+    """
+    hd = table.head_dim
     p = np.asarray(positions)
-    if p.shape != x.shape[:-2]:
+    joined = p.shape == x.shape[:-1]
+    if x.shape[-1] % hd != 0 or not (joined or x.shape[-1] == hd):
+        raise ValueError("head_dim mismatch: x has %d, table %d" % (x.shape[-1], hd))
+    if not joined and p.shape != x.shape[:-2]:
         raise ValueError("positions shape %r does not match x %r" % (p.shape, x.shape))
+    heads = x.shape[:-1] + (x.shape[-1] // hd, hd) if joined else x.shape
     cos, sin = table.gather(p, dtype=x.dtype)
-    out = rotate_pairs(x.data, cos, sin)
+    out = np.empty(x.shape, dtype=x.dtype)
+    rotate_pairs(x.data.reshape(heads), cos, sin, out=out.reshape(heads))
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block)
-        return (rotate_pairs(g, cos, -sin),)
+        gx = np.empty(x.shape, dtype=x.dtype)
+        rotate_pairs(g.reshape(heads), cos, -sin, out=gx.reshape(heads))
+        return (gx,)
     return nc.from_op(out, (x,), bwd)
 
 
@@ -192,6 +212,75 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
 
     def bwd(g):
         return attention_backward(q.data, k.data, v.data, probs, out, g)
+    return nc.from_op(out, (q, k, v), bwd)
+
+
+def _heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """Joined [B, T, H * hd] as a per-head view [B, H, T, hd]."""
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _joined(x: np.ndarray) -> np.ndarray:
+    """Per-head [B, H, T, hd] written into a fresh joined [B, T, H * hd]."""
+    b, h, t, hd = x.shape
+    out = np.empty((b, t, h * hd), dtype=x.dtype)
+    out.reshape(b, t, h, hd)[...] = x.transpose(0, 2, 1, 3)
+    return out
+
+
+def self_attention(qkv: Tensor, positions: np.ndarray, table: RopeTable,
+                   mask: AttentionMask, heads: int,
+                   probs_sink: list | None = None) -> Tensor:
+    """Tape op: rotary self-attention over the fused q|k|v rows [B, T, 3d].
+
+    q and k are rotated in one pass at positions [B, T]; the kernels see
+    per-head views of the rotated pair and of v. Returns the joined heads
+    [B, T, d]; the backward returns one fresh [B, T, 3d] gradient.
+    """
+    b, t, d3 = qkv.shape
+    hd = table.head_dim
+    if d3 != 3 * heads * hd:
+        raise ValueError("fused q|k|v width %d does not hold 3 x %d heads of %d"
+                         % (d3, heads, hd))
+    cos, sin = table.gather(positions, dtype=qkv.dtype)
+    x = qkv.data.reshape(b, t, 3 * heads, hd)
+    qk = rotate_pairs(x[:, :, :2 * heads], cos, sin)
+    q = qk[:, :, :heads].transpose(0, 2, 1, 3)
+    k = qk[:, :, heads:].transpose(0, 2, 1, 3)
+    v = x[:, :, 2 * heads:].transpose(0, 2, 1, 3)
+    out, probs = attention_forward(q, k, v, mask)
+    out = _joined(out)
+    if probs_sink is not None:
+        probs_sink.append(probs)
+
+    def bwd(g):
+        dq, dk, dv = attention_backward(q, k, v, probs, _heads(out, heads), _heads(g, heads))
+        grad = np.empty(qkv.shape, dtype=qkv.dtype)
+        gh = grad.reshape(b, t, 3 * heads, hd)
+        rotate_pairs(dq.transpose(0, 2, 1, 3), cos, -sin, out=gh[:, :, :heads])
+        rotate_pairs(dk.transpose(0, 2, 1, 3), cos, -sin, out=gh[:, :, heads:2 * heads])
+        gh[:, :, 2 * heads:] = dv.transpose(0, 2, 1, 3)
+        return (grad,)
+    return nc.from_op(out, (qkv,), bwd)
+
+
+def cross_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int,
+                    probs_sink: list | None = None) -> Tensor:
+    """Tape op: attention of joined queries q [B, Q, d] over joined k, v [B, S, d].
+
+    Rotation, if any, is the caller's: a shared k is rotated once for every
+    layer that reads it. Returns the joined heads [B, Q, d].
+    """
+    qh, kh, vh = _heads(q.data, heads), _heads(k.data, heads), _heads(v.data, heads)
+    out, probs = attention_forward(qh, kh, vh, mask)
+    out = _joined(out)
+    if probs_sink is not None:
+        probs_sink.append(probs)
+
+    def bwd(g):
+        grads = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
+        return tuple(_joined(x) for x in grads)
     return nc.from_op(out, (q, k, v), bwd)
 
 

@@ -12,9 +12,15 @@ The manifest lists every array as {name, dtype, shape, offset, nbytes} sorted
 by name, plus a meta object (model config, optimizer hyperparameters, caller
 extras such as the loop step and rng state). Everything is written in one
 canonical order, so save -> load -> save reproduces the file byte for byte.
+
+A save goes to a temporary file beside the target, is flushed to disk, and
+then replaces the target in one rename, so a run killed mid-save leaves the
+previous checkpoint whole. A load checks every array against the payload and
+names the file and the array when the file is cut short.
 """
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -69,13 +75,23 @@ def save_checkpoint(path, params: ArpgParams, optim: OptimState | None = None,
                          "step": optim.step}
     manifest = json.dumps({"arrays": entries, "meta": meta},
                           sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(VERSION).tobytes())
-        fh.write(np.uint64(len(manifest)).tobytes())
-        fh.write(manifest)
-        for e in entries:
-            fh.write(arrays[e["name"]].tobytes(order="C"))
+    path = os.fspath(path)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(np.uint32(VERSION).tobytes())
+            fh.write(np.uint64(len(manifest)).tobytes())
+            fh.write(manifest)
+            for e in entries:
+                fh.write(arrays[e["name"]].tobytes(order="C"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -89,11 +105,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError("checkpoint format version %d, expected %d"
                          % (version, VERSION))
     man_len = int(np.frombuffer(blob[12:20], np.uint64)[0])
+    if len(blob) < 20 + man_len:
+        raise ValueError("%s is truncated inside its manifest" % path)
     manifest = json.loads(blob[20:20 + man_len].decode())
     payload = blob[20 + man_len:]
     arrays = {}
     for e in manifest["arrays"]:
-        raw = payload[e["offset"]:e["offset"] + e["nbytes"]]
+        end = e["offset"] + e["nbytes"]
+        if end > len(payload):
+            raise ValueError("%s is truncated: array %r needs payload bytes up to %d, "
+                             "the file holds %d" % (path, e["name"], end, len(payload)))
+        raw = payload[e["offset"]:end]
         arrays[e["name"]] = np.frombuffer(raw, dtype=np.dtype(e["dtype"])) \
             .reshape(e["shape"]).copy()
     meta = manifest["meta"]

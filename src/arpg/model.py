@@ -17,8 +17,8 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import (AttentionMask, MultiHeadParams, RopeTable, apply_rope,
-                        attention, attention_rows, causal_mask, prefix_lengths,
-                        rotate_pairs)
+                        attention_rows, causal_mask, cross_attention, prefix_lengths,
+                        rotate_pairs, self_attention)
 from .numcore import Parameter, Tensor, rowwise_matmul
 
 
@@ -239,22 +239,10 @@ class ArpgParams:
 
 # ---------------------------------------------------------------- batched (tape) route
 
-def _split_heads(t: Tensor, heads: int) -> Tensor:
-    b, s, d = t.shape
-    return nc.reshape(t, (b, s, heads, d // heads))
-
-
-def _join_heads(t: Tensor) -> Tensor:
-    # [B, H, S, hd] -> [B, S, d]
-    b, h, s, hd = t.shape
-    return nc.reshape(nc.transpose(t, 1, 2), (b, s, h * hd))
-
-
 def _ffn(x: Tensor, norm: Parameter, w1: Parameter, w2: Parameter, w3: Parameter) -> Tensor:
     # one gemm against w1|w3, as inference_pack fuses them for decoding
     xn = nc.rms_norm(x, norm)
-    h1, h3 = nc.split(nc.matmul(xn, nc.concat([w1, w3])), [w1.shape[1], w3.shape[1]])
-    return nc.matmul(nc.mul(nc.silu(h1), h3), w2)
+    return nc.matmul(nc.swiglu(nc.matmul(xn, nc.concat([w1, w3]))), w2)
 
 
 def _maybe_drop(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -276,13 +264,9 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
         sink: list | None = [] if (capture is not None and li == len(params.pass1) - 1) else None
         xn = nc.rms_norm(x, layer.attn_norm)
         wqkv = nc.concat([layer.attn.wq, layer.attn.wk, layer.attn.wv])
-        q, k, v = nc.split(nc.matmul(xn, wqkv), [layer.attn.wq.shape[1]] * 3)
-        q = apply_rope(_split_heads(q, heads), positions, table)
-        k = apply_rope(_split_heads(k, heads), positions, table)
-        v = _split_heads(v, heads)
-        a = attention(nc.transpose(q, 1, 2), nc.transpose(k, 1, 2),
-                      nc.transpose(v, 1, 2), mask, probs_sink=sink)
-        x = nc.add(x, _maybe_drop(nc.matmul(_join_heads(a), layer.attn.wo), rate, dropout_rng))
+        a = self_attention(nc.matmul(xn, wqkv), positions, table, mask, heads,
+                           probs_sink=sink)
+        x = nc.add(x, _maybe_drop(nc.matmul(a, layer.attn.wo), rate, dropout_rng))
         x = nc.add(x, _maybe_drop(_ffn(x, layer.ffn_norm, layer.w1, layer.w2, layer.w3),
                                   rate, dropout_rng))
         if sink is not None:
@@ -295,21 +279,19 @@ def project_kv(params: ArpgParams, h: Tensor,
     """Normalized content states -> per-stream (k, v), k rotated at its position.
 
     One stream with the shared projection; one per query layer without it.
-    k, v come back as [B, S, H, head_dim].
+    k, v come back joined, [B, S, d].
     """
     cfg = params.config
     table = params.rope_table(int(positions.max()) + 1)
     hn = nc.rms_norm(h, params.kv_norm)
     pairs = []
     if cfg.shared_kv:
-        kv = nc.matmul(hn, params.kv_proj)
-        k, v = nc.split(kv, [cfg.hidden, cfg.hidden], axis=-1)
-        k = apply_rope(_split_heads(k, cfg.heads), positions, table)
-        pairs.append((k, _split_heads(v, cfg.heads)))
+        k, v = nc.split(nc.matmul(hn, params.kv_proj), [cfg.hidden, cfg.hidden], axis=-1)
+        pairs.append((apply_rope(k, positions, table), v))
     else:
         for layer in params.pass2:
-            k = apply_rope(_split_heads(nc.matmul(hn, layer.wk), cfg.heads), positions, table)
-            pairs.append((k, _split_heads(nc.matmul(hn, layer.wv), cfg.heads)))
+            pairs.append((apply_rope(nc.matmul(hn, layer.wk), positions, table),
+                          nc.matmul(hn, layer.wv)))
     return pairs
 
 
@@ -327,14 +309,11 @@ def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
     for li, layer in enumerate(params.pass2):
         sink: list | None = [] if (capture is not None and li == len(params.pass2) - 1) else None
         on = nc.rms_norm(o, layer.q_norm)
-        q = apply_rope(_split_heads(nc.matmul(on, layer.wq), cfg.heads),
-                       target_positions, table)
+        q = apply_rope(nc.matmul(on, layer.wq), target_positions, table)
         k, v = kv[0] if cfg.shared_kv else kv[li]
-        a = attention(nc.transpose(q, 1, 2), nc.transpose(k, 1, 2),
-                      nc.transpose(v, 1, 2), mask, probs_sink=sink)
+        a = cross_attention(q, k, v, mask, cfg.heads, probs_sink=sink)
         # the rotated query itself is the residual carrier
-        o = nc.add(nc.reshape(q, (b, q_len, cfg.hidden)),
-                   _maybe_drop(nc.matmul(_join_heads(a), layer.wo), rate, dropout_rng))
+        o = nc.add(q, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
         o = nc.add(o, _maybe_drop(_ffn(o, layer.ffn_norm, layer.w1, layer.w2, layer.w3),
                                   rate, dropout_rng))
         if sink is not None:

@@ -105,7 +105,7 @@ class Tensor:
         else:
             self.grad += g
 
-    def _accumulate_at(self, idx: tuple, g: np.ndarray) -> None:
+    def _accumulate_at(self, idx, g: np.ndarray) -> None:
         """Add g into the region idx of .grad, zero elsewhere on first touch."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -318,21 +318,32 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return from_op(y, (x,), bwd)
 
 
-def silu(x: Tensor) -> Tensor:
-    sig = np.negative(x.data)
+def swiglu(h: Tensor) -> Tensor:
+    """silu(a) * b for h = a|b [..., 2f], as one node holding h and sigmoid(a)."""
+    f = h.shape[-1] // 2
+    a, b = h.data[..., :f], h.data[..., f:]
+    sig = np.negative(a)
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
+    out = a * sig
+    out *= b
 
     def bwd(g):
-        # g * sig * (1 + x * (1 - sig)), built in one buffer
-        d = 1.0 - sig
-        d *= x.data
-        d += 1.0
-        d *= sig
-        d *= g
+        # da = sig * (1 + a * (1 - sig)) * (g * b), db = g * silu(a), in one
+        # buffer; db holds g * b until da is done
+        d = np.empty(h.shape, dtype=h.dtype)
+        da, db = d[..., :f], d[..., f:]
+        np.multiply(g, b, out=db)
+        np.subtract(1.0, sig, out=da)
+        da *= a
+        da += 1.0
+        da *= sig
+        da *= db
+        np.multiply(a, sig, out=db)
+        db *= g
         return (d,)
-    return from_op(x.data * sig, (x,), bwd)
+    return from_op(out, (h,), bwd)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -386,9 +397,16 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out = table.data[ids]
 
     def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, ids.reshape(-1), g.reshape(-1, table.shape[-1]))
-        return (full,)
+        # segment sums over sorted ids, added into the rows they touch only
+        flat = ids.reshape(-1)
+        if not flat.size:
+            return (None,)
+        order = np.argsort(flat, kind="stable")
+        rows = flat[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        sums = np.add.reduceat(g.reshape(-1, table.shape[-1])[order], starts, axis=0)
+        table._accumulate_at(rows[starts], sums)
+        return (None,)
     return from_op(out, (table,), bwd)
 
 

@@ -71,6 +71,28 @@ def test_rope_gradient_fd():
     assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
 
 
+def test_rope_joined_layout_matches_heads_fd():
+    # joined [B, T, H * hd] rotates each head_dim group like [B, T, H, hd]
+    rng = np.random.default_rng(14)
+    table = at.RopeTable.build(16, 4)
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 8)))
+    pos = np.array([[0, 5, 9], [15, 2, 7]])
+    w = rng.standard_normal((2, 3, 8))
+    heads = at.apply_rope(nc.Tensor(x.data.reshape(2, 3, 2, 4)), pos, table)
+    joined = at.apply_rope(x, pos, table)
+    assert np.array_equal(joined.data, heads.data.reshape(2, 3, 8))
+
+    def run():
+        cos, sin = table.gather(pos)
+        return float((at.rotate_pairs(x.data.reshape(2, 3, 2, 4), cos, sin).reshape(2, 3, 8)
+                      * w).sum())
+
+    nc.sum_all(nc.mul(joined, w)).backward()
+    assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
+    with pytest.raises(ValueError):
+        at.apply_rope(nc.Tensor(np.zeros((2, 3, 6))), pos, table)
+
+
 # ---------------------------------------------------------------- masks
 
 def test_prefix_lengths():
@@ -208,6 +230,70 @@ def test_attention_backward_matches_primitive_tape():
 
     for f, p in zip(fused, prim):
         assert np.abs(f.grad - p.grad).max() < 1e-12
+
+
+def _joined_heads(x, heads):
+    b, t, d = x.shape
+    return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _self_attention_ref(qkv, pos, table, mask, heads):
+    # split, rotate per head, attend, join: the unfused composition
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    cos, sin = table.gather(pos)
+    q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, t, heads, -1) for i in range(3))
+    q, k = at.rotate_pairs(q, cos, sin), at.rotate_pairs(k, cos, sin)
+    out, _ = at.attention_forward(*(x.transpose(0, 2, 1, 3) for x in (q, k, v)), mask)
+    return out.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+
+def test_self_attention_op_fd():
+    # fused q|k|v rows, causal mask, shuffled positions, 2 heads of 4
+    rng = np.random.default_rng(15)
+    table = at.RopeTable.build(16, 4)
+    qkv = nc.Parameter("qkv", rng.standard_normal((2, 5, 24)))
+    pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
+    mask = at.causal_mask(5)
+    w = rng.standard_normal((2, 5, 8))
+
+    def run():
+        return float((_self_attention_ref(qkv.data, pos, table, mask, 2) * w).sum())
+
+    sink = []
+    out = at.self_attention(qkv, pos, table, mask, 2, probs_sink=sink)
+    assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
+    assert np.abs(out.data - _self_attention_ref(qkv.data, pos, table, mask, 2)).max() < 1e-12
+    nc.sum_all(nc.mul(out, w)).backward()
+    assert_grads_close(qkv.grad, fd_grad(run, qkv.data), rel_tol=1e-6)
+    with pytest.raises(ValueError):
+        at.self_attention(qkv, pos, table, mask, 3)
+
+
+def test_cross_attention_op_shared_kv_fd():
+    # two query layers read one k, v, so their gradients sum into it
+    rng = np.random.default_rng(16)
+    q1, q2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("q1", "q2"))
+    k, v = (nc.Parameter(n, rng.standard_normal((2, 5, 8))) for n in ("k", "v"))
+    allowed = np.zeros((3, 5), dtype=bool)
+    for i, n in enumerate([2, 5, 3]):
+        allowed[i, :n] = True
+    mask = at.AttentionMask("cross_full", allowed)
+    w1, w2 = rng.standard_normal((2, 2, 3, 8))
+
+    def one(q, w):
+        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(k.data, 2),
+                                      _joined_heads(v.data, 2), mask)
+        return (out.transpose(0, 2, 1, 3).reshape(2, 3, 8) * w).sum()
+
+    def run():
+        return float(one(q1.data, w1) + one(q2.data, w2))
+
+    a1 = at.cross_attention(q1, k, v, mask, 2)
+    a2 = at.cross_attention(q2, k, v, mask, 2)
+    nc.add(nc.sum_all(nc.mul(a1, w1)), nc.sum_all(nc.mul(a2, w2))).backward()
+    for p in (q1, q2, k, v):
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 
 # ---------------------------------------------------------------- row kernel

@@ -98,6 +98,38 @@ def test_bad_files_rejected(tmp_path):
         ck.load_checkpoint(bad2)
 
 
+def test_truncated_file_names_file_and_array(tmp_path):
+    path = tmp_path / "cut.ckpt"
+    ck.save_checkpoint(path, tiny_params())
+    blob = path.read_bytes()
+    last = max(ck.load_checkpoint(path).params.parameters(), key=lambda p: p.name)
+    path.write_bytes(blob[:-100])
+    with pytest.raises(ValueError, match=r"cut\.ckpt is truncated: array 'param\.%s'"
+                       % last.name.replace(".", r"\.")):
+        ck.load_checkpoint(path)
+    path.write_bytes(blob[:30])
+    with pytest.raises(ValueError, match="truncated inside its manifest"):
+        ck.load_checkpoint(path)
+
+
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    path = tmp_path / "snap.ckpt"
+    ck.save_checkpoint(path, tiny_params(seed=1))
+    before = path.read_bytes()
+
+    def disk_full(fd):
+        raise OSError("no space left on device")
+    monkeypatch.setattr(ck.os, "fsync", disk_full)
+    with pytest.raises(OSError, match="no space"):
+        ck.save_checkpoint(path, tiny_params(seed=2))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.ckpt"]
+    monkeypatch.undo()
+    ck.save_checkpoint(path, tiny_params(seed=2))
+    assert np.array_equal(ck.load_checkpoint(path).params.head.data,
+                          tiny_params(seed=2).head.data)
+
+
 def test_rng_state_round_trip():
     rng = np.random.default_rng(123)
     rng.random(17)

@@ -261,6 +261,30 @@ def test_mask_embedding_sole_grad_path_through_queries():
     assert np.array_equal(nonzero_rows, [cfg.mask_token])
 
 
+def test_train_backward_grad_copies(monkeypatch):
+    # the fused ops hand each producer one fresh gradient; what is still
+    # copied: the root, the logits reshape, and both operands of each of the
+    # 8 residual adds (an add hands its own .grad, which must read back exact)
+    params = make_params(seed=23)
+    cfg = params.config
+    rng = np.random.default_rng(24)
+    toks = rng.integers(0, 16, (2, 16))
+    cond = np.array([cfg.class_token(1), cfg.null_class_token])
+    perms = np.stack([rng.permutation(16) + 1 for _ in range(2)])
+    logits, targets = md.forward_train_batch(params, toks, cond, perms)
+    loss = nc.cross_entropy(nc.reshape(logits, (32, 16)), targets.reshape(-1))
+    copies = []
+    accumulate = nc.Tensor._accumulate
+
+    def counting(self, g):
+        if self.grad is None:
+            copies.append(g.shape)
+        accumulate(self, g)
+    monkeypatch.setattr(nc.Tensor, "_accumulate", counting)
+    loss.backward()
+    assert len(copies) == 18
+
+
 def test_dropout_is_seeded_and_active():
     params = make_params(seed=20, dropout=0.2, dtype=np.float64)
     rng = np.random.default_rng(21)

@@ -172,16 +172,27 @@ def test_embedding_gather_and_grad():
     with pytest.raises(IndexError):
         nc.embedding(table, np.array([4]))
 
+    # every slot gathers one row, as the query stack gathers [MASK]
+    nc.zero_grads([table])
+    w = np.arange(30.0).reshape(2, 5, 3)
+    nc.sum_all(nc.mul(nc.embedding(table, np.full((2, 5), 3)), w)).backward()
+    assert np.array_equal(table.grad[:3], np.zeros((3, 3)))
+    assert np.array_equal(table.grad[3], w.reshape(10, 3).sum(axis=0))
 
-def test_silu_fd():
+
+def test_swiglu_fd():
     rng = np.random.default_rng(6)
-    x = nc.Parameter("x", rng.standard_normal(10))
+    h = nc.Parameter("h", rng.standard_normal((2, 3, 10)))
+    w = rng.standard_normal((2, 3, 5))
 
     def run():
-        return float((x.data / (1.0 + np.exp(-x.data))).sum())
+        a, b = h.data[..., :5], h.data[..., 5:]
+        return float((a / (1.0 + np.exp(-a)) * b * w).sum())
 
-    nc.sum_all(nc.silu(x)).backward()
-    assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
+    y = nc.swiglu(h)
+    assert y.shape == (2, 3, 5)
+    nc.sum_all(nc.mul(y, w)).backward()
+    assert_grads_close(h.grad, fd_grad(run, h.data), rel_tol=1e-6)
 
 
 def test_split_and_narrow_fd():
@@ -249,18 +260,21 @@ def test_self_add_of_non_leaf_fd():
 
 
 def test_diamond_through_non_leaf_fd():
-    # z = silu(y) + y * y with y = x @ m: two paths write into y.grad
+    # z = swiglu(y) w + y * y v with y = x @ m: two paths write into y.grad
     rng = np.random.default_rng(13)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
-    m = nc.Parameter("m", rng.standard_normal((4, 5)))
-    w = rng.standard_normal((2, 3, 5))
+    m = nc.Parameter("m", rng.standard_normal((4, 6)))
+    w = rng.standard_normal((2, 3, 3))
+    v = rng.standard_normal((2, 3, 6))
 
     def run():
         y = x.data @ m.data
-        return float(((y / (1.0 + np.exp(-y)) + y * y) * w).sum())
+        a, b = y[..., :3], y[..., 3:]
+        return float((a / (1.0 + np.exp(-a)) * b * w).sum() + (y * y * v).sum())
 
     y = nc.matmul(x, m)
-    nc.sum_all(nc.mul(nc.add(nc.silu(y), nc.mul(y, y)), w)).backward()
+    nc.add(nc.sum_all(nc.mul(nc.swiglu(y), w)),
+           nc.sum_all(nc.mul(nc.mul(y, y), v))).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data))
     assert_grads_close(m.grad, fd_grad(run, m.data))
 

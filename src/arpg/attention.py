@@ -1,16 +1,16 @@
 """Softmax attention with a hand-derived backward, rotary embeddings, masks.
 
-Layouts: the batched kernels (attention_forward/attention_backward and the
-`attention` tape op) work on [..., H, T, head_dim]. The training route keeps
-activations joined, [B, T, H * head_dim], and its two fused tape ops read
-them in place: `self_attention` takes the fused q|k|v projection [B, T, 3d],
-`cross_attention` takes q [B, Q, d] and k, v [B, S, d]. Both hand the
-kernels per-head strided views (reshape + transpose, no copy) and return the
-joined heads [B, T, d]; their backwards write one fresh joined gradient per
-input. Rotary embedding rotates each head_dim group of the last axis, in
-either layout, at per-token positions. The decoding engine uses the
-per-query-row kernel at the bottom, whose bits never depend on how queries
-are grouped into calls.
+Layouts: the batched kernels (attention_forward/attention_backward) work on
+[..., H, T, head_dim]. The training route keeps activations joined,
+[B, T, H * head_dim], and its only attention tape ops read them in place:
+`self_attention` takes the rows of the fused q|k|v projection [B, T, 3d]
+(the model stores wq|wk|wv as one weight), `cross_attention` takes q
+[B, Q, d] and k, v [B, S, d]. Both hand the kernels per-head strided views
+(reshape + transpose, no copy) and return the joined heads [B, T, d]; their
+backwards write one fresh joined gradient per input. Rotary embedding
+rotates each head_dim group of the last axis, in either layout, at
+per-token positions. The decoding engine uses the per-query-row kernel at
+the bottom, whose bits never depend on how queries are grouped into calls.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .numcore import Parameter, Tensor
+from .numcore import Tensor
 
 NEG_BIAS = -1e9  # large negative bias standing in for -inf pre-softmax
 
@@ -131,28 +131,6 @@ def prefix_lengths(mask: AttentionMask) -> np.ndarray:
     return lens
 
 
-# ---------------------------------------------------------------- multi-head params
-
-@dataclass
-class MultiHeadParams:
-    """Projection weights of one self-attention block, all d x d."""
-
-    wq: Parameter
-    wk: Parameter
-    wv: Parameter
-    wo: Parameter
-    num_heads: int
-
-    def __post_init__(self):
-        d = self.wq.shape[0]
-        if d % self.num_heads != 0:
-            raise ValueError("hidden %d not divisible by %d heads" % (d, self.num_heads))
-
-    @property
-    def head_dim(self) -> int:
-        return self.wq.shape[0] // self.num_heads
-
-
 # ---------------------------------------------------------------- batched kernel
 
 def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -201,18 +179,6 @@ def attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     dk = ds.swapaxes(-1, -2) @ q
     dk *= scale
     return dq, dk, dv
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
-              probs_sink: list | None = None) -> Tensor:
-    """Tape op wrapping attention_forward/attention_backward."""
-    out, probs = attention_forward(q.data, k.data, v.data, mask)
-    if probs_sink is not None:
-        probs_sink.append(probs)
-
-    def bwd(g):
-        return attention_backward(q.data, k.data, v.data, probs, out, g)
-    return nc.from_op(out, (q, k, v), bwd)
 
 
 def _heads(x: np.ndarray, heads: int) -> np.ndarray:

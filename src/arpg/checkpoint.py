@@ -29,7 +29,7 @@ from .model import ArpgParams, ModelConfig
 from .training import OptimState
 
 MAGIC = b"ARPGCKPT"
-VERSION = 1
+VERSION = 2  # 2: fused wqkv / w13 / wkv arrays; older files are rejected
 
 
 @dataclass
@@ -100,10 +100,12 @@ def load_checkpoint(path) -> Checkpoint:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise ValueError("%s is not a checkpoint file (bad magic)" % path)
+    if len(blob) < 20:
+        raise ValueError("%s is truncated inside its 20-byte header" % path)
     version = int(np.frombuffer(blob[8:12], np.uint32)[0])
     if version != VERSION:
-        raise ValueError("checkpoint format version %d, expected %d"
-                         % (version, VERSION))
+        raise ValueError("%s has checkpoint format version %d, expected %d"
+                         % (path, version, VERSION))
     man_len = int(np.frombuffer(blob[12:20], np.uint64)[0])
     if len(blob) < 20 + man_len:
         raise ValueError("%s is truncated inside its manifest" % path)

@@ -23,8 +23,7 @@ from . import numcore as nc
 from .attention import causal_mask, cross_full_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
-from .decoding import (DecodeConfig, TokenGrid, cache_scalar_count, expand,
-                       generate, inpaint)
+from .decoding import DecodeConfig, TokenGrid, expand, generate, inpaint
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -355,25 +354,27 @@ def run_bench(params: md.ArpgParams, steps_list, patterns, batch: int = 16,
     for pattern in patterns:
         for steps in steps_list:
             dc = replace(base_dc, steps=int(steps), attention_pattern=pattern)
-            n_caches = 1 if dc.cfg_scale == 1.0 else 2
-            wall_ms = []
+            wall_ms, sink = [], []
             for rep in range(repeats + 1):
                 t0 = time.perf_counter()
                 for b in range(batch):
                     generate(params, b % cfg.num_classes,
-                             replace(dc, seed=seed + 1000 * rep + b))
+                             replace(dc, seed=seed + 1000 * rep + b),
+                             state_sink=sink if rep == b == 0 else None)
                 if rep > 0:  # repeat 0 is warm-up
                     wall_ms.append((time.perf_counter() - t0) * 1e3)
             arr = np.asarray(wall_ms)
+            # the caches one decode of this cell opened, as allocated
+            cache_scalars = sum(c.scalar_count() for c in sink[0].caches if c is not None)
             rows.append({
                 "steps": int(steps), "pattern": pattern,
                 "wall_ms_mean": float(arr.mean()),
                 "wall_ms_p50": float(np.percentile(arr, 50)),
                 "wall_ms_p95": float(np.percentile(arr, 95)),
                 "tokens_per_s": float(batch * total / (arr.mean() / 1e3)),
-                "cache_scalars": n_caches * cache_scalar_count(cfg, total),
-                "resident_bytes_est": 4 * (md.param_count(cfg)
-                                           + n_caches * cache_scalar_count(cfg, total)),
+                "cache_scalars": cache_scalars,
+                "resident_bytes_est": params.dtype.itemsize * (md.param_count(cfg)
+                                                               + cache_scalars),
             })
     violations = []
     for pattern in patterns:

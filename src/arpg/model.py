@@ -2,11 +2,14 @@
 known tokens, and a query stack decoding arbitrary target positions from a
 single learned [MASK] embedding rotated to each target position.
 
-Two forward routes exist on purpose. The batched tape route (forward_train)
-runs BLAS matmuls and feeds the optimizer. The single-sample inference route
-(forward_pass1 / forward_pass2) computes every matmul row by row and attention
-per query, so its bits are invariant to how tokens are chunked into calls;
-the decoding engine's cache-equality guarantees rest on that.
+Projections that run as one matmul are stored as one fused weight: wq|wk|wv
+([d, 3d]) per content layer, w1|w3 ([d, 2f]) per SwiGLU, and one k|v weight
+([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
+The batched tape route (forward_train) runs BLAS matmuls and feeds the
+optimizer. The single-sample inference route (forward_pass1 / forward_pass2)
+computes every matmul row by row and attention per query, so its bits are
+invariant to how tokens are chunked into calls; the decoding engine's
+cache-equality guarantees rest on that.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .attention import (AttentionMask, MultiHeadParams, RopeTable, apply_rope,
-                        attention_rows, causal_mask, cross_attention, prefix_lengths,
-                        rotate_pairs, self_attention)
+from .attention import (AttentionMask, RopeTable, apply_rope, attention_rows,
+                        causal_mask, cross_attention, prefix_lengths, rotate_pairs,
+                        self_attention)
 from .numcore import Parameter, Tensor, rowwise_matmul
 
 
@@ -90,12 +93,12 @@ def param_count(config: ModelConfig, shared_kv: bool | None = None) -> int:
 
 @dataclass
 class Pass1Layer:
-    attn: MultiHeadParams
+    wqkv: Parameter  # [d, 3d], q|k|v column blocks
+    wo: Parameter
     attn_norm: Parameter
     ffn_norm: Parameter
-    w1: Parameter
+    w13: Parameter  # [d, 2f], SwiGLU gate|up column blocks
     w2: Parameter
-    w3: Parameter
 
 
 @dataclass
@@ -104,11 +107,8 @@ class Pass2Layer:
     wq: Parameter
     wo: Parameter
     ffn_norm: Parameter
-    w1: Parameter
+    w13: Parameter
     w2: Parameter
-    w3: Parameter
-    wk: Parameter | None = None  # only without the shared projection
-    wv: Parameter | None = None
 
 
 @dataclass
@@ -129,7 +129,11 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 
 
 class ArpgParams:
-    """All weights of the two-pass decoder, named uniquely for checkpointing."""
+    """All weights of the two-pass decoder, named uniquely for checkpointing.
+
+    kv_proj holds one fused k|v weight [d, 2d] per outgoing kv stream: one
+    shared stream, or one per query layer.
+    """
 
     def __init__(self, config: ModelConfig, dtype=np.float32):
         self.config = config
@@ -137,21 +141,24 @@ class ArpgParams:
         self.token_embedding: Parameter | None = None
         self.pass1: list[Pass1Layer] = []
         self.kv_norm: Parameter | None = None
-        self.kv_proj: Parameter | None = None
+        self.kv_proj: list[Parameter] = []
         self.pass2: list[Pass2Layer] = []
         self.final_norm: Parameter | None = None
         self.head: Parameter | None = None
         self._rope: RopeTable | None = None
-        self._pack: dict | None = None
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator,
              dtype=np.float32, init_std: float = 0.02) -> "ArpgParams":
         self = cls(config, dtype)
-        d, f, h = config.hidden, config.ffn_hidden, config.heads
+        d, f = config.hidden, config.ffn_hidden
 
-        def mat(name, rows, cols):
-            return Parameter(name, _trunc_normal(rng, (rows, cols), init_std).astype(dtype))
+        def draw(rows, cols):
+            return _trunc_normal(rng, (rows, cols), init_std)
+
+        def mat(name, *blocks):
+            # blocks are drawn one by one, then joined column-wise
+            return Parameter(name, np.concatenate(blocks, axis=1).astype(dtype))
 
         def gain(name):
             return Parameter(name, np.ones(d, dtype=dtype))
@@ -160,40 +167,34 @@ class ArpgParams:
             "embed.tokens", _trunc_normal(rng, (config.embed_rows, d), init_std).astype(dtype))
         for i in range(config.pass1_layers):
             p = "pass1.layer%d." % i
+            wqkv = mat(p + "wqkv", draw(d, d), draw(d, d), draw(d, d))
+            wo = mat(p + "wo", draw(d, d))
+            w1, w2, w3 = draw(d, f), draw(f, d), draw(d, f)
             self.pass1.append(Pass1Layer(
-                attn=MultiHeadParams(mat(p + "wq", d, d), mat(p + "wk", d, d),
-                                     mat(p + "wv", d, d), mat(p + "wo", d, d), h),
-                attn_norm=gain(p + "attn_norm"), ffn_norm=gain(p + "ffn_norm"),
-                w1=mat(p + "w1", d, f), w2=mat(p + "w2", f, d), w3=mat(p + "w3", d, f)))
+                wqkv=wqkv, wo=wo, attn_norm=gain(p + "attn_norm"),
+                ffn_norm=gain(p + "ffn_norm"), w13=mat(p + "w13", w1, w3), w2=mat(p + "w2", w2)))
         self.kv_norm = gain("kv.norm")
         if config.shared_kv:
-            self.kv_proj = mat("kv.proj", d, 2 * d)
+            self.kv_proj.append(mat("kv.proj", draw(d, 2 * d)))
         for i in range(config.pass2_layers):
             p = "pass2.layer%d." % i
-            layer = Pass2Layer(
-                q_norm=gain(p + "q_norm"), wq=mat(p + "wq", d, d), wo=mat(p + "wo", d, d),
-                ffn_norm=gain(p + "ffn_norm"),
-                w1=mat(p + "w1", d, f), w2=mat(p + "w2", f, d), w3=mat(p + "w3", d, f))
+            wq, wo, w1, w2, w3 = draw(d, d), draw(d, d), draw(d, f), draw(f, d), draw(d, f)
+            self.pass2.append(Pass2Layer(
+                q_norm=gain(p + "q_norm"), wq=mat(p + "wq", wq), wo=mat(p + "wo", wo),
+                ffn_norm=gain(p + "ffn_norm"), w13=mat(p + "w13", w1, w3), w2=mat(p + "w2", w2)))
             if not config.shared_kv:
-                layer.wk = mat(p + "wk", d, d)
-                layer.wv = mat(p + "wv", d, d)
-            self.pass2.append(layer)
+                self.kv_proj.append(mat(p + "wkv", draw(d, d), draw(d, d)))
         self.final_norm = gain("final.norm")
-        self.head = mat("head.proj", d, config.vocab_size)
+        self.head = mat("head.proj", draw(d, config.vocab_size))
         return self
 
     def parameters(self) -> list[Parameter]:
         out = [self.token_embedding]
         for l in self.pass1:
-            out += [l.attn.wq, l.attn.wk, l.attn.wv, l.attn.wo,
-                    l.attn_norm, l.ffn_norm, l.w1, l.w2, l.w3]
-        out.append(self.kv_norm)
-        if self.kv_proj is not None:
-            out.append(self.kv_proj)
+            out += [l.wqkv, l.wo, l.attn_norm, l.ffn_norm, l.w13, l.w2]
+        out += [self.kv_norm] + self.kv_proj
         for l in self.pass2:
-            out += [l.q_norm, l.wq, l.wo, l.ffn_norm, l.w1, l.w2, l.w3]
-            if l.wk is not None:
-                out += [l.wk, l.wv]
+            out += [l.q_norm, l.wq, l.wo, l.ffn_norm, l.w13, l.w2]
         out += [self.final_norm, self.head]
         return out
 
@@ -215,34 +216,12 @@ class ArpgParams:
                                          self.config.head_dim, self.config.rope_base)
         return self._rope
 
-    def inference_pack(self) -> dict:
-        """Fused per-layer weights for the per-row decode route, built lazily.
-
-        Concatenating wq|wk|wv and w1|w3 column-wise halves the gemv count
-        per decoded row; each output column is still its own dot product, so
-        row independence is untouched. The optimizer drops the pack after
-        every update; call drop_pack() yourself after hand-editing weights.
-        """
-        if self._pack is None:
-            p1 = [(np.concatenate([l.attn.wq.data, l.attn.wk.data,
-                                   l.attn.wv.data], axis=1),
-                   np.concatenate([l.w1.data, l.w3.data], axis=1))
-                  for l in self.pass1]
-            p2 = [np.concatenate([l.w1.data, l.w3.data], axis=1)
-                  for l in self.pass2]
-            self._pack = {"p1": p1, "p2": p2}
-        return self._pack
-
-    def drop_pack(self) -> None:
-        self._pack = None
-
 
 # ---------------------------------------------------------------- batched (tape) route
 
-def _ffn(x: Tensor, norm: Parameter, w1: Parameter, w2: Parameter, w3: Parameter) -> Tensor:
-    # one gemm against w1|w3, as inference_pack fuses them for decoding
-    xn = nc.rms_norm(x, norm)
-    return nc.matmul(nc.swiglu(nc.matmul(xn, nc.concat([w1, w3]))), w2)
+def _ffn(x: Tensor, layer: Pass1Layer | Pass2Layer) -> Tensor:
+    xn = nc.rms_norm(x, layer.ffn_norm)
+    return nc.matmul(nc.swiglu(nc.matmul(xn, layer.w13)), layer.w2)
 
 
 def _maybe_drop(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -263,12 +242,10 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     for li, layer in enumerate(params.pass1):
         sink: list | None = [] if (capture is not None and li == len(params.pass1) - 1) else None
         xn = nc.rms_norm(x, layer.attn_norm)
-        wqkv = nc.concat([layer.attn.wq, layer.attn.wk, layer.attn.wv])
-        a = self_attention(nc.matmul(xn, wqkv), positions, table, mask, heads,
+        a = self_attention(nc.matmul(xn, layer.wqkv), positions, table, mask, heads,
                            probs_sink=sink)
-        x = nc.add(x, _maybe_drop(nc.matmul(a, layer.attn.wo), rate, dropout_rng))
-        x = nc.add(x, _maybe_drop(_ffn(x, layer.ffn_norm, layer.w1, layer.w2, layer.w3),
-                                  rate, dropout_rng))
+        x = nc.add(x, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
+        x = nc.add(x, _maybe_drop(_ffn(x, layer), rate, dropout_rng))
         if sink is not None:
             capture.pass1_probs = sink[0]
     return x
@@ -278,20 +255,16 @@ def project_kv(params: ArpgParams, h: Tensor,
                positions: np.ndarray) -> list[tuple[Tensor, Tensor]]:
     """Normalized content states -> per-stream (k, v), k rotated at its position.
 
-    One stream with the shared projection; one per query layer without it.
-    k, v come back joined, [B, S, d].
+    One stream per fused k|v weight in params.kv_proj. k, v come back
+    joined, [B, S, d].
     """
-    cfg = params.config
+    d = params.config.hidden
     table = params.rope_table(int(positions.max()) + 1)
     hn = nc.rms_norm(h, params.kv_norm)
     pairs = []
-    if cfg.shared_kv:
-        k, v = nc.split(nc.matmul(hn, params.kv_proj), [cfg.hidden, cfg.hidden], axis=-1)
+    for w in params.kv_proj:
+        k, v = nc.split(nc.matmul(hn, w), [d, d], axis=-1)
         pairs.append((apply_rope(k, positions, table), v))
-    else:
-        for layer in params.pass2:
-            pairs.append((apply_rope(nc.matmul(hn, layer.wk), positions, table),
-                          nc.matmul(hn, layer.wv)))
     return pairs
 
 
@@ -314,8 +287,7 @@ def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
         a = cross_attention(q, k, v, mask, cfg.heads, probs_sink=sink)
         # the rotated query itself is the residual carrier
         o = nc.add(q, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
-        o = nc.add(o, _maybe_drop(_ffn(o, layer.ffn_norm, layer.w1, layer.w2, layer.w3),
-                                  rate, dropout_rng))
+        o = nc.add(o, _maybe_drop(_ffn(o, layer), rate, dropout_rng))
         if sink is not None:
             capture.pass2_probs = sink[0]
     return nc.matmul(nc.rms_norm(o, params.final_norm), params.head)
@@ -366,11 +338,10 @@ def _silu_np(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def _ffn_np(x, norm, w2, w13):
-    xn = _rms_np(x, norm)
-    h13 = rowwise_matmul(xn, w13)
-    f = w13.shape[1] // 2
-    return rowwise_matmul(_silu_np(h13[:, :f]) * h13[:, f:], w2.data)
+def _ffn_np(x: np.ndarray, layer: Pass1Layer | Pass2Layer) -> np.ndarray:
+    h13 = rowwise_matmul(_rms_np(x, layer.ffn_norm), layer.w13.data)
+    f = h13.shape[1] // 2
+    return rowwise_matmul(_silu_np(h13[:, :f]) * h13[:, f:], layer.w2.data)
 
 
 def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
@@ -404,13 +375,11 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     else:
         raise ValueError("unknown attention pattern %r" % pattern)
 
-    pack = params.inference_pack()
     d = cfg.hidden
     x = params.token_embedding.data[ids]
     for li, layer in enumerate(params.pass1):
-        wqkv, w13 = pack["p1"][li]
         xn = _rms_np(x, layer.attn_norm)
-        qkv = rowwise_matmul(xn, wqkv)
+        qkv = rowwise_matmul(xn, layer.wqkv.data)
         q = rotate_pairs(qkv[:, :d].reshape(m, cfg.heads, -1), cos, sin)
         k = rotate_pairs(qkv[:, d:2 * d].reshape(m, cfg.heads, -1), cos, sin)
         v = qkv[:, 2 * d:].reshape(m, cfg.heads, -1)
@@ -420,24 +389,18 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
             cache.layer_append(li, k, v)
             k_all, v_all = cache.layer_view(li)
         a = attention_rows(q, k_all.transpose(1, 0, 2), v_all.transpose(1, 0, 2), lens)
-        x = x + rowwise_matmul(a.reshape(m, cfg.hidden), layer.attn.wo.data)
-        x = x + _ffn_np(x, layer.ffn_norm, layer.w2, w13)
+        x = x + rowwise_matmul(a.reshape(m, d), layer.wo.data)
+        x = x + _ffn_np(x, layer)
 
     hn = _rms_np(x, params.kv_norm)
     pairs = []
-    if cfg.shared_kv:
-        kv = rowwise_matmul(hn, params.kv_proj.data)
-        k, v = kv[:, :cfg.hidden], kv[:, cfg.hidden:]
-        pairs.append((rotate_pairs(k.reshape(m, cfg.heads, -1), cos, sin),
-                      np.ascontiguousarray(v.reshape(m, cfg.heads, -1))))
-    else:
-        for layer in params.pass2:
-            k = rotate_pairs(rowwise_matmul(hn, layer.wk.data).reshape(m, cfg.heads, -1),
-                             cos, sin)
-            pairs.append((k, rowwise_matmul(hn, layer.wv.data).reshape(m, cfg.heads, -1)))
-    if cache is not None:
-        for si, (k, v) in enumerate(pairs):
+    for si, w in enumerate(params.kv_proj):
+        kv = rowwise_matmul(hn, w.data).reshape(m, 2 * cfg.heads, -1)
+        k = rotate_pairs(kv[:, :cfg.heads], cos, sin)
+        v = np.ascontiguousarray(kv[:, cfg.heads:])
+        if cache is not None:
             cache.out_append(si, k, v)
+        pairs.append((k, v))
     return pairs
 
 
@@ -465,7 +428,6 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
     cos, sin = table.gather(tgt, dtype=params.dtype)
     lens = np.full(q_len, length) if mask is None else prefix_lengths(mask)
 
-    pack = params.inference_pack()
     o = params.token_embedding.data[np.full(q_len, cfg.mask_token)]
     for li, layer in enumerate(params.pass2):
         on = _rms_np(o, layer.q_norm)
@@ -475,5 +437,5 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
         a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
         o = q.reshape(q_len, cfg.hidden) + rowwise_matmul(a.reshape(q_len, cfg.hidden),
                                                           layer.wo.data)
-        o = o + _ffn_np(o, layer.ffn_norm, layer.w2, pack["p2"][li])
+        o = o + _ffn_np(o, layer)
     return rowwise_matmul(_rms_np(o, params.final_norm), params.head.data)

@@ -115,29 +115,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axis1: int, axis2: int):
-        return transpose(self, axis1, axis2)
 
     def __repr__(self):
         return "Tensor(shape=%r, dtype=%s, requires_grad=%r)" % (
@@ -252,12 +237,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return from_op(out, (a, b), bwd)
 
 
-def transpose(x: Tensor, axis1: int, axis2: int) -> Tensor:
-    def bwd(g):
-        return (g.swapaxes(axis1, axis2),)
-    return from_op(x.data.swapaxes(axis1, axis2), (x,), bwd)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.data.shape
 
@@ -289,16 +268,6 @@ def split(x: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
     return out
 
 
-def concat(xs: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Join tensors along axis; the backward hands each part its slice of g."""
-    data = np.concatenate([x.data for x in xs], axis=axis)
-    cuts = np.cumsum([x.shape[axis] for x in xs])[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, cuts, axis=axis))
-    return from_op(data, tuple(xs), bwd)
-
-
 def sum_all(x: Tensor) -> Tensor:
     def bwd(g):
         return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
@@ -306,17 +275,6 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------- nonlinear ops
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        # Jacobian: diag(y) - y y^T applied row-wise
-        return ((g - (g * y).sum(axis=axis, keepdims=True)) * y,)
-    return from_op(y, (x,), bwd)
-
 
 def swiglu(h: Tensor) -> Tensor:
     """silu(a) * b for h = a|b [..., 2f], as one node holding h and sigmoid(a)."""

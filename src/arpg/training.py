@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numcore as nc
-from .attention import attention, cross_full_mask
+from .attention import cross_attention, cross_full_mask
 from .decoding import DecodeConfig, TokenGrid, generate
 from .model import ArpgParams, forward_train_batch
 
@@ -216,7 +216,6 @@ def adamw_update(optim: OptimState, params: ArpgParams) -> ArpgParams:
         if _decayed(p):
             p.data *= 1.0 - optim.lr * optim.weight_decay
         p.data -= optim.lr * (m / c1) / (np.sqrt(v / c2) + optim.eps)
-    params.drop_pack()  # fused decode weights are stale now
     return params
 
 
@@ -386,19 +385,19 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
             masked[rows // 2] = not masked[rows // 2]
     masked = np.asarray(masked, dtype=bool)
     fed = np.where(masked, base.mask_id, ids)
-    x = nc.embedding(base.embed, fed)
+    x = nc.embedding(base.embed, fed[None])  # one batch of rows: [1, rows, dim]
     q = nc.matmul(x, base.wq)
     k = nc.matmul(x, base.wk)
     v = nc.matmul(x, base.wv)
-    out = attention(q, k, v, cross_full_mask(rows, rows))
-    logits = nc.matmul(out, base.wo)
+    out = cross_attention(q, k, v, cross_full_mask(rows, rows), heads=1)
+    logits = nc.reshape(nc.matmul(out, base.wo), (rows, base.vocab))
     sel = np.flatnonzero(masked)
     if sel.size:
         nc.cross_entropy(nc.embedding(logits, sel), ids[sel]).backward()
 
     def norms(t):
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return np.sqrt((g * g).sum(axis=-1))
+        return np.sqrt((g[0] * g[0]).sum(axis=-1))
 
     report = {"masked": masked.tolist(),
               "dq_norms": norms(q).tolist(),

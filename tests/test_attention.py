@@ -200,36 +200,13 @@ def test_attention_fd_two_heads():
     w = rng.standard_normal((2, 4, 6))
 
     def run():
-        out, _ = at.attention_forward(q.data, k.data, v.data, mask)
-        return float((out * w).sum())
+        out, _ = at.attention_forward(*(_joined_heads(x.data, 2) for x in (q, k, v)), mask)
+        return float((out.transpose(0, 2, 1, 3).reshape(2, 4, 6) * w).sum())
 
-    nc.sum_all(nc.mul(at.attention(q, k, v, mask), w)).backward()
+    nc.sum_all(nc.mul(at.cross_attention(q, k, v, mask, 2), w)).backward()
     assert_grads_close(q.grad, fd_grad(run, q.data), rel_tol=1e-6)
     assert_grads_close(k.grad, fd_grad(run, k.data), rel_tol=1e-6)
     assert_grads_close(v.grad, fd_grad(run, v.data), rel_tol=1e-6)
-
-
-def test_attention_backward_matches_primitive_tape():
-    # same math built from matmul+softmax primitives; grads agree to 1e-12
-    rng = np.random.default_rng(11)
-    shape = (2, 5, 8)
-    mask = at.causal_mask(5)
-    w = rng.standard_normal(shape)
-    qa, ka, va = (rng.standard_normal(shape) for _ in range(3))
-
-    fused = [nc.Parameter(n, x.copy()) for n, x in (("q", qa), ("k", ka), ("v", va))]
-    nc.sum_all(nc.mul(at.attention(*fused, mask), w)).backward()
-
-    prim = [nc.Parameter(n, x.copy()) for n, x in (("q", qa), ("k", ka), ("v", va))]
-    q, k, v = prim
-    scale = 1.0 / np.sqrt(shape[-1])
-    scores = nc.add(nc.mul(nc.matmul(q, nc.transpose(k, -1, -2)), scale),
-                    mask.bias(np.float64))
-    probs = nc.softmax(scores, axis=-1)
-    nc.sum_all(nc.mul(nc.matmul(probs, v), w)).backward()
-
-    for f, p in zip(fused, prim):
-        assert np.abs(f.grad - p.grad).max() < 1e-12
 
 
 def _joined_heads(x, heads):

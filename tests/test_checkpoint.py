@@ -1,9 +1,13 @@
 """Checkpoint round-trips: values, bytes, optimizer state, rng snapshots."""
 
 import filecmp
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arpg import checkpoint as ck
 from arpg import model as md
@@ -98,6 +102,17 @@ def test_bad_files_rejected(tmp_path):
         ck.load_checkpoint(bad2)
 
 
+def test_version_1_file_rejected_by_its_version(tmp_path):
+    # version 1 held separate wq/wk/wv/w1/w3 arrays; the header turns it away
+    path = tmp_path / "old.ckpt"
+    ck.save_checkpoint(path, tiny_params())
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = np.uint32(1).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=r"old\.ckpt has checkpoint format version 1, expected 2"):
+        ck.load_checkpoint(path)
+
+
 def test_truncated_file_names_file_and_array(tmp_path):
     path = tmp_path / "cut.ckpt"
     ck.save_checkpoint(path, tiny_params())
@@ -128,6 +143,58 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
     ck.save_checkpoint(path, tiny_params(seed=2))
     assert np.array_equal(ck.load_checkpoint(path).params.head.data,
                           tiny_params(seed=2).head.data)
+
+
+# ---------------------------------------------------------------- properties
+
+def _small_params(seed, shared, pass1_layers, dtype):
+    cfg = md.ModelConfig(vocab_size=8, num_classes=2, hidden=8, heads=2, seq_len=4,
+                         pass1_layers=pass1_layers, pass2_layers=2, shared_kv=shared)
+    return md.ArpgParams.init(cfg, np.random.default_rng(seed), dtype)
+
+
+def _saved_blob() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "whole.ckpt"
+        params = _small_params(0, False, 1, np.float32)
+        ck.save_checkpoint(path, params, tr.OptimState.init(params, lr=1e-3))
+        return path.read_bytes()
+
+
+WHOLE = _saved_blob()
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("ckpt_props")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), shared=st.booleans(), pass1_layers=st.integers(0, 2),
+       dtype=st.sampled_from([np.float32, np.float64]), with_optim=st.booleans())
+def test_save_load_save_is_byte_identical(scratch_dir, seed, shared, pass1_layers,
+                                          dtype, with_optim):
+    params = _small_params(seed, shared, pass1_layers, dtype)
+    optim = tr.OptimState.init(params, lr=1e-3) if with_optim else None
+    if optim is not None:
+        for name in optim.m:
+            optim.m[name] += np.asarray(seed % 7, dtype=dtype)
+    p1, p2 = scratch_dir / "a.ckpt", scratch_dir / "b.ckpt"
+    ck.save_checkpoint(p1, params, optim, extra={"seed": seed})
+    loaded = ck.load_checkpoint(p1)
+    ck.save_checkpoint(p2, loaded.params, loaded.optim, extra=loaded.meta["extra"])
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(cut=st.integers(0, len(WHOLE) - 1))
+@example(cut=8)   # magic only: no version field
+@example(cut=12)  # version only: no manifest length
+def test_file_cut_at_any_byte_raises_value_error_naming_it(scratch_dir, cut):
+    path = scratch_dir / "cut_at.ckpt"
+    path.write_bytes(WHOLE[:cut])
+    with pytest.raises(ValueError, match=r"cut_at\.ckpt"):
+        ck.load_checkpoint(path)
 
 
 def test_rng_state_round_trip():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from arpg import checkpoint as ck
-from arpg.cli import main
-from arpg.decoding import cache_scalar_count
-from arpg.model import ModelConfig
+from arpg.cli import main, run_bench
+from arpg.decoding import DecodeConfig, cache_scalar_count
+from arpg.model import ArpgParams, ModelConfig, param_count
 
 
 def write_cfg(path: Path, entries: dict) -> str:
@@ -197,6 +197,19 @@ def test_bench_reports_closed_form_cache_size(tmp_path):
         assert row["cache_scalars"] == want
         assert row["wall_ms_mean"] > 0
     assert (out / "bench.txt").read_text().strip()
+
+
+def test_bench_measures_open_caches_and_dtype_bytes():
+    # at steps=1 the linear CFG ramp's only scale is 1.0, so one cache opens
+    mc = ModelConfig(vocab_size=16, num_classes=4, hidden=16, heads=2,
+                     pass1_layers=1, pass2_layers=1, seq_len=16)
+    params = ArpgParams.init(mc, np.random.default_rng(0), np.float64)
+    report = run_bench(params, [1, 4], ["causal"], batch=1, repeats=1,
+                       base_dc=DecodeConfig(cfg_scale=3.0))
+    one = cache_scalar_count(mc, 16)
+    assert [r["cache_scalars"] for r in report["rows"]] == [one, 2 * one]
+    for row in report["rows"]:
+        assert row["resident_bytes_est"] == 8 * (param_count(mc) + row["cache_scalars"])
 
 
 def test_grad_demo_payload(tmp_path):

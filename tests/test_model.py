@@ -60,11 +60,9 @@ def test_param_names_unique_and_count_matches_closed_form():
 
 def test_shared_kv_owns_no_private_projections():
     shared = make_params(shared_kv=True)
-    assert shared.kv_proj is not None
-    assert all(l.wk is None and l.wv is None for l in shared.pass2)
+    assert [p.name for p in shared.kv_proj] == ["kv.proj"]
     unshared = make_params(shared_kv=False)
-    assert unshared.kv_proj is None
-    assert all(l.wk is not None and l.wv is not None for l in unshared.pass2)
+    assert [p.name for p in unshared.kv_proj] == ["pass2.layer0.wkv", "pass2.layer1.wkv"]
 
 
 def test_param_count_shared_vs_unshared_delta():
@@ -90,13 +88,31 @@ def test_param_count_large_config_near_320m():
 
 def test_init_statistics():
     params = make_params(seed=3)
-    w = params.pass1[0].attn.wq.data
+    w = params.pass1[0].wqkv.data
     assert abs(w.std() - 0.02) < 0.005
     assert np.abs(w).max() <= 0.04 + 1e-12
     assert np.array_equal(params.kv_norm.data, np.ones(32))
 
 
 # ---------------------------------------------------------------- inference route
+
+def test_decode_reads_live_weights():
+    # a weight edited in place after a decode is what the next decode reads
+    params = make_params(seed=9)
+    cfg = params.config
+    ids, pos = [cfg.class_token(2), 3, 7], [0, 5, 9]
+    kv = md.forward_pass1(params, ids, pos)
+    md.forward_pass2(params, np.array([2, 4]), kv)
+    params.pass1[0].wqkv.data[:, :4] += 0.5
+    params.pass2[1].w13.data *= 1.5
+    fresh = params.astype(params.dtype)
+    kv_live, kv_fresh = md.forward_pass1(params, ids, pos), md.forward_pass1(fresh, ids, pos)
+    assert not np.array_equal(kv_live[0][0], kv[0][0])
+    for (k, v), (kf, vf) in zip(kv_live, kv_fresh):
+        assert np.array_equal(k, kf) and np.array_equal(v, vf)
+    assert np.array_equal(md.forward_pass2(params, np.array([2, 4]), kv_live),
+                          md.forward_pass2(fresh, np.array([2, 4]), kv_fresh))
+
 
 def test_pass1_condition_only():
     params = make_params()

@@ -107,7 +107,7 @@ def test_adamw_unit_grad_closed_form():
 def test_adamw_decoupled_decay_shrinks_grad_free_weight():
     params = make_flat_params()
     optim = tr.OptimState.init(params, lr=0.1, weight_decay=0.05)
-    w = params.pass1[0].attn.wq
+    w = params.pass1[0].wqkv
     gain = params.kv_norm
     before_w = w.data.copy()
     before_gain = gain.data.copy()

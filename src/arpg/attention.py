@@ -121,16 +121,6 @@ def cross_full_mask(num_queries: int, num_keys: int) -> AttentionMask:
     return AttentionMask("cross_full", np.ones((num_queries, num_keys), dtype=bool))
 
 
-def prefix_lengths(mask: AttentionMask) -> np.ndarray:
-    """Per-query allowed-key count, valid only when each row allows a prefix."""
-    allowed = mask.allowed
-    lens = allowed.sum(axis=1)
-    rows = np.arange(allowed.shape[0])
-    if not all(allowed[r, :lens[r]].all() for r in rows):
-        raise ValueError("mask rows are not key prefixes")
-    return lens
-
-
 # ---------------------------------------------------------------- batched kernel
 
 def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,

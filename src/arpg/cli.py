@@ -508,10 +508,8 @@ def cmd_attn_export(cfg: dict) -> int:
     if input_path is None:
         toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
     else:
-        toks = load_tokens_txt(input_path).reshape(-1)
-        if toks.size != total:
-            raise ConfigError("input holds %d tokens, model expects %d"
-                              % (toks.size, total))
+        toks = TokenGrid(load_tokens_txt(input_path), class_id).validate(
+            mc.vocab_size, total).flat
     if not 0 <= class_id < mc.num_classes:
         raise ConfigError("class_id %d outside [0, %d)"
                           % (class_id, mc.num_classes))
@@ -522,26 +520,22 @@ def cmd_attn_export(cfg: dict) -> int:
                           toks[:-1]]).astype(np.int64)
     positions = np.arange(total, dtype=np.int64)
     targets = np.arange(1, total + 1, dtype=np.int64)
-    capture = md.ActivationBlock()
+    pass1_probs, pass2_probs = [], []
     with nc.no_grad():
         h = md.pass1_hidden(params, ids[None], positions[None],
-                            causal_mask(total), capture=capture)
+                            causal_mask(total), probs_sink=pass1_probs)
         kv = md.project_kv(params, h, positions[None])
         md.pass2_logits(params, kv, targets[None],
-                        cross_full_mask(total, total), capture=capture)
+                        cross_full_mask(total, total), probs_sink=pass2_probs)
 
     written = []
-    if capture.pass1_probs is not None:
-        for head in range(mc.heads):
-            name = "pass1_head%d.csv" % head
-            np.savetxt(out / name, capture.pass1_probs[0, head],
-                       delimiter=",", fmt="%.8e")
+    for stack, probs in (("pass1", pass1_probs), ("pass2", pass2_probs)):
+        if not probs:  # a model without content layers has no pass-1 scores
+            continue
+        for head in range(mc.heads):  # final layer of the stack
+            name = "%s_head%d.csv" % (stack, head)
+            np.savetxt(out / name, probs[-1][0, head], delimiter=",", fmt="%.8e")
             written.append(name)
-    for head in range(mc.heads):
-        name = "pass2_head%d.csv" % head
-        np.savetxt(out / name, capture.pass2_probs[0, head],
-                   delimiter=",", fmt="%.8e")
-        written.append(name)
     meta = {"checkpoint": str(ck_path), "class_id": class_id, "seed": seed,
             "input": None if input_path is None else str(input_path),
             "t_in": int(total), "queries": int(total), "heads": mc.heads,

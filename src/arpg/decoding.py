@@ -16,8 +16,9 @@ from math import isqrt
 import numpy as np
 
 from . import model as md
-from .ordering import (CfgSchedule, DecodeSchedule, cfg_scale_at, fixed_order,
-                       sample_permutation, schedule_counts)
+from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, CfgSchedule,
+                       DecodeSchedule, cfg_scale_at, fixed_order, sample_permutation,
+                       schedule_counts)
 
 # Largest position count the rotary table will be rebuilt for during expansion.
 EXPAND_POSITION_LIMIT = 4096
@@ -86,10 +87,6 @@ class KvCache:
     def length(self) -> int:
         return self._out_fill[0]
 
-    @property
-    def out_streams(self) -> int:
-        return len(self._out_k)
-
     def scalar_count(self) -> int:
         buffers = self._layer_k + self._layer_v + self._out_k + self._out_v
         return sum(b.size for b in buffers)
@@ -120,7 +117,7 @@ class KvCache:
         return self._out_k[stream][:fill], self._out_v[stream][:fill]
 
     def out_kv(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [self.out_view(s) for s in range(self.out_streams)]
+        return [self.out_view(s) for s in range(len(self._out_k))]
 
 
 def cache_scalar_count(config: md.ModelConfig, seq_len: int) -> int:
@@ -157,9 +154,13 @@ class DecodeConfig:
             raise ValueError("top_p must lie in (0, 1]")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1 when set")
-        if self.attention_pattern not in ATTENTION_PATTERNS:
-            raise ValueError("attention_pattern must be one of %s"
-                             % "|".join(ATTENTION_PATTERNS))
+        for name, kinds in (("attention_pattern", ATTENTION_PATTERNS),
+                            ("order", ("random",) + FIXED_ORDER_KINDS),
+                            ("schedule", SCHEDULE_KINDS),
+                            ("cfg_schedule", CFG_KINDS)):
+            if getattr(self, name) not in kinds:
+                raise ValueError("%s must be one of %s, got %r"
+                                 % (name, "|".join(kinds), getattr(self, name)))
         if self.cfg_scale < 0:
             raise ValueError("cfg_scale must be >= 0")
 
@@ -407,13 +408,16 @@ def sequential_reference_generate(params: md.ArpgParams, class_id: int,
 
 # ---------------------------------------------------------------- editing
 
-def _known_indices(known, grid_size: int) -> np.ndarray:
+def _known_indices(known, grid_h: int, grid_w: int) -> np.ndarray:
     arr = np.asarray(known)
     if arr.dtype == bool:
-        idx = np.flatnonzero(arr.reshape(-1))
+        if arr.shape != (grid_h, grid_w):
+            raise ValueError("known mask has shape %r, grid is %r"
+                             % (arr.shape, (grid_h, grid_w)))
+        idx = np.flatnonzero(arr)
     else:
         idx = np.unique(arr.reshape(-1))
-    if idx.size and (idx.min() < 0 or idx.max() >= grid_size):
+    if idx.size and (idx.min() < 0 or idx.max() >= grid_h * grid_w):
         raise ValueError("known indices outside the grid")
     return idx
 
@@ -423,14 +427,18 @@ def inpaint(params: md.ArpgParams, partial: TokenGrid, known,
             state_sink: list | None = None) -> TokenGrid:
     """Decode only the unknown positions; known tokens are kept bit-exact.
 
-    known is a boolean grid or a set of flat raster indices. Known tokens are
-    prefilled behind the condition in raster order; the remaining positions
-    are decoded by the schedule over their own count.
+    known is a boolean grid of the decode grid's shape or a set of flat
+    raster indices. Known tokens are prefilled behind the condition in raster
+    order; the remaining positions are decoded by the schedule over their own
+    count.
     """
     cfg = params.config
     grid_h, grid_w = _grid_shape(cfg, dc)
-    partial.validate(cfg.vocab_size, cfg.seq_len)
-    idx = _known_indices(known, cfg.seq_len)
+    partial.validate(cfg.vocab_size)
+    if partial.tokens.shape != (grid_h, grid_w):
+        raise ValueError("partial grid has shape %r, grid is %r"
+                         % (partial.tokens.shape, (grid_h, grid_w)))
+    idx = _known_indices(known, grid_h, grid_w)
     if idx.size == 0:
         raise ValueError("known set is empty; use generate instead")
     todo = np.setdiff1d(np.arange(cfg.seq_len), idx)

@@ -5,7 +5,7 @@ single learned [MASK] embedding rotated to each target position.
 Projections that run as one matmul are stored as one fused weight: wq|wk|wv
 ([d, 3d]) per content layer, w1|w3 ([d, 2f]) per SwiGLU, and one k|v weight
 ([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
-The batched tape route (forward_train) runs BLAS matmuls and feeds the
+The batched tape route (forward_train_batch) runs BLAS matmuls and feeds the
 optimizer. The single-sample inference route (forward_pass1 / forward_pass2)
 computes every matmul row by row and attention per query, so its bits are
 invariant to how tokens are chunked into calls; the decoding engine's
@@ -20,9 +20,9 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import (AttentionMask, RopeTable, apply_rope, attention_rows,
-                        causal_mask, cross_attention, prefix_lengths, rotate_pairs,
-                        self_attention)
+                        causal_mask, cross_attention, rotate_pairs, self_attention)
 from .numcore import Parameter, Tensor, rowwise_matmul
+from .ordering import is_permutation
 
 
 # ---------------------------------------------------------------- configuration
@@ -77,13 +77,12 @@ class ModelConfig:
         return self.vocab_size + self.num_classes + 2
 
 
-def param_count(config: ModelConfig, shared_kv: bool | None = None) -> int:
+def param_count(config: ModelConfig) -> int:
     """Exact trainable-scalar count for a config (closed form, no allocation)."""
-    shared = config.shared_kv if shared_kv is None else shared_kv
     d, f = config.hidden, config.ffn_hidden
     emb = config.embed_rows * d
     p1 = config.pass1_layers * (4 * d * d + 3 * d * f + 2 * d)
-    kv = d + (2 * d * d if shared else 2 * d * d * config.pass2_layers)
+    kv = d + (2 * d * d if config.shared_kv else 2 * d * d * config.pass2_layers)
     p2 = config.pass2_layers * (2 * d * d + 3 * d * f + 2 * d)
     head = d + d * config.vocab_size
     return emb + p1 + kv + p2 + head
@@ -109,14 +108,6 @@ class Pass2Layer:
     ffn_norm: Parameter
     w13: Parameter
     w2: Parameter
-
-
-@dataclass
-class ActivationBlock:
-    """Optional capture of one forward's final-layer attention probabilities."""
-
-    pass1_probs: np.ndarray | None = None  # final content layer [B, H, S, S]
-    pass2_probs: np.ndarray | None = None  # final query layer [B, H, Q, S]
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -198,21 +189,10 @@ class ArpgParams:
         out += [self.final_norm, self.head]
         return out
 
-    def astype(self, dtype) -> "ArpgParams":
-        """Deep copy with every weight cast (used to run oracles in float64)."""
-        rebuilt = ArpgParams.init(self.config, np.random.default_rng(0), dtype)
-        src = {p.name: p for p in self.parameters()}
-        for p in rebuilt.parameters():
-            p.data = src[p.name].data.astype(dtype)
-            p.grad = np.zeros_like(p.data)
-        rebuilt.dtype = np.dtype(dtype)
-        return rebuilt
-
-    def rope_table(self, min_positions: int | None = None) -> RopeTable:
+    def rope_table(self, min_positions: int) -> RopeTable:
         """Rotary table covering at least [0, min_positions); grown by recompute."""
-        need = min_positions if min_positions is not None else self.config.seq_len + 1
-        if self._rope is None or self._rope.max_positions < need:
-            self._rope = RopeTable.build(max(need, self.config.seq_len + 1),
+        if self._rope is None or self._rope.max_positions < min_positions:
+            self._rope = RopeTable.build(max(min_positions, self.config.seq_len + 1),
                                          self.config.head_dim, self.config.rope_base)
         return self._rope
 
@@ -232,22 +212,23 @@ def _maybe_drop(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tens
 
 
 def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
-                 mask: AttentionMask, capture: ActivationBlock | None = None,
+                 mask: AttentionMask, probs_sink: list | None = None,
                  dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Content stack over [B, S] tokens at [B, S] rotary positions."""
+    """Content stack over [B, S] tokens at [B, S] rotary positions.
+
+    probs_sink, when given, receives each layer's attention probabilities
+    [B, H, S, S], first layer first.
+    """
     table = params.rope_table(int(positions.max()) + 1)
     heads = params.config.heads
     rate = params.config.dropout
     x = nc.embedding(params.token_embedding, input_ids)
-    for li, layer in enumerate(params.pass1):
-        sink: list | None = [] if (capture is not None and li == len(params.pass1) - 1) else None
+    for layer in params.pass1:
         xn = nc.rms_norm(x, layer.attn_norm)
         a = self_attention(nc.matmul(xn, layer.wqkv), positions, table, mask, heads,
-                           probs_sink=sink)
+                           probs_sink=probs_sink)
         x = nc.add(x, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
         x = nc.add(x, _maybe_drop(_ffn(x, layer), rate, dropout_rng))
-        if sink is not None:
-            capture.pass1_probs = sink[0]
     return x
 
 
@@ -270,9 +251,13 @@ def project_kv(params: ArpgParams, h: Tensor,
 
 def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
                  target_positions: np.ndarray, mask: AttentionMask,
-                 capture: ActivationBlock | None = None,
+                 probs_sink: list | None = None,
                  dropout_rng: np.random.Generator | None = None) -> Tensor:
-    """Query stack: [MASK] embedding rotated to each target, cross-attending kv."""
+    """Query stack: [MASK] embedding rotated to each target, cross-attending kv.
+
+    probs_sink, when given, receives each layer's attention probabilities
+    [B, H, Q, S], first layer first.
+    """
     cfg = params.config
     table = params.rope_table(int(target_positions.max()) + 1)
     b, q_len = target_positions.shape
@@ -280,16 +265,13 @@ def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
     o = nc.embedding(params.token_embedding,
                      np.full((b, q_len), cfg.mask_token, dtype=np.int64))
     for li, layer in enumerate(params.pass2):
-        sink: list | None = [] if (capture is not None and li == len(params.pass2) - 1) else None
         on = nc.rms_norm(o, layer.q_norm)
         q = apply_rope(nc.matmul(on, layer.wq), target_positions, table)
         k, v = kv[0] if cfg.shared_kv else kv[li]
-        a = cross_attention(q, k, v, mask, cfg.heads, probs_sink=sink)
+        a = cross_attention(q, k, v, mask, cfg.heads, probs_sink=probs_sink)
         # the rotated query itself is the residual carrier
         o = nc.add(q, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
         o = nc.add(o, _maybe_drop(_ffn(o, layer), rate, dropout_rng))
-        if sink is not None:
-            capture.pass2_probs = sink[0]
     return nc.matmul(nc.rms_norm(o, params.final_norm), params.head)
 
 
@@ -307,7 +289,7 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
     """
     b, t = input_ids.shape
     for row in perms:
-        if not np.array_equal(np.sort(row), np.arange(1, t + 1)):
+        if not is_permutation(row, t):
             raise ValueError("perm is not a bijection over 1..%d" % t)
     shuffled = np.take_along_axis(input_ids, perms - 1, axis=1)
     in_ids = np.concatenate([cond_tokens[:, None], shuffled[:, :-1]], axis=1)
@@ -316,15 +298,6 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
     kv = project_kv(params, h, in_pos)
     logits = pass2_logits(params, kv, perms, causal_mask(t), dropout_rng=dropout_rng)
     return logits, shuffled
-
-
-def forward_train(params: ArpgParams, input_ids: np.ndarray, class_id: int,
-                  permutation: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Single-sample wrapper around forward_train_batch; logits [T, V]."""
-    cond = np.array([params.config.class_token(class_id)])
-    logits, shuffled = forward_train_batch(
-        params, np.asarray(input_ids)[None, :], cond, np.asarray(permutation)[None, :])
-    return nc.reshape(logits, logits.shape[1:]), shuffled[0]
 
 
 # ---------------------------------------------------------------- inference route
@@ -405,14 +378,13 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
 
 
 def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
-                  kv: list[tuple[np.ndarray, np.ndarray]],
-                  mask: AttentionMask | None = None) -> np.ndarray:
+                  kv: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Decode logits [Q, V] at target positions against cached content kv.
 
     kv holds (k, v) rows [L, H, hd] per stream (one stream when shared).
-    Queries never see each other; each attends to the key prefix its mask row
-    allows (whole cache by default). Computed per query row, so any chunking
-    of the query set yields bit-identical logits.
+    Queries never see each other; each attends to every cached row. Computed
+    per query row, so any chunking of the query set yields bit-identical
+    logits.
     """
     cfg = params.config
     tgt = np.asarray(target_positions)
@@ -426,7 +398,7 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
     length = kv[0][0].shape[0]
     table = params.rope_table(int(tgt.max()) + 1)
     cos, sin = table.gather(tgt, dtype=params.dtype)
-    lens = np.full(q_len, length) if mask is None else prefix_lengths(mask)
+    lens = np.full(q_len, length)
 
     o = params.token_embedding.data[np.full(q_len, cfg.mask_token)]
     for li, layer in enumerate(params.pass2):

@@ -60,9 +60,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self) -> None:
         """Reverse-mode accumulation from a scalar root over the recorded graph."""
         if self.data.size != 1:
@@ -111,19 +108,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad[idx] += g
 
-    # operator sugar; constants (python numbers, numpy arrays) stay grad-free
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __repr__(self):
         return "Tensor(shape=%r, dtype=%s, requires_grad=%r)" % (
             self.shape, self.dtype, self.requires_grad)
@@ -161,10 +145,7 @@ def from_op(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> 
 
 def zero_grads(params: Sequence[Parameter]) -> None:
     for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        else:
-            p.grad[...] = 0
+        p.grad[...] = 0
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,24 +198,19 @@ def _gemm_into(shape: tuple[int, ...], x2: np.ndarray, y2: np.ndarray) -> np.nda
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError("matmul inner dims disagree: %r @ %r" % (a.shape, b.shape))
-    if b.ndim == 2 and a.ndim > 2:
-        # [..., d] @ [d, f] as one [N, d] @ [d, f] gemm; the weight gradient
-        # is then a single a2^T @ g2 instead of a [..., d, f] stack summed down
-        a2 = a.data.reshape(-1, a.shape[-1])
+    """[..., d] @ [d, f], run as one [N, d] @ [d, f] gemm both ways.
 
-        def bwd2(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return _gemm_into(a.shape, g2, b.data.T), a2.T @ g2
-        return from_op(_gemm_into(a.shape[:-1] + b.shape[1:], a2, b.data), (a, b), bwd2)
-    out = a.data @ b.data
+    The weight gradient is then a single a2^T @ g2 instead of a [..., d, f]
+    stack summed down.
+    """
+    if b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ValueError("matmul takes [..., d] @ [d, f], got %r @ %r" % (a.shape, b.shape))
+    a2 = a.data.reshape(-1, a.shape[-1])
 
     def bwd(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape)
-        return ga, gb
-    return from_op(out, (a, b), bwd)
+        g2 = g.reshape(-1, g.shape[-1])
+        return _gemm_into(a.shape, g2, b.data.T), a2.T @ g2
+    return from_op(_gemm_into(a.shape[:-1] + b.shape[1:], a2, b.data), (a, b), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -341,56 +341,38 @@ def train_loop(params: ArpgParams, dataset: list[TokenGrid], cfg: TrainConfig,
 
 # ---------------------------------------------------------------- grad demo
 
-@dataclass
-class MaskedBaseline:
-    """One coupled self-attention layer where loss reads mask rows only."""
-
-    embed: nc.Parameter
-    wq: nc.Parameter
-    wk: nc.Parameter
-    wv: nc.Parameter
-    wo: nc.Parameter
-    vocab: int
-    dim: int
-
-    @classmethod
-    def build(cls, rng: np.random.Generator, vocab: int = 11,
-              dim: int = 16) -> "MaskedBaseline":
-        def w(name, shape):
-            return nc.Parameter(name, rng.normal(0.0, 0.2, shape))
-        return cls(embed=w("embed", (vocab + 1, dim)), wq=w("wq", (dim, dim)),
-                   wk=w("wk", (dim, dim)), wv=w("wv", (dim, dim)),
-                   wo=w("wo", (dim, vocab)), vocab=vocab, dim=dim)
-
-    @property
-    def mask_id(self) -> int:
-        return self.vocab
-
-
 def masked_baseline_grad_demo(seed: int, rows: int = 8,
                               masked=None) -> dict:
     """Per-row query/key/value grad norms when loss reads mask rows only.
 
-    Content rows provably get exactly zero query gradient (their attention
-    outputs never reach the loss), while their keys and values still receive
-    gradient through the mask rows that attend to them. Raises AssertionError
-    if any unmasked row shows a nonzero dq norm.
+    The baseline is one coupled self-attention layer over 11 token ids plus
+    a mask id. Content rows provably get exactly zero query gradient (their
+    attention outputs never reach the loss), while their keys and values
+    still receive gradient through the mask rows that attend to them. Raises
+    AssertionError if any unmasked row shows a nonzero dq norm.
     """
     rng = np.random.default_rng(seed)
-    base = MaskedBaseline.build(rng)
-    ids = rng.integers(0, base.vocab, rows)
+    vocab, dim = 11, 16
+    mask_id = vocab
+
+    def w(name, shape):
+        return nc.Parameter(name, rng.normal(0.0, 0.2, shape))
+    embed = w("embed", (vocab + 1, dim))
+    wq, wk, wv = (w(name, (dim, dim)) for name in ("wq", "wk", "wv"))
+    wo = w("wo", (dim, vocab))
+    ids = rng.integers(0, vocab, rows)
     if masked is None:
         masked = rng.random(rows) < 0.5
         if masked.all() or not masked.any():
             masked[rows // 2] = not masked[rows // 2]
     masked = np.asarray(masked, dtype=bool)
-    fed = np.where(masked, base.mask_id, ids)
-    x = nc.embedding(base.embed, fed[None])  # one batch of rows: [1, rows, dim]
-    q = nc.matmul(x, base.wq)
-    k = nc.matmul(x, base.wk)
-    v = nc.matmul(x, base.wv)
+    fed = np.where(masked, mask_id, ids)
+    x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
+    q = nc.matmul(x, wq)
+    k = nc.matmul(x, wk)
+    v = nc.matmul(x, wv)
     out = cross_attention(q, k, v, cross_full_mask(rows, rows), heads=1)
-    logits = nc.reshape(nc.matmul(out, base.wo), (rows, base.vocab))
+    logits = nc.reshape(nc.matmul(out, wo), (rows, vocab))
     sel = np.flatnonzero(masked)
     if sel.size:
         nc.cross_entropy(nc.embedding(logits, sel), ids[sel]).backward()

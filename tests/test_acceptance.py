@@ -82,13 +82,16 @@ def test_gradients_match_finite_differences():
     params = tiny_params(seed=1, dtype=np.float64)
     ids = rng.integers(0, 16, 16)
     perm = sample_permutation(16, rng)
+    cond = np.array([params.config.class_token(1)])
+
+    def loss():
+        logits, targets = md.forward_train_batch(params, ids[None], cond, perm[None])
+        return nc.cross_entropy(nc.reshape(logits, (16, 16)), targets[0])
 
     def loss_val():
-        logits, targets = md.forward_train(params, ids, 1, perm)
-        return float(nc.cross_entropy(logits, targets).data)
+        return float(loss().data)
 
-    logits, targets = md.forward_train(params, ids, 1, perm)
-    nc.cross_entropy(logits, targets).backward()
+    loss().backward()
     tensors = [p for p in params.parameters()]
     checked = 0
     eps = 1e-5
@@ -128,18 +131,19 @@ def test_engine_matches_sequential_oracle_bit_exact(desk_params):
 def test_future_slots_cannot_touch_past_logits():
     params = tiny_params(seed=2)
     rng = np.random.default_rng(3)
+    cond = np.array([params.config.class_token(0)])
     with nc.no_grad():
         for _ in range(100):
             ids = rng.integers(0, 16, 16)
             perm = sample_permutation(16, rng)
             cut = int(rng.integers(1, 16))
-            base, _ = md.forward_train(params, ids, 0, perm)
+            base, _ = md.forward_train_batch(params, ids[None], cond, perm[None])
             ids2 = ids.copy()
             for j in range(cut, 16):  # perturb shuffled slots >= cut
                 ids2[perm[j] - 1] = (ids2[perm[j] - 1] + 1
                                      + rng.integers(0, 15)) % 16
-            pert, _ = md.forward_train(params, ids2, 0, perm)
-            assert np.array_equal(base.data[:cut + 1], pert.data[:cut + 1])
+            pert, _ = md.forward_train_batch(params, ids2[None], cond, perm[None])
+            assert np.array_equal(base.data[0, :cut + 1], pert.data[0, :cut + 1])
 
 
 def test_later_blocks_cannot_touch_earlier_block_logits():
@@ -293,7 +297,7 @@ def test_parameter_accounting():
     allocated = sum(p.data.size for p in
                     ArpgParams.init(cfg, np.random.default_rng(0)).parameters())
     assert allocated == param_count(cfg)
-    delta = param_count(cfg, shared_kv=False) - param_count(cfg, shared_kv=True)
+    delta = param_count(replace(cfg, shared_kv=False)) - param_count(cfg)
     assert delta == (cfg.pass2_layers - 1) * 2 * cfg.hidden * cfg.hidden
 
     big = ModelConfig(vocab_size=16384, num_classes=1000, hidden=1024,

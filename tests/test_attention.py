@@ -1,4 +1,4 @@
-"""Rotary embedding properties, mask builders, attention kernels vs oracles."""
+"""Rotary embedding properties, attention kernels and tape ops vs oracles."""
 
 import numpy as np
 import pytest
@@ -91,16 +91,6 @@ def test_rope_joined_layout_matches_heads_fd():
     assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
         at.apply_rope(nc.Tensor(np.zeros((2, 3, 6))), pos, table)
-
-
-# ---------------------------------------------------------------- masks
-
-def test_prefix_lengths():
-    lens = at.prefix_lengths(at.causal_mask(4))
-    assert np.array_equal(lens, [1, 2, 3, 4])
-    bad = at.AttentionMask("causal", np.array([[False, True]]))
-    with pytest.raises(ValueError):
-        at.prefix_lengths(bad)
 
 
 # ---------------------------------------------------------------- forward kernel

@@ -136,6 +136,14 @@ def test_generate_class_out_of_range_exits_2(trained, tmp_path):
     assert main(["generate", "--config", cfg]) == 2
 
 
+def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "decode.order=bogus"]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
 def test_inpaint_preserves_known_cells(trained, tmp_path):
     rng = np.random.default_rng(3)
     toks = rng.integers(0, 16, (4, 4))
@@ -247,6 +255,18 @@ def test_attn_export_shapes_and_rows(trained, tmp_path):
     assert np.allclose(p2.sum(axis=-1), 1.0, atol=1e-5)
     for name in meta["files"]:
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("bad_id", [20, 99])
+def test_attn_export_rejects_ids_outside_vocab(trained, tmp_path, capsys, bad_id):
+    # with vocab 16 and 4 classes, 20 is the null-class embedding row; 99 is past the table
+    toks = np.zeros((4, 4), dtype=np.int64)
+    toks[1, 2] = bad_id
+    np.savetxt(tmp_path / "in.txt", toks, fmt="%d")
+    assert main(["attn-export", "out_dir=%s" % (tmp_path / "out"),
+                 "checkpoint=%s" % (trained / "model.ckpt"),
+                 "attn.input=%s" % (tmp_path / "in.txt")]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

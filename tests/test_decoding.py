@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arpg import decoding as dec
 from arpg import model as md
@@ -29,8 +31,7 @@ def test_cache_append_never_mutates():
     params = tiny_params(seed=1)
     cache = dec.KvCache(params.config, 17, params.dtype)
     md.forward_pass1(params, [params.config.class_token(1)], [0], cache=cache)
-    before = [tuple(np.array(b) for b in cache.out_view(s))
-              for s in range(cache.out_streams)]
+    before = [tuple(np.array(b) for b in kv) for kv in cache.out_kv()]
     md.forward_pass1(params, [3, 7, 1], [2, 9, 5], cache=cache)
     for s, (k0, v0) in enumerate(before):
         k1, v1 = cache.out_view(s)
@@ -174,6 +175,9 @@ def test_decode_config_validation():
         dec.DecodeConfig(top_k=0)
     with pytest.raises(ValueError):
         dec.DecodeConfig(attention_pattern="full")
+    for field in ("order", "schedule", "cfg_schedule"):
+        with pytest.raises(ValueError, match="%s must be one of" % field):
+            dec.DecodeConfig(**{field: "bogus"})
 
 
 # ---------------------------------------------------------------- generate
@@ -293,13 +297,26 @@ def test_decode_golden(case):
 
 # ---------------------------------------------------------------- editing
 
-def test_inpaint_preserves_known():
-    params = tiny_params(seed=10, dtype=np.float32)
-    rng = np.random.default_rng(11)
-    grid = dec.TokenGrid(rng.integers(0, 16, (4, 4)), 1)
-    known = np.zeros((4, 4), dtype=bool)
-    known.reshape(-1)[rng.permutation(16)[:8]] = True
-    out = dec.inpaint(params, grid, known, 1, dec.DecodeConfig(steps=4, seed=3))
+INPAINT_PARAMS = tiny_params(seed=10, dtype=np.float32)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(shape=st.sampled_from([(4, 4), (2, 8), (8, 2)]), bits=st.integers(1, 2**16 - 1),
+       as_indices=st.booleans(), pattern=st.sampled_from(dec.ATTENTION_PATTERNS),
+       steps=st.integers(1, 16), cfg=st.booleans(), seed=st.integers(0, 2**16))
+def test_inpaint_preserves_known(shape, bits, as_indices, pattern, steps, cfg, seed):
+    # any non-empty known set, as a boolean grid or flat indices; the square
+    # grid takes the default shape, the others set grid_h/grid_w
+    rng = np.random.default_rng(seed)
+    grid = dec.TokenGrid(rng.integers(0, 16, shape), 1)
+    known = ((bits >> np.arange(16)) & 1).astype(bool).reshape(shape)
+    grid_h, grid_w = (None, None) if shape == (4, 4) else shape
+    guide = dict(cfg_scale=3.0, top_k=8, top_p=0.9) if cfg else {}
+    dc = dec.DecodeConfig(steps=steps, attention_pattern=pattern, seed=seed,
+                          grid_h=grid_h, grid_w=grid_w, **guide)
+    out = dec.inpaint(INPAINT_PARAMS, grid, np.flatnonzero(known) if as_indices else known,
+                      1, dc)
+    assert out.tokens.shape == shape
     assert np.array_equal(out.tokens[known], grid.tokens[known])
     assert out.tokens.min() >= 0 and out.tokens.max() < 16
 
@@ -327,9 +344,16 @@ def test_inpaint_all_but_one():
 def test_inpaint_empty_known_rejected():
     params = tiny_params(dtype=np.float32)
     grid = dec.TokenGrid(np.zeros((4, 4), int), 0)
-    with pytest.raises(ValueError):
-        dec.inpaint(params, grid, np.zeros((4, 4), bool), 0,
-                    dec.DecodeConfig(steps=4))
+    wide = dec.TokenGrid(np.zeros((2, 8), int), 0)  # 16 cells, not 4x4
+    first_row = np.zeros((2, 8), bool)
+    first_row[0] = True
+    cases = [(grid, np.zeros((4, 4), bool), "empty"),
+             (wide, first_row, r"\(2, 8\).*\(4, 4\)"),
+             (wide, np.arange(8), r"\(2, 8\).*\(4, 4\)"),
+             (grid, np.ones(16, bool), r"\(16,\).*\(4, 4\)")]
+    for partial, known, match in cases:
+        with pytest.raises(ValueError, match=match):
+            dec.inpaint(params, partial, known, 0, dec.DecodeConfig(steps=4))
 
 
 def test_expand_identity_and_outpaint():

@@ -1,5 +1,7 @@
 """Config/parameter accounting, the two forward routes, and their cross-checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,9 +70,10 @@ def test_shared_kv_owns_no_private_projections():
 def test_param_count_shared_vs_unshared_delta():
     cfg = md.ModelConfig()  # desk scale
     d = cfg.hidden
-    delta = md.param_count(cfg, shared_kv=False) - md.param_count(cfg, shared_kv=True)
+    unshared = replace(cfg, shared_kv=False)
+    delta = md.param_count(unshared) - md.param_count(cfg)
     assert delta == cfg.pass2_layers * 2 * d * d - 2 * d * d
-    assert md.param_count(cfg, shared_kv=True) < md.param_count(cfg, shared_kv=False)
+    assert md.param_count(cfg) < md.param_count(unshared)
 
 
 def test_param_count_superlinear_in_width():
@@ -105,7 +108,9 @@ def test_decode_reads_live_weights():
     md.forward_pass2(params, np.array([2, 4]), kv)
     params.pass1[0].wqkv.data[:, :4] += 0.5
     params.pass2[1].w13.data *= 1.5
-    fresh = params.astype(params.dtype)
+    fresh = make_params(seed=9)
+    for p, edited in zip(fresh.parameters(), params.parameters()):
+        p.data = edited.data.copy()
     kv_live, kv_fresh = md.forward_pass1(params, ids, pos), md.forward_pass1(fresh, ids, pos)
     assert not np.array_equal(kv_live[0][0], kv[0][0])
     for (k, v), (kf, vf) in zip(kv_live, kv_fresh):
@@ -188,20 +193,27 @@ def test_pass2_contract_errors():
 
 # ---------------------------------------------------------------- train route
 
+def forward_one(params, toks, class_id, perm):
+    """forward_train_batch on one sequence: logits [1, T, V], targets [1, T]."""
+    cond = np.array([params.config.class_token(class_id)])
+    return md.forward_train_batch(params, np.asarray(toks)[None], cond,
+                                  np.asarray(perm)[None])
+
+
 def test_forward_train_identity_perm_is_raster_next_token():
     params = make_params(seed=10)
     rng = np.random.default_rng(11)
     toks = rng.integers(0, 16, 16)
     t = 16
-    logits, targets = md.forward_train(params, toks, 1, np.arange(1, t + 1))
-    assert np.array_equal(targets, toks)
+    logits, targets = forward_one(params, toks, 1, np.arange(1, t + 1))
+    assert np.array_equal(targets[0], toks)
     # manual raster layout: inputs [class, x1..x15] at positions [0..15]
     in_ids = np.concatenate([[params.config.class_token(1)], toks[:-1]])[None]
     in_pos = np.arange(t)[None]
     h = md.pass1_hidden(params, in_ids, in_pos, at.causal_mask(t))
     kv = md.project_kv(params, h, in_pos)
     ref = md.pass2_logits(params, kv, np.arange(1, t + 1)[None], at.causal_mask(t))
-    assert np.array_equal(logits.data, ref.data[0])
+    assert np.array_equal(logits.data, ref.data)
 
 
 def test_forward_train_equals_preshuffled_layout():
@@ -209,20 +221,21 @@ def test_forward_train_equals_preshuffled_layout():
     rng = np.random.default_rng(13)
     toks = rng.integers(0, 16, 16)
     perm = rng.permutation(16) + 1
-    logits, targets = md.forward_train(params, toks, 2, perm)
-    assert np.array_equal(targets, toks[perm - 1])
+    logits, targets = forward_one(params, toks, 2, perm)
+    assert np.array_equal(targets[0], toks[perm - 1])
     in_ids = np.concatenate([[params.config.class_token(2)], toks[perm - 1][:-1]])[None]
     in_pos = np.concatenate([[0], perm[:-1]])[None]
     h = md.pass1_hidden(params, in_ids, in_pos, at.causal_mask(16))
     kv = md.project_kv(params, h, in_pos)
     ref = md.pass2_logits(params, kv, perm[None], at.causal_mask(16))
-    assert np.array_equal(logits.data, ref.data[0])
+    assert np.array_equal(logits.data, ref.data)
 
 
 def test_forward_train_rejects_non_bijection():
     params = make_params()
-    with pytest.raises(ValueError):
-        md.forward_train(params, np.zeros(16, dtype=int), 0, np.ones(16, dtype=int))
+    for perm in (np.ones(16, dtype=int), np.arange(16), np.arange(1, 16)):
+        with pytest.raises(ValueError):
+            forward_one(params, np.zeros(16, dtype=int), 0, perm)
 
 
 def test_forward_train_leakage_exact():
@@ -232,30 +245,33 @@ def test_forward_train_leakage_exact():
     toks = rng.integers(0, 16, 16)
     perm = rng.permutation(16) + 1
     with nc.no_grad():
-        base, _ = md.forward_train(params, toks, 0, perm)
+        base, _ = forward_one(params, toks, 0, perm)
     for t in (3, 8, 14):
         toks2 = toks.copy()
         slots = np.arange(t, 16)
         toks2[perm[slots] - 1] = (toks[perm[slots] - 1] + 1 + rng.integers(0, 14, slots.size)) % 16
         with nc.no_grad():
-            pert, _ = md.forward_train(params, toks2, 0, perm)
-        assert np.array_equal(pert.data[:t], base.data[:t])
-        assert not np.array_equal(pert.data[t:], base.data[t:])
+            pert, _ = forward_one(params, toks2, 0, perm)
+        assert np.array_equal(pert.data[0, :t], base.data[0, :t])
+        assert not np.array_equal(pert.data[0, t:], base.data[0, t:])
 
 
 def test_train_vs_inference_routes_agree():
-    # full teacher-forcing kv + Q=T queries: tape route vs row route, float64
+    # full teacher-forcing kv + Q=T queries: tape route vs row route, float64;
+    # query i reads the key prefix k[:i+1], v[:i+1], as the causal mask allows
     params = make_params(seed=16)
     rng = np.random.default_rng(17)
     toks = rng.integers(0, 16, 16)
     perm = rng.permutation(16) + 1
     with nc.no_grad():
-        logits, _ = md.forward_train(params, toks, 3, perm)
+        logits, _ = forward_one(params, toks, 3, perm)
     ids = np.concatenate([[params.config.class_token(3)], toks[perm - 1][:-1]])
     pos = np.concatenate([[0], perm[:-1]])
     kv = md.forward_pass1(params, ids, pos, pattern="causal")
-    ref = md.forward_pass2(params, perm, kv, at.causal_mask(16))
-    assert np.abs(ref - logits.data).max() < 1e-10
+    ref = np.concatenate([
+        md.forward_pass2(params, perm[i:i + 1], [(k[:i + 1], v[:i + 1]) for k, v in kv])
+        for i in range(16)])
+    assert np.abs(ref - logits.data[0]).max() < 1e-10
 
 
 def test_mask_embedding_sole_grad_path_through_queries():
@@ -324,15 +340,7 @@ def test_forward_train_golden():
     toks = rng.integers(0, 16, 16)
     perm = rng.permutation(16) + 1
     with nc.no_grad():
-        logits, _ = md.forward_train(params, toks, 1, perm)
+        logits, _ = forward_one(params, toks, 1, perm)
     assert abs(np.abs(logits.data).sum() - 18.198731908786836) < 1e-9
-    assert abs(logits.data[3, 7] - 0.1330232930417202) < 1e-12
+    assert abs(logits.data[0, 3, 7] - 0.1330232930417202) < 1e-12
 
-
-def test_astype_roundtrip():
-    params = make_params(seed=22, dtype=np.float32)
-    wide = params.astype(np.float64)
-    assert wide.dtype == np.float64
-    for p32, p64 in zip(params.parameters(), wide.parameters()):
-        assert p64.data.dtype == np.float64
-        assert np.array_equal(p32.data.astype(np.float64), p64.data)

@@ -10,18 +10,22 @@ from conftest import assert_grads_close, fd_grad
 def test_matmul_identity():
     a = nc.Tensor(np.eye(2))
     b = nc.Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal((a @ b).data, b.data)
+    assert np.array_equal(nc.matmul(a, b).data, b.data)
 
 
 def test_matmul_projector():
     p = nc.Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
     b = nc.Tensor(np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal((p @ b).data, np.array([[5.0, 6.0], [0.0, 0.0]]))
+    assert np.array_equal(nc.matmul(p, b).data, np.array([[5.0, 6.0], [0.0, 0.0]]))
 
 
 def test_matmul_shape_mismatch():
     with pytest.raises(ValueError):
         nc.matmul(nc.Tensor(np.zeros((3, 4))), nc.Tensor(np.zeros((3, 2))))
+    # the right operand is always one [d, f] matrix
+    for right in (np.zeros((2, 4, 2)), np.zeros(4)):
+        with pytest.raises(ValueError):
+            nc.matmul(nc.Tensor(np.zeros((2, 3, 4))), nc.Tensor(right))
 
 
 def test_matmul_fd():
@@ -31,9 +35,9 @@ def test_matmul_fd():
     w = rng.standard_normal((3, 2))
 
     def run():
-        return float(((a @ b).data * w).sum())
+        return float(((a.data @ b.data) * w).sum())
 
-    loss = nc.sum_all(nc.mul(a @ b, w))
+    loss = nc.sum_all(nc.mul(nc.matmul(a, b), w))
     loss.backward()
     assert_grads_close(a.grad, fd_grad(run, a.data), rel_tol=1e-6)
     assert_grads_close(b.grad, fd_grad(run, b.data), rel_tol=1e-6)
@@ -48,7 +52,7 @@ def test_matmul_batched_fd():
     def run():
         return float(((a.data @ b.data) * w).sum())
 
-    loss = nc.sum_all(nc.mul(a @ b, w))
+    loss = nc.sum_all(nc.mul(nc.matmul(a, b), w))
     loss.backward()
     assert_grads_close(a.grad, fd_grad(run, a.data))
     assert_grads_close(b.grad, fd_grad(run, b.data))
@@ -62,7 +66,7 @@ def test_matmul_batched_fd():
     def run_t():
         return float(((base.swapaxes(0, 1) @ b2.data) * w).sum())
 
-    nc.sum_all(nc.mul(left @ b2, w)).backward()
+    nc.sum_all(nc.mul(nc.matmul(left, b2), w)).backward()
     assert_grads_close(left.grad.swapaxes(0, 1), fd_grad(run_t, base))
     assert_grads_close(b2.grad, fd_grad(run_t, b2.data))
 
@@ -102,12 +106,12 @@ def test_cross_entropy_aligned_margin():
     logits.data[0, 1] = 100.0
     logits.data[1, 2] = 100.0
     loss = nc.cross_entropy(logits, np.array([1, 2]))
-    assert loss.item() < 1e-12
+    assert float(loss.data) < 1e-12
 
 
 def test_cross_entropy_uniform():
     loss = nc.cross_entropy(nc.Tensor(np.zeros((3, 16))), np.array([0, 5, 15]))
-    assert abs(loss.item() - np.log(16.0)) < 1e-12
+    assert abs(float(loss.data) - np.log(16.0)) < 1e-12
 
 
 def test_cross_entropy_out_of_range():

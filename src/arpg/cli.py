@@ -23,7 +23,7 @@ from . import numcore as nc
 from .attention import causal_mask, cross_full_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
-from .decoding import DecodeConfig, TokenGrid, expand, generate, inpaint
+from .decoding import DecodeConfig, TokenGrid, _grid_shape, expand, generate, inpaint
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -502,14 +502,22 @@ def cmd_attn_export(cfg: dict) -> int:
     seed = int(take(cfg, "attn.seed", used, 0))
     check_used(cfg, used)
     _write_resolved(out, cfg)
-    params = load_checkpoint(ck_path).params
+    ck = load_checkpoint(ck_path)
+    params = ck.params
     mc = params.config
     total = mc.seq_len
     if input_path is None:
         toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
     else:
-        toks = TokenGrid(load_tokens_txt(input_path), class_id).validate(
-            mc.vocab_size, total).flat
+        grid = load_tokens_txt(input_path)
+        # the grid the checkpoint was trained on, else the square one
+        spec = ck.meta["extra"].get("data", {}).get("spec")
+        model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
+                      else _grid_shape(mc, DecodeConfig()))
+        if grid.shape != model_grid:
+            raise ConfigError("attn.input grid has shape %s, model grid is %s"
+                              % (grid.shape, model_grid))
+        toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
     if not 0 <= class_id < mc.num_classes:
         raise ConfigError("class_id %d outside [0, %d)"
                           % (class_id, mc.num_classes))

@@ -178,6 +178,9 @@ def _grid_shape(config: md.ModelConfig, dc: DecodeConfig) -> tuple[int, int]:
     if dc.grid_h is not None or dc.grid_w is not None:
         if dc.grid_h is None or dc.grid_w is None:
             raise ValueError("grid_h and grid_w must be set together")
+        if dc.grid_h < 1 or dc.grid_w < 1:
+            raise ValueError("grid_h and grid_w must be >= 1, got %d and %d"
+                             % (dc.grid_h, dc.grid_w))
         if dc.grid_h * dc.grid_w != config.seq_len:
             raise ValueError("grid %dx%d holds %d tokens, model expects %d"
                              % (dc.grid_h, dc.grid_w, dc.grid_h * dc.grid_w,
@@ -191,6 +194,14 @@ def _grid_shape(config: md.ModelConfig, dc: DecodeConfig) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------- sampling
+
+class NonFiniteLogits(RuntimeError):
+    """A logit row holding a NaN or infinity; `row` indexes the rows sampled."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
 
 def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray,
                 scale: float) -> np.ndarray:
@@ -213,14 +224,15 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
     Filters apply in order: temperature scaling, top-k truncation, nucleus
     truncation keeping the smallest prefix of descending probabilities whose
     mass reaches top_p, renormalize, then one inverse-cdf draw per row.
-    A row holding a NaN or infinite logit raises RuntimeError.
+    A row holding a NaN or infinite logit raises NonFiniteLogits.
     """
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2:
         raise ValueError("logits must be [rows, vocab], got shape %r" % (lg.shape,))
     finite = np.isfinite(lg).all(axis=-1)
     if not finite.all():
-        raise RuntimeError("non-finite logits in row %d" % int(np.argmin(finite)))
+        row = int(np.argmin(finite))
+        raise NonFiniteLogits(row, "non-finite logits in row %d" % row)
     if temperature == 0.0:
         return np.argmax(lg, axis=-1)
     z = lg / temperature
@@ -282,19 +294,26 @@ def _prefill(params, caches, ids, positions):
         md.forward_pass1(params, ids, positions, cache=uncond, pattern="causal")
 
 
-def _decode_positions(params, caches, order_pos, counts, scales, dc, rng):
+def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w):
     """Run the chunked step loop over order_pos; returns ids in decode order."""
     cond, uncond = caches
     sampled = np.empty(order_pos.size, dtype=np.int64)
     cursor = 0
-    for n, scale in zip(counts, scales):
+    for step, (n, scale) in enumerate(zip(counts, scales)):
         chunk = order_pos[cursor:cursor + n]
         logits = md.forward_pass2(params, chunk, cond.out_kv())
         if uncond is not None:
             logits = cfg_combine(logits,
                                  md.forward_pass2(params, chunk, uncond.out_kv()),
                                  scale)
-        ids = sample_tokens(logits, dc.temperature, dc.top_k, dc.top_p, rng)
+        try:
+            ids = sample_tokens(logits, dc.temperature, dc.top_k, dc.top_p, rng)
+        except NonFiniteLogits as e:
+            r, c = divmod(int(chunk[e.row]) - 1, grid_w)
+            raise NonFiniteLogits(
+                e.row, "non-finite logits at decode step %d of %d, grid position "
+                "(%d, %d) (row %d of the step)" % (step + 1, len(counts), r, c, e.row)
+            ) from None
         sampled[cursor:cursor + n] = ids
         md.forward_pass1(params, ids, chunk, cache=cond,
                          pattern=dc.attention_pattern)
@@ -346,7 +365,7 @@ def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
         if prefix_ids.size:
             _prefill(params, caches, prefix_ids, prefix_pos)
         sampled = _decode_positions(params, caches, order_pos, counts, scales,
-                                    dc, rng)
+                                    dc, rng, grid_w)
         if state_sink is not None:
             state_sink.append(GenerationState(order_pos, sampled, caches))
         out[order_pos - 1] = sampled

@@ -4,12 +4,20 @@ A tape of (parents, backward) links built op by op; backward() walks it in
 reverse topological order. Double precision is used in gradient tests, single
 precision in training; ops never change the dtype they are given.
 
+backward() consumes the graph: each node is released as soon as its backward
+has run (closure, parent links and .grad dropped), so saved activations and
+gradients die as the walk passes them. Only leaves keep .grad: Parameters,
+and any requires_grad tensor without a backward. A caller that wants the
+gradient of an intermediate value makes it a leaf. A released node reads as
+a leaf, so a graph cannot be walked twice.
+
 Gradient buffers of non-leaf tensors are adopted rather than allocated: the
 first gradient a backward hands to a non-leaf parent becomes that parent's
 .grad outright when it is a private array (owns its data, right shape and
-dtype, not the child's own .grad, not handed to a second parent in the same
-call). Views and shared arrays are copied. A backward must therefore never
-return an owned array that it keeps using elsewhere.
+dtype, not already adopted by another parent in the same call). The child's
+own .grad qualifies, since the child is released right after. Views are
+copied. A backward must therefore never return an owned array that it keeps
+using elsewhere.
 """
 
 from __future__ import annotations
@@ -61,7 +69,11 @@ class Tensor:
         return self.data.ndim
 
     def backward(self) -> None:
-        """Reverse-mode accumulation from a scalar root over the recorded graph."""
+        """Reverse-mode accumulation from a scalar root; consumes the graph.
+
+        Every node with a backward is released once processed; afterwards
+        only leaves hold .grad (see the module docstring).
+        """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar root, got shape %r" % (self.shape,))
         topo: list[Tensor] = []
@@ -80,20 +92,28 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+        while topo:
+            node = topo.pop()  # reverse topological order; the list lets go of it
+            backward, parents, g = node._backward, node._parents, node.grad
+            if backward is None:
                 continue
-            grads = node._backward(node.grad)
-            for parent, g in zip(node._parents, grads):
-                if g is None or not parent.requires_grad:
+            node._backward, node._parents, node.grad = None, (), None
+            if g is None:
+                continue
+            grads = backward(g)
+            del backward, g  # free the closure's saved arrays before any copy below
+            adopted: list[np.ndarray] = []
+            for parent, pg in zip(parents, grads):
+                if pg is None or not parent.requires_grad:
                     continue
-                # a private first gradient becomes a non-leaf's buffer (see top)
+                # a private gradient becomes one non-leaf's buffer (see top)
                 if (parent.grad is None and parent._backward is not None
-                        and g is not node.grad and sum(x is g for x in grads) == 1
-                        and _fresh_buffer_for(g, parent)):
-                    parent.grad = g
+                        and not any(pg is a for a in adopted)
+                        and _fresh_buffer_for(pg, parent)):
+                    parent.grad = pg
+                    adopted.append(pg)
                 else:
-                    parent._accumulate(g)
+                    parent._accumulate(pg)
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -252,20 +272,27 @@ def sum_all(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- nonlinear ops
 
-def swiglu(h: Tensor) -> Tensor:
-    """silu(a) * b for h = a|b [..., 2f], as one node holding h and sigmoid(a)."""
-    f = h.shape[-1] // 2
-    a, b = h.data[..., :f], h.data[..., f:]
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) in a fresh array, one fixed op sequence."""
     sig = np.negative(a)
     np.exp(sig, out=sig)
     sig += 1.0
     np.reciprocal(sig, out=sig)
-    out = a * sig
+    return sig
+
+
+def swiglu(h: Tensor) -> Tensor:
+    """silu(a) * b for h = a|b [..., 2f], as one node holding only h."""
+    f = h.shape[-1] // 2
+    a, b = h.data[..., :f], h.data[..., f:]
+    out = a * _sigmoid(a)
     out *= b
 
     def bwd(g):
         # da = sig * (1 + a * (1 - sig)) * (g * b), db = g * silu(a), in one
-        # buffer; db holds g * b until da is done
+        # buffer; db holds g * b until da is done. sig is recomputed from a,
+        # bit for bit the forward's
+        sig = _sigmoid(a)
         d = np.empty(h.shape, dtype=h.dtype)
         da, db = d[..., :f], d[..., f:]
         np.multiply(g, b, out=db)
@@ -286,20 +313,21 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    # x [..., d], gain [d]; y = xs * gain with xs = x / rms(x)
+    # x [..., d], gain [d]; y = xs * gain with xs = x / rms(x); only the
+    # per-row scale s is saved, xs = x * s is recomputed bit for bit
     n = x.shape[-1]
     s = 1.0 / np.sqrt(_rowdot(x.data, x.data) / n + eps)
-    xs = x.data * s
 
     def bwd(g):
         # dx = s * (gy - xs * mean(gy * xs)) with gy = g * gain
+        xs = x.data * s
         gy = g * gain.data
         t = xs * (_rowdot(gy, xs) / n)
         gy -= t
         gy *= s
         dgain = np.einsum("ri,ri->i", g.reshape(-1, n), xs.reshape(-1, n))
         return gy, dgain
-    return from_op(xs * gain.data, (x, gain), bwd)
+    return from_op(x.data * s * gain.data, (x, gain), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -368,9 +368,9 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     masked = np.asarray(masked, dtype=bool)
     fed = np.where(masked, mask_id, ids)
     x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
-    q = nc.matmul(x, wq)
-    k = nc.matmul(x, wk)
-    v = nc.matmul(x, wv)
+    # q, k and v are leaves, so backward leaves their gradients to read
+    q, k, v = (nc.Tensor(nc.matmul(x, proj).data, requires_grad=True)
+               for proj in (wq, wk, wv))
     out = cross_attention(q, k, v, cross_full_mask(rows, rows), heads=1)
     logits = nc.reshape(nc.matmul(out, wo), (rows, vocab))
     sel = np.flatnonzero(masked)

@@ -144,6 +144,16 @@ def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys
     assert not (out / "config.json").exists()
 
 
+@pytest.mark.parametrize("shape", [(-4, -4), (-2, -8)])
+def test_generate_negative_grid_exits_2(trained, tmp_path, capsys, shape):
+    # the product matches seq_len 16, so only the bounds check can reject it
+    assert main(["generate", "out_dir=%s" % (tmp_path / "out"),
+                 "checkpoint=%s" % (trained / "model.ckpt"),
+                 "decode.grid_h=%d" % shape[0], "decode.grid_w=%d" % shape[1]]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "%d and %d" % shape in err
+
+
 def test_inpaint_preserves_known_cells(trained, tmp_path):
     rng = np.random.default_rng(3)
     toks = rng.integers(0, 16, (4, 4))
@@ -267,6 +277,16 @@ def test_attn_export_rejects_ids_outside_vocab(trained, tmp_path, capsys, bad_id
                  "checkpoint=%s" % (trained / "model.ckpt"),
                  "attn.input=%s" % (tmp_path / "in.txt")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_attn_export_rejects_grid_of_wrong_shape(trained, tmp_path, capsys):
+    # 2x8 holds the model's 16 tokens, but the model's grid is 4x4
+    np.savetxt(tmp_path / "in.txt", np.zeros((2, 8), dtype=np.int64), fmt="%d")
+    assert main(["attn-export", "out_dir=%s" % (tmp_path / "out"),
+                 "checkpoint=%s" % (trained / "model.ckpt"),
+                 "attn.input=%s" % (tmp_path / "in.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "(2, 8)" in err and "(4, 4)" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -164,6 +164,23 @@ def test_sample_tokens_rejects_non_finite_rows():
         dec.sample_tokens(one, rng=np.random.default_rng(0))
 
 
+def test_non_finite_logits_name_step_and_grid_position(monkeypatch):
+    # raster order, 4 uniform steps of 4: position 7 (grid cell (1, 2)) is row
+    # 2 of step 2
+    params = tiny_params(seed=3)
+    forward_pass2 = md.forward_pass2
+
+    def poisoned(params, positions, kv):
+        logits = forward_pass2(params, positions, kv)
+        logits[np.asarray(positions) == 7] = np.nan
+        return logits
+    monkeypatch.setattr(md, "forward_pass2", poisoned)
+    dc = dec.DecodeConfig(steps=4, schedule="uniform", order="raster")
+    with pytest.raises(dec.NonFiniteLogits,
+                       match=r"step 2 of 4, grid position \(1, 2\) \(row 2 of"):
+        dec.generate(params, 0, dc)
+
+
 def test_decode_config_validation():
     with pytest.raises(ValueError):
         dec.DecodeConfig(steps=0)
@@ -238,6 +255,9 @@ def test_generate_rejects_bad_grid_or_class():
         dec.generate(params, 9, dec.DecodeConfig(steps=4))
     with pytest.raises(ValueError):
         dec.generate(params, 0, dec.DecodeConfig(steps=4, grid_h=3, grid_w=5))
+    for h, w in ((-4, -4), (-2, -8)):  # the product is seq_len, the sides are not
+        with pytest.raises(ValueError, match="got %d and %d" % (h, w)):
+            dec.generate(params, 0, dec.DecodeConfig(steps=4, grid_h=h, grid_w=w))
     with pytest.raises(ValueError):
         dec.generate(params, 0, dec.DecodeConfig(steps=17))
 

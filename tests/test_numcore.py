@@ -1,5 +1,7 @@
 """Tape autograd: per-op closed forms plus finite-difference oracles (double precision)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,8 @@ def test_backward_accumulates_until_zeroed():
 
 
 def test_self_add_of_non_leaf_fd():
-    # add hands its own .grad to both parents; y must not adopt it twice
+    # add hands its own .grad to both parents; y adopts it once and then adds
+    # the second copy into itself, so x must see exactly twice w0
     rng = np.random.default_rng(12)
     x = nc.Parameter("x", rng.standard_normal((3, 4)))
     w0 = rng.standard_normal((3, 4))
@@ -227,8 +230,7 @@ def test_self_add_of_non_leaf_fd():
     s = nc.add(y, y)
     nc.sum_all(s).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data))
-    assert np.array_equal(s.grad, np.ones((3, 4)))
-    assert np.array_equal(y.grad, np.full((3, 4), 2.0))
+    assert np.array_equal(x.grad, 2.0 * w0)
 
 
 def test_diamond_through_non_leaf_fd():
@@ -255,7 +257,7 @@ def test_diamond_through_non_leaf_fd():
 def test_read_back_non_leaf_grads_stay_exact(rotate):
     # a = y + 1 hands a.grad itself to y and r = reshape(y) a view of r.grad;
     # later accumulation into y must leak into neither, whichever of y's
-    # consumers runs backward first
+    # consumers runs backward first, so x reads back the exact sum
     rng = np.random.default_rng(14)
     x = nc.Parameter("x", rng.standard_normal((3, 4)))
     w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
@@ -267,19 +269,57 @@ def test_read_back_non_leaf_grads_stay_exact(rotate):
              nc.sum_all(nc.mul(r, w3))]
     terms = terms[rotate:] + terms[:rotate]
     nc.add(nc.add(terms[0], terms[1]), terms[2]).backward()
-    assert np.array_equal(a.grad, w1)
-    assert np.array_equal(r.grad, w3)
     total = w1 + w2 + w3.reshape(3, 4)
-    assert np.allclose(y.grad, total, rtol=0.0, atol=1e-14)
     assert np.allclose(x.grad, 3.0 * total, rtol=0.0, atol=1e-13)
 
-    # one fresh array handed to two non-leaf parents in one call
-    h1, h2 = nc.mul(x, 1.0), nc.mul(x, 1.0)
+    # one fresh array handed to two non-leaf parents in one call: h1 may
+    # adopt it, h2 must copy it, or h1's later w1 term leaks into x2
+    x1 = nc.Parameter("x1", x.data.copy())
+    x2 = nc.Parameter("x2", x.data.copy())
+    h1, h2 = nc.mul(x1, 1.0), nc.mul(x2, 1.0)
     pair = nc.from_op(h1.data + h2.data, (h1, h2), lambda g: (2.0 * g,) * 2)
     nc.sum_all(nc.add(pair, nc.mul(h1, w1))).backward()
-    assert h1.grad is not h2.grad
-    assert np.array_equal(h2.grad, np.full((3, 4), 2.0))
-    assert np.allclose(h1.grad, 2.0 + w1, rtol=0.0, atol=1e-15)
+    assert np.array_equal(x2.grad, np.full((3, 4), 2.0))
+    assert np.allclose(x1.grad, 2.0 + w1, rtol=0.0, atol=1e-15)
+
+    # the same array handed to h3 twice and to h4 once: h3 adopts it and adds
+    # its second hand into it, so h4 must hold a copy
+    x3 = nc.Parameter("x3", x.data.copy())
+    x4 = nc.Parameter("x4", x.data.copy())
+    h3, h4 = nc.mul(x3, 1.0), nc.mul(x4, 1.0)
+    nc.sum_all(nc.from_op(h3.data, (h3, h4, h3), lambda g: (2.0 * g,) * 3)).backward()
+    assert np.array_equal(x3.grad, np.full((3, 4), 4.0))
+    assert np.array_equal(x4.grad, np.full((3, 4), 2.0))
+
+
+def test_backward_releases_graph():
+    # backward consumes the graph: activations only the graph holds are
+    # collected, non-leaf grads are dropped, leaf grads stay exact
+    rng = np.random.default_rng(15)
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
+    m = nc.Parameter("m", rng.standard_normal((4, 6)))
+    gain = nc.Parameter("gain", rng.standard_normal(3))
+    w = rng.standard_normal((2, 3, 3))
+
+    def run():
+        y = x.data @ m.data
+        a, b = y[..., :3], y[..., 3:]
+        h = a / (1.0 + np.exp(-a)) * b
+        hn = h / np.sqrt((h * h).mean(axis=-1, keepdims=True) + 1e-6) * gain.data
+        return float((hn * w).sum())
+
+    y = nc.matmul(x, m)
+    h = nc.swiglu(y)
+    probe = weakref.ref(h.data)  # Tensor has __slots__; its array is the activation
+    n = nc.rms_norm(h, gain)
+    out = nc.mul(n, w)
+    loss = nc.sum_all(out)
+    del h  # from here on only the graph holds h
+    loss.backward()
+    assert probe() is None
+    assert all(t.grad is None for t in (y, n, out, loss))
+    for p in (x, m, gain):
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 
 def test_no_grad_blocks_recording():

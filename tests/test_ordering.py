@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arpg import ordering as od
 
@@ -95,6 +97,27 @@ def test_schedule_sums_and_positivity():
                 assert len(counts) == steps
                 assert sum(counts) == total
                 assert min(counts) >= 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(od.SCHEDULE_KINDS),
+       total_steps=st.integers(1, 4096).flatmap(
+           lambda t: st.tuples(st.just(t), st.integers(1, t))))
+def test_schedule_counts_property(kind, total_steps):
+    total, steps = total_steps
+    counts = od.schedule_counts(od.DecodeSchedule(kind, steps, total))
+    assert len(counts) == steps
+    assert min(counts) >= 1
+    assert sum(counts) == total
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(od.FIXED_ORDER_KINDS),
+       h=st.integers(1, 12), w=st.integers(1, 12))
+def test_fixed_order_bijection_property(kind, h, w):
+    order = od.fixed_order(kind, h, w)
+    assert order.shape == (h * w,)
+    assert np.array_equal(np.sort(order), np.arange(1, h * w + 1))
 
 
 def test_schedule_rejects_bad_steps():

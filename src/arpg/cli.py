@@ -249,6 +249,11 @@ def cmd_train(cfg: dict) -> int:
 
 # ---------------------------------------------------------------- decode commands
 
+def _check_class(mc: md.ModelConfig, class_id: int) -> None:
+    if not 0 <= class_id < mc.num_classes:
+        raise ConfigError("class_id %d outside [0, %d)" % (class_id, mc.num_classes))
+
+
 def cmd_generate(cfg: dict) -> int:
     used: set[str] = set()
     out = _out_dir(cfg, used)
@@ -258,11 +263,10 @@ def cmd_generate(cfg: dict) -> int:
     class_id = int(take(cfg, "generate.class_id", used, 0))
     cell_px = int(take(cfg, "image.cell_px", used, 16))
     check_used(cfg, used)
-    _write_resolved(out, cfg)
     params = load_checkpoint(ck_path).params
-    if not 0 <= class_id < params.config.num_classes:
-        raise ConfigError("class_id %d outside [0, %d)"
-                          % (class_id, params.config.num_classes))
+    _check_class(params.config, class_id)
+    _grid_shape(params.config, dc)
+    _write_resolved(out, cfg)
     for i in range(n):
         dci = replace(dc, seed=dc.seed + i)
         sink: list = []
@@ -285,13 +289,18 @@ def cmd_inpaint(cfg: dict) -> int:
     class_id = int(take(cfg, "inpaint.class_id", used, 0))
     cell_px = int(take(cfg, "image.cell_px", used, 16))
     check_used(cfg, used)
-    _write_resolved(out, cfg)
     params = load_checkpoint(ck_path).params
+    _check_class(params.config, class_id)
+    grid_shape = _grid_shape(params.config, dc)
     toks = load_tokens_txt(input_path)
     known = load_tokens_txt(mask_path)
     if known.shape != toks.shape:
         raise ConfigError("mask shape %s does not match input %s"
                           % (known.shape, toks.shape))
+    if toks.shape != grid_shape:
+        raise ConfigError("input grid has shape %s, decode grid is %s"
+                          % (toks.shape, grid_shape))
+    _write_resolved(out, cfg)
     sink: list = []
     grid = inpaint(params, TokenGrid(toks, class_id), known.astype(bool),
                    class_id, dc, state_sink=sink)
@@ -317,9 +326,10 @@ def cmd_expand(cfg: dict) -> int:
     class_id = int(take(cfg, "expand.class_id", used, 0))
     cell_px = int(take(cfg, "image.cell_px", used, 16))
     check_used(cfg, used)
-    _write_resolved(out, cfg)
     params = load_checkpoint(ck_path).params
+    _check_class(params.config, class_id)
     base = TokenGrid(load_tokens_txt(input_path), class_id)
+    _write_resolved(out, cfg)
     sink: list = []
     grid = expand(params, base, new_h, new_w, mode, dc, state_sink=sink)
     order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
@@ -501,11 +511,11 @@ def cmd_attn_export(cfg: dict) -> int:
     class_id = int(take(cfg, "attn.class_id", used, 0))
     seed = int(take(cfg, "attn.seed", used, 0))
     check_used(cfg, used)
-    _write_resolved(out, cfg)
     ck = load_checkpoint(ck_path)
     params = ck.params
     mc = params.config
     total = mc.seq_len
+    _check_class(mc, class_id)
     if input_path is None:
         toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
     else:
@@ -518,9 +528,7 @@ def cmd_attn_export(cfg: dict) -> int:
             raise ConfigError("attn.input grid has shape %s, model grid is %s"
                               % (grid.shape, model_grid))
         toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
-    if not 0 <= class_id < mc.num_classes:
-        raise ConfigError("class_id %d outside [0, %d)"
-                          % (class_id, mc.num_classes))
+    _write_resolved(out, cfg)
 
     # Raster teacher forcing: content row i sees [cond, x_1..x_i], query row
     # t asks for position t over the full content length.

@@ -7,9 +7,12 @@ Everything runs on the row-stable inference kernels, so a chunked run and the
 from-scratch sequential rebuild agree bit for bit at S = T, and query chunking
 never changes logits. One core, _decode_region, runs every decode: generate
 is its empty-prefix case, while inpaint and expand prefill the known tokens
-into the cache first and decode only the positions left.
+into the cache first and decode only the positions left. Under CFG the
+conditional and unconditional streams share one cache and one content pass
+per step; only their [MASK] queries run apart.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from math import isqrt
 
@@ -61,20 +64,32 @@ class TokenGrid:
 class KvCache:
     """Append-only (k, v) row storage for one generation.
 
-    Two stream groups: per-layer self-attention rows for the content pass, and
-    the outgoing content kv that [MASK] queries read (one stream when shared,
-    else one per query layer). Rows are written once and never moved, so views
-    handed out earlier stay valid; `length` counts condition plus decoded
-    tokens and is advanced by the content pass appending a chunk.
+    Two buffer groups: per-layer self-attention rows for the content pass, and
+    the outgoing content kv that [MASK] queries read (one kv stream when
+    shared, else one per query layer). Rows are written once and never moved,
+    so views handed out earlier stay valid; `length` counts condition plus
+    decoded tokens and is advanced by the content pass appending a chunk.
+
+    A cache may hold several decode streams (the conditional and the
+    unconditional one of CFG) that feed the same ids at the same positions.
+    Every buffer is then one array [capacity, streams * H, hd]: row r holds
+    position r of each stream, stream-major along the folded head axis, so
+    one content pass appends and attends for all streams at once.
+    `stream(s)` gives a read-only one-stream cache whose buffers are views of
+    stream s's slice [capacity, H, hd] and whose fill counts are shared, so
+    it reads and measures exactly that stream; appends go through the joint
+    cache.
     """
 
-    def __init__(self, config: md.ModelConfig, capacity: int, dtype=np.float32):
+    def __init__(self, config: md.ModelConfig, capacity: int, dtype=np.float32,
+                 streams: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be at least 1 (the condition row)")
         self.config = config
         self.capacity = capacity
-        head_dim = config.hidden // config.heads
-        shape = (capacity, config.heads, head_dim)
+        self.streams = streams
+        self.joint = None  # the multi-stream cache this one is a stream view of
+        shape = (capacity, streams * config.heads, config.head_dim)
         self._layer_k = [np.empty(shape, dtype) for _ in range(config.pass1_layers)]
         self._layer_v = [np.empty(shape, dtype) for _ in range(config.pass1_layers)]
         self._layer_fill = [0] * config.pass1_layers
@@ -82,6 +97,15 @@ class KvCache:
         self._out_k = [np.empty(shape, dtype) for _ in range(n_out)]
         self._out_v = [np.empty(shape, dtype) for _ in range(n_out)]
         self._out_fill = [0] * n_out
+
+    def stream(self, s: int) -> "KvCache":
+        """Read-only one-stream cache over stream s's slice of every buffer."""
+        view = copy(self)  # shares the fill lists, so its length follows appends
+        view.streams, view.joint = 1, self
+        heads = slice(s * self.config.heads, (s + 1) * self.config.heads)
+        for name in ("_layer_k", "_layer_v", "_out_k", "_out_v"):
+            setattr(view, name, [b[:, heads] for b in getattr(self, name)])
+        return view
 
     @property
     def length(self) -> int:
@@ -92,6 +116,8 @@ class KvCache:
         return sum(b.size for b in buffers)
 
     def _append(self, buf_k, buf_v, fills, idx, k, v):
+        if self.joint is not None:
+            raise RuntimeError("a stream view is read-only; append to its joint cache")
         n = k.shape[0]
         fill = fills[idx]
         if fill + n > self.capacity:
@@ -275,28 +301,33 @@ def _step_scales(dc: DecodeConfig, counts: list[int], total: int) -> list[float]
 
 def _open_caches(params: md.ArpgParams, class_id: int, capacity: int,
                  use_cfg: bool, pattern: str) -> tuple[KvCache, KvCache | None]:
+    """Caches fed with their condition row: (cond, uncond) under CFG, else (cond, None).
+
+    Under CFG both streams live in one two-stream KvCache and the returned
+    caches are its stream views; _fed gives back the joint cache.
+    """
     cfg = params.config
-    cond = KvCache(cfg, capacity, params.dtype)
-    md.forward_pass1(params, [cfg.class_token(class_id)], [0],
-                     cache=cond, pattern=pattern)
+    conds = [cfg.class_token(class_id)] + ([cfg.null_class_token] if use_cfg else [])
+    cache = KvCache(cfg, capacity, params.dtype, streams=len(conds))
+    md.forward_pass1(params, np.array(conds)[:, None], [0], cache=cache, pattern=pattern)
     if not use_cfg:
-        return cond, None
-    uncond = KvCache(cfg, capacity, params.dtype)
-    md.forward_pass1(params, [cfg.null_class_token], [0],
-                     cache=uncond, pattern=pattern)
-    return cond, uncond
+        return cache, None
+    return cache.stream(0), cache.stream(1)
+
+
+def _fed(caches) -> KvCache:
+    """The cache a content pass appends to, for every stream of caches at once."""
+    return caches[0].joint or caches[0]
 
 
 def _prefill(params, caches, ids, positions):
-    cond, uncond = caches
-    md.forward_pass1(params, ids, positions, cache=cond, pattern="causal")
-    if uncond is not None:
-        md.forward_pass1(params, ids, positions, cache=uncond, pattern="causal")
+    md.forward_pass1(params, ids, positions, cache=_fed(caches), pattern="causal")
 
 
 def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w):
     """Run the chunked step loop over order_pos; returns ids in decode order."""
     cond, uncond = caches
+    fed = _fed(caches)
     sampled = np.empty(order_pos.size, dtype=np.int64)
     cursor = 0
     for step, (n, scale) in enumerate(zip(counts, scales)):
@@ -315,11 +346,7 @@ def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w
                 "(%d, %d) (row %d of the step)" % (step + 1, len(counts), r, c, e.row)
             ) from None
         sampled[cursor:cursor + n] = ids
-        md.forward_pass1(params, ids, chunk, cache=cond,
-                         pattern=dc.attention_pattern)
-        if uncond is not None:
-            md.forward_pass1(params, ids, chunk, cache=uncond,
-                             pattern=dc.attention_pattern)
+        md.forward_pass1(params, ids, chunk, cache=fed, pattern=dc.attention_pattern)
         cursor += n
     return sampled
 

@@ -307,40 +307,52 @@ def _rms_np(x: np.ndarray, gain: Parameter, eps: float = 1e-6) -> np.ndarray:
     return x * s * gain.data
 
 
-def _silu_np(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
-
-
 def _ffn_np(x: np.ndarray, layer: Pass1Layer | Pass2Layer) -> np.ndarray:
     h13 = rowwise_matmul(_rms_np(x, layer.ffn_norm), layer.w13.data)
     f = h13.shape[1] // 2
-    return rowwise_matmul(_silu_np(h13[:, :f]) * h13[:, f:], layer.w2.data)
+    gate = h13[:, :f]
+    # silu(gate) * up = gate / (1 + exp(-gate)) * up, built in one buffer
+    h = np.negative(gate)
+    np.exp(h, out=h)
+    h += 1.0
+    np.divide(gate, h, out=h)
+    h *= h13[:, f:]
+    return rowwise_matmul(h, layer.w2.data)
 
 
 def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
                   cache=None, pattern: str = "causal") -> list[tuple[np.ndarray, np.ndarray]]:
-    """Content pass over one token chunk; returns per-stream (k, v) [m, H, hd].
+    """Content pass over one token chunk; returns (k, v) [m, S * H, hd] per kv stream.
 
     Without a cache this is a from-scratch forward over the whole chunk (the
     condition token must sit first at position 0). With a cache, the chunk
     extends it: per-layer self-attention keys and the outgoing kv stream are
     appended, and the chunk attends to everything cached plus the intra-chunk
     pattern (causal, or bidirectional under block_causal).
+
+    A cache holding S decode streams (see KvCache) is extended for all of
+    them in this one pass: ids [m] feed every stream, ids [S, m] give each
+    stream its own (the CFG condition rows); positions [m] are shared. Rows
+    run position-major, [m * S, d], and attention folds the streams into the
+    head axis, so every stream's bits equal those of a one-stream pass.
+    Without a cache, S = 1.
     """
     cfg = params.config
     ids = np.asarray(input_ids)
     pos = np.asarray(positions)
-    if ids.ndim != 1 or ids.shape != pos.shape or ids.size == 0:
-        raise ValueError("ids/positions must be equal-length 1-d, got %r/%r"
-                         % (ids.shape, pos.shape))
+    streams = 1 if cache is None else cache.streams
+    m = pos.size
+    if pos.ndim != 1 or m == 0 or ids.shape not in ((m,), (streams, m)):
+        raise ValueError("ids must be [m] or [%d, m] for 1-d positions [m], got %r/%r"
+                         % (streams, ids.shape, pos.shape))
     if ids.min() < 0 or ids.max() >= cfg.embed_rows:
         raise IndexError("token id outside embedding table [0, %d)" % cfg.embed_rows)
-    m = ids.size
     past = 0 if cache is None else cache.length
     if past == 0 and pos[0] != 0:
         raise ValueError("first fed token must be the condition at position 0")
     table = params.rope_table(int(pos.max()) + 1)
-    cos, sin = table.gather(pos, dtype=params.dtype)
+    # rows run position-major: row i * S + s is position i of stream s
+    cos, sin = table.gather(np.repeat(pos, streams), dtype=params.dtype)
     if pattern == "causal":
         lens = past + np.arange(1, m + 1)
     elif pattern == "block_causal":
@@ -348,29 +360,31 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     else:
         raise ValueError("unknown attention pattern %r" % pattern)
 
-    d = cfg.hidden
-    x = params.token_embedding.data[ids]
+    heads, hd = cfg.heads, cfg.head_dim
+    rows, fold = m * streams, streams * heads
+    x = params.token_embedding.data[np.repeat(ids, streams) if ids.ndim == 1
+                                    else ids.T.reshape(-1)]
     for li, layer in enumerate(params.pass1):
-        xn = _rms_np(x, layer.attn_norm)
-        qkv = rowwise_matmul(xn, layer.wqkv.data)
-        q = rotate_pairs(qkv[:, :d].reshape(m, cfg.heads, -1), cos, sin)
-        k = rotate_pairs(qkv[:, d:2 * d].reshape(m, cfg.heads, -1), cos, sin)
-        v = qkv[:, 2 * d:].reshape(m, cfg.heads, -1)
-        if cache is None:
-            k_all, v_all = k, v
-        else:
+        qkv = rowwise_matmul(_rms_np(x, layer.attn_norm), layer.wqkv.data)
+        qkv = qkv.reshape(rows, 3 * heads, hd)
+        qk = rotate_pairs(qkv[:, :2 * heads], cos, sin)
+        q = qk[:, :heads].reshape(m, fold, hd)
+        k = qk[:, heads:].reshape(m, fold, hd)
+        v = qkv[:, 2 * heads:].reshape(m, fold, hd)
+        if cache is not None:
             cache.layer_append(li, k, v)
-            k_all, v_all = cache.layer_view(li)
-        a = attention_rows(q, k_all.transpose(1, 0, 2), v_all.transpose(1, 0, 2), lens)
-        x = x + rowwise_matmul(a.reshape(m, d), layer.wo.data)
-        x = x + _ffn_np(x, layer)
+            k, v = cache.layer_view(li)
+        a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
+        x += rowwise_matmul(a.reshape(rows, cfg.hidden), layer.wo.data)
+        del qkv, qk, q, k, v, a  # free the attention block before the FFN's
+        x += _ffn_np(x, layer)
 
     hn = _rms_np(x, params.kv_norm)
     pairs = []
     for si, w in enumerate(params.kv_proj):
-        kv = rowwise_matmul(hn, w.data).reshape(m, 2 * cfg.heads, -1)
-        k = rotate_pairs(kv[:, :cfg.heads], cos, sin)
-        v = np.ascontiguousarray(kv[:, cfg.heads:])
+        kv = rowwise_matmul(hn, w.data).reshape(rows, 2 * heads, hd)
+        k = rotate_pairs(kv[:, :heads], cos, sin).reshape(m, fold, hd)
+        v = np.ascontiguousarray(kv[:, heads:]).reshape(m, fold, hd)
         if cache is not None:
             cache.out_append(si, k, v)
         pairs.append((k, v))
@@ -409,5 +423,5 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
         a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
         o = q.reshape(q_len, cfg.hidden) + rowwise_matmul(a.reshape(q_len, cfg.hidden),
                                                           layer.wo.data)
-        o = o + _ffn_np(o, layer)
+        o += _ffn_np(o, layer)
     return rowwise_matmul(_rms_np(o, params.final_norm), params.head.data)

@@ -136,6 +136,34 @@ def test_generate_class_out_of_range_exits_2(trained, tmp_path):
     assert main(["generate", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["generate", "inpaint", "expand", "attn-export"])
+def test_bad_class_exits_2_before_writing(trained, tmp_path, capsys, command):
+    np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
+    out = tmp_path / "out"
+    prefix = {"attn-export": "attn"}.get(command, command)
+    inputs = {"inpaint": {"inpaint.input": tmp_path / "in.txt",
+                          "inpaint.mask": tmp_path / "in.txt"},
+              "expand": {"expand.input": tmp_path / "in.txt",
+                         "expand.new_h": 4, "expand.new_w": 6},
+              "attn-export": {"attn.input": tmp_path / "in.txt"}}.get(command, {})
+    args = ["%s=%s" % kv for kv in inputs.items()]
+    assert main([command, "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "%s.class_id=9" % prefix] + args) == 2
+    assert "class_id 9 outside" in capsys.readouterr().err
+    assert not (out / "config.json").exists()
+
+
+def test_inpaint_input_of_wrong_shape_exits_2_before_writing(trained, tmp_path, capsys):
+    np.savetxt(tmp_path / "in.txt", np.zeros((2, 8), dtype=np.int64), fmt="%d")
+    out = tmp_path / "out"
+    assert main(["inpaint", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "inpaint.input=%s" % (tmp_path / "in.txt"),
+                 "inpaint.mask=%s" % (tmp_path / "in.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "(2, 8)" in err and "(4, 4)" in err
+    assert not (out / "config.json").exists()
+
+
 def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
@@ -147,11 +175,13 @@ def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys
 @pytest.mark.parametrize("shape", [(-4, -4), (-2, -8)])
 def test_generate_negative_grid_exits_2(trained, tmp_path, capsys, shape):
     # the product matches seq_len 16, so only the bounds check can reject it
-    assert main(["generate", "out_dir=%s" % (tmp_path / "out"),
+    out = tmp_path / "out"
+    assert main(["generate", "out_dir=%s" % out,
                  "checkpoint=%s" % (trained / "model.ckpt"),
                  "decode.grid_h=%d" % shape[0], "decode.grid_w=%d" % shape[1]]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "%d and %d" % shape in err
+    assert not (out / "config.json").exists()
 
 
 def test_inpaint_preserves_known_cells(trained, tmp_path):
@@ -282,11 +312,13 @@ def test_attn_export_rejects_ids_outside_vocab(trained, tmp_path, capsys, bad_id
 def test_attn_export_rejects_grid_of_wrong_shape(trained, tmp_path, capsys):
     # 2x8 holds the model's 16 tokens, but the model's grid is 4x4
     np.savetxt(tmp_path / "in.txt", np.zeros((2, 8), dtype=np.int64), fmt="%d")
-    assert main(["attn-export", "out_dir=%s" % (tmp_path / "out"),
+    out = tmp_path / "out"
+    assert main(["attn-export", "out_dir=%s" % out,
                  "checkpoint=%s" % (trained / "model.ckpt"),
                  "attn.input=%s" % (tmp_path / "in.txt")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "(2, 8)" in err and "(4, 4)" in err
+    assert not (out / "config.json").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -105,6 +105,82 @@ def test_block_causal_chunk_kv_differs_but_s_equals_t_invariant():
     assert np.array_equal(a.tokens, b.tokens)
 
 
+def cache_arrays(cache, config):
+    """Every filled buffer of a one-stream cache: per-layer k, v, then out k, v."""
+    out = [a for li in range(config.pass1_layers) for a in cache.layer_view(li)]
+    return out + [a for kv in cache.out_kv() for a in kv]
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(cuts=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+       prefill=st.integers(0, 6), pattern=st.sampled_from(dec.ATTENTION_PATTERNS),
+       shared=st.booleans(), layers=st.sampled_from([0, 2]),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_two_stream_pass_equals_two_one_stream_passes(cuts, prefill, pattern, shared,
+                                                      layers, dtype, seed):
+    # one content pass over both CFG streams against a separate pass per
+    # stream: condition rows, an optional causal prefill with its own ids per
+    # stream, then chunks whose ids both streams share
+    params = tiny_params(seed=seed % 7, dtype=dtype, pass1_layers=layers,
+                         pass2_layers=3, shared_kv=shared)
+    cfg = params.config
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum([0, prefill] + cuts)
+    bounds = bounds[bounds <= cfg.seq_len]
+    pos = rng.permutation(cfg.seq_len) + 1
+    ids = rng.integers(0, cfg.vocab_size, (2, cfg.seq_len))
+    conds = [cfg.class_token(int(rng.integers(cfg.num_classes))), cfg.null_class_token]
+    joint = dec.KvCache(cfg, 1 + cfg.seq_len, params.dtype, streams=2)
+    singles = [dec.KvCache(cfg, 1 + cfg.seq_len, params.dtype) for _ in conds]
+    md.forward_pass1(params, np.array(conds)[:, None], [0], cache=joint, pattern=pattern)
+    for cond, cache in zip(conds, singles):
+        md.forward_pass1(params, [cond], [0], cache=cache, pattern=pattern)
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if a == b:  # no prefill
+            continue
+        if i == 0 and prefill:
+            md.forward_pass1(params, ids[:, a:b], pos[a:b], cache=joint)
+            for s, cache in enumerate(singles):
+                md.forward_pass1(params, ids[s, a:b], pos[a:b], cache=cache)
+            continue
+        for cache in [joint] + singles:
+            md.forward_pass1(params, ids[0, a:b], pos[a:b], cache=cache, pattern=pattern)
+    for s, single in enumerate(singles):
+        view = joint.stream(s)
+        assert view.length == single.length == 1 + bounds[-1]
+        for got, want in zip(cache_arrays(view, cfg), cache_arrays(single, cfg), strict=True):
+            assert_bits_equal(got, want)
+
+
+def test_cfg_streams_are_isolated_and_counted_once():
+    params = tiny_params(seed=6, dtype=np.float32, shared_kv=False)
+    cfg = params.config
+    sink = []
+    dec.generate(params, 2, dec.DecodeConfig(steps=5, cfg_scale=3.0), sink)
+    caches = sink[0].caches
+    one = dec.cache_scalar_count(cfg, cfg.seq_len)
+    assert sum(c.scalar_count() for c in caches) == 2 * one
+    for cache in caches:  # the arrays a cache's attributes list, as bench sums them
+        arrays = [b for v in vars(cache).values() if isinstance(v, list)
+                  for b in v if isinstance(b, np.ndarray)]
+        assert sum(b.nbytes for b in arrays) == one * params.dtype.itemsize
+    # a write through one stream's buffers never shows in the other's
+    for written, other in (caches, caches[::-1]):
+        kept = [np.array(a) for a in cache_arrays(other, cfg)]
+        for a in cache_arrays(written, cfg):
+            a[...] = np.nan
+        assert all(np.isnan(a).all() for a in cache_arrays(written, cfg))
+        for got, want in zip(cache_arrays(other, cfg), kept, strict=True):
+            assert_bits_equal(got, want)
+    with pytest.raises(RuntimeError, match="read-only"):
+        md.forward_pass1(params, [3], [5], cache=caches[0])
+
+
 # ---------------------------------------------------------------- cfg + sampling
 
 def test_cfg_combine_anchors_and_closed_form():
@@ -268,6 +344,11 @@ GOLDEN_PARTIAL = dec.TokenGrid(np.array([[14, 6, 3, 11], [13, 4, 5, 1],
                                          [15, 15, 11, 9], [9, 10, 11, 9]]), 3)
 GOLDEN_KNOWN = np.array([[1, 1, 1, 0], [0, 0, 0, 1],
                          [0, 0, 0, 0], [1, 0, 0, 1]], dtype=bool)
+# The CFG edit cases prefill both streams. They run on weights drawn wide
+# enough that the unconditional stream moves the samples: at the default
+# init_std a wrong unconditional prefill leaves these grids unchanged.
+GOLDEN_CFG_PARAMS = md.ArpgParams.init(tiny_params().config, np.random.default_rng(17),
+                                       np.float64, init_std=0.3)
 GOLDEN = {
     "generate_random_cfg_topk_topp": (
         lambda p, sink: dec.generate(
@@ -300,6 +381,21 @@ GOLDEN = {
         [[0, 1, 0, 9, 3, 13, 7], [6, 14, 6, 3, 11, 9, 9],
          [4, 13, 4, 5, 1, 9, 5], [5, 15, 15, 11, 9, 10, 2],
          [6, 9, 10, 11, 9, 3, 5], [3, 15, 2, 7, 14, 6, 11]],
+        [41, 34, 20, 13, 27, 40, 28, 22, 15, 1, 36, 29, 8, 4, 39, 14, 5, 38,
+         21, 2, 35, 7, 42, 6, 3, 37]),
+    "inpaint_cfg_topk_topp": (
+        lambda p, sink: dec.inpaint(GOLDEN_CFG_PARAMS, GOLDEN_PARTIAL, GOLDEN_KNOWN, 3,
+                                    dec.DecodeConfig(steps=4, cfg_scale=3.0, top_k=8,
+                                                     top_p=0.9, seed=5), sink),
+        [[14, 6, 3, 6], [9, 14, 14, 1], [12, 14, 11, 14], [9, 2, 3, 9]],
+        [12, 11, 5, 7, 6, 9, 4, 15, 10, 14]),
+    "expand_resolution_cfg": (
+        lambda p, sink: dec.expand(GOLDEN_CFG_PARAMS, GOLDEN_PARTIAL, 6, 7, "resolution",
+                                   dec.DecodeConfig(steps=6, cfg_scale=3.0,
+                                                    cfg_schedule="constant", seed=8), sink),
+        [[0, 7, 0, 3, 11, 12, 7], [15, 14, 6, 3, 11, 11, 15],
+         [6, 13, 4, 5, 1, 2, 2], [6, 15, 15, 11, 9, 14, 1],
+         [11, 9, 10, 11, 9, 6, 2], [15, 14, 2, 2, 14, 6, 15]],
         [41, 34, 20, 13, 27, 40, 28, 22, 15, 1, 36, 29, 8, 4, 39, 14, 5, 38,
          21, 2, 35, 7, 42, 6, 3, 37]),
 }

@@ -2,14 +2,16 @@
 
 Layouts: the batched kernels (attention_forward/attention_backward) work on
 [..., H, T, head_dim]. The training route keeps activations joined,
-[B, T, H * head_dim], and its only attention tape ops read them in place:
+[B, T, H * head_dim], and its attention tape ops read them in place:
 `self_attention` takes the rows of the fused q|k|v projection [B, T, 3d]
 (the model stores wq|wk|wv as one weight), `cross_attention` takes q
-[B, Q, d] and k, v [B, S, d]. Both hand the kernels per-head strided views
-(reshape + transpose, no copy) and return the joined heads [B, T, d]; their
-backwards write one fresh joined gradient per input. Rotary embedding
-rotates each head_dim group of the last axis, in either layout, at
-per-token positions. The decoding engine uses the per-query-row kernel at
+[B, Q, d] and the rows of one fused k|v projection [B, S, 2d]. Both hand
+the kernels per-head strided views (reshape + transpose, no copy) and
+return the joined heads [B, T, d]; their backwards write one fresh joined
+gradient per input. Rotary embedding rotates each head_dim group of the
+last axis, in either layout, at per-token positions; on the training route
+`rotary_matmul` does it inside the projection's own buffer, so q and k are
+held once, rotated. The decoding engine uses the per-query-row kernel at
 the bottom, whose bits never depend on how queries are grouped into calls.
 """
 
@@ -100,6 +102,37 @@ def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
     return nc.from_op(out, (x,), bwd)
 
 
+def _rotate_leading(x: np.ndarray, width: int, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Rotate the first `width` columns of x [..., T, f] in place, per head_dim group."""
+    lead = x[..., :width]
+    hd = 2 * cos.shape[-1]
+    # rotate_pairs reads every lane it writes, hence the temporary
+    lead[...] = rotate_pairs(lead.reshape(lead.shape[:-1] + (width // hd, hd)),
+                             cos, sin).reshape(lead.shape)
+
+
+def rotary_matmul(a: Tensor, w: Tensor, rotated: int,
+                  cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Tape op: a @ w [..., T, f] with its first `rotated` columns rotated in place.
+
+    Those columns turn per head_dim group (head_dim = 2 * cos.shape[-1]) by
+    cos/sin [..., T, head_dim//2] from RopeTable.gather, so the tape holds
+    one buffer for the projection and its rotation. Bit for bit apply_rope
+    of the matmul over those columns.
+    """
+    a2, out = nc.gemm_rows(a, w)
+    if rotated % (2 * cos.shape[-1]) or not 0 <= rotated <= out.shape[-1]:
+        raise ValueError("cannot rotate %d of %d columns in whole heads of %d"
+                         % (rotated, out.shape[-1], 2 * cos.shape[-1]))
+    _rotate_leading(out, rotated, cos, sin)
+
+    def bwd(g):
+        # inverse rotation (transpose of each 2x2 block), then the gemm grads
+        _rotate_leading(g, rotated, cos, -sin)
+        return nc.gemm_rows_grads(a, a2, w, g)
+    return nc.from_op(out, (a, w), bwd)
+
+
 # ---------------------------------------------------------------- masks
 
 @dataclass
@@ -177,67 +210,61 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _joined(x: np.ndarray) -> np.ndarray:
-    """Per-head [B, H, T, hd] written into a fresh joined [B, T, H * hd]."""
-    b, h, t, hd = x.shape
-    out = np.empty((b, t, h * hd), dtype=x.dtype)
-    out.reshape(b, t, h, hd)[...] = x.transpose(0, 2, 1, 3)
+def _joined(*parts: np.ndarray) -> np.ndarray:
+    """Per-head [B, H, T, hd] arrays side by side in a fresh joined [B, T, n * H * hd]."""
+    b, h, t, hd = parts[0].shape
+    out = np.empty((b, t, len(parts) * h * hd), dtype=parts[0].dtype)
+    joined = out.reshape(b, t, len(parts) * h, hd)
+    for i, x in enumerate(parts):
+        joined[:, :, i * h:(i + 1) * h] = x.transpose(0, 2, 1, 3)
     return out
 
 
-def self_attention(qkv: Tensor, positions: np.ndarray, table: RopeTable,
-                   mask: AttentionMask, heads: int,
+def self_attention(qkv: Tensor, mask: AttentionMask, heads: int,
                    probs_sink: list | None = None) -> Tensor:
-    """Tape op: rotary self-attention over the fused q|k|v rows [B, T, 3d].
+    """Tape op: self-attention over fused q|k|v rows [B, T, 3d], q and k rotated.
 
-    q and k are rotated in one pass at positions [B, T]; the kernels see
-    per-head views of the rotated pair and of v. Returns the joined heads
+    The kernels read per-head views of qkv in place. Returns the joined heads
     [B, T, d]; the backward returns one fresh [B, T, 3d] gradient.
     """
     b, t, d3 = qkv.shape
-    hd = table.head_dim
-    if d3 != 3 * heads * hd:
-        raise ValueError("fused q|k|v width %d does not hold 3 x %d heads of %d"
-                         % (d3, heads, hd))
-    cos, sin = table.gather(positions, dtype=qkv.dtype)
-    x = qkv.data.reshape(b, t, 3 * heads, hd)
-    qk = rotate_pairs(x[:, :, :2 * heads], cos, sin)
-    q = qk[:, :, :heads].transpose(0, 2, 1, 3)
-    k = qk[:, :, heads:].transpose(0, 2, 1, 3)
-    v = x[:, :, 2 * heads:].transpose(0, 2, 1, 3)
+    if d3 % (3 * heads):
+        raise ValueError("fused q|k|v width %d does not hold 3 x %d heads" % (d3, heads))
+    x = qkv.data.reshape(b, t, 3 * heads, d3 // (3 * heads)).transpose(0, 2, 1, 3)
+    q, k, v = x[:, :heads], x[:, heads:2 * heads], x[:, 2 * heads:]
     out, probs = attention_forward(q, k, v, mask)
     out = _joined(out)
     if probs_sink is not None:
         probs_sink.append(probs)
 
     def bwd(g):
-        dq, dk, dv = attention_backward(q, k, v, probs, _heads(out, heads), _heads(g, heads))
-        grad = np.empty(qkv.shape, dtype=qkv.dtype)
-        gh = grad.reshape(b, t, 3 * heads, hd)
-        rotate_pairs(dq.transpose(0, 2, 1, 3), cos, -sin, out=gh[:, :, :heads])
-        rotate_pairs(dk.transpose(0, 2, 1, 3), cos, -sin, out=gh[:, :, heads:2 * heads])
-        gh[:, :, 2 * heads:] = dv.transpose(0, 2, 1, 3)
-        return (grad,)
+        grads = attention_backward(q, k, v, probs, _heads(out, heads), _heads(g, heads))
+        return (_joined(*grads),)
     return nc.from_op(out, (qkv,), bwd)
 
 
-def cross_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, heads: int,
+def cross_attention(q: Tensor, kv: Tensor, mask: AttentionMask, heads: int,
                     probs_sink: list | None = None) -> Tensor:
-    """Tape op: attention of joined queries q [B, Q, d] over joined k, v [B, S, d].
+    """Tape op: attention of joined queries q [B, Q, d] over k|v rows kv [B, S, 2d].
 
     Rotation, if any, is the caller's: a shared k is rotated once for every
-    layer that reads it. Returns the joined heads [B, Q, d].
+    layer that reads it. Returns the joined heads [B, Q, d]; the backward
+    returns fresh gradients for q and for kv.
     """
-    qh, kh, vh = _heads(q.data, heads), _heads(k.data, heads), _heads(v.data, heads)
+    d = q.shape[-1]
+    if kv.shape[-1] != 2 * d:
+        raise ValueError("k|v width %d is not twice the query width %d" % (kv.shape[-1], d))
+    qh = _heads(q.data, heads)
+    kh, vh = _heads(kv.data[..., :d], heads), _heads(kv.data[..., d:], heads)
     out, probs = attention_forward(qh, kh, vh, mask)
     out = _joined(out)
     if probs_sink is not None:
         probs_sink.append(probs)
 
     def bwd(g):
-        grads = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
-        return tuple(_joined(x) for x in grads)
-    return nc.from_op(out, (q, k, v), bwd)
+        dq, dk, dv = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
+        return _joined(dq), _joined(dk, dv)
+    return nc.from_op(out, (q, kv), bwd)
 
 
 # ---------------------------------------------------------------- row kernel

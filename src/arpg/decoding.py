@@ -85,6 +85,8 @@ class KvCache:
                  streams: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be at least 1 (the condition row)")
+        if streams < 1:
+            raise ValueError("a cache holds at least 1 stream, got %d" % streams)
         self.config = config
         self.capacity = capacity
         self.streams = streams
@@ -100,6 +102,8 @@ class KvCache:
 
     def stream(self, s: int) -> "KvCache":
         """Read-only one-stream cache over stream s's slice of every buffer."""
+        if not 0 <= s < self.streams:
+            raise IndexError("stream %d outside [0, %d)" % (s, self.streams))
         view = copy(self)  # shares the fill lists, so its length follows appends
         view.streams, view.joint = 1, self
         heads = slice(s * self.config.heads, (s + 1) * self.config.heads)

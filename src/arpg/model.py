@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .attention import (AttentionMask, RopeTable, apply_rope, attention_rows,
-                        causal_mask, cross_attention, rotate_pairs, self_attention)
+from .attention import (AttentionMask, RopeTable, attention_rows, causal_mask,
+                        cross_attention, rotary_matmul, rotate_pairs, self_attention)
+from .attention import apply_rope  # noqa: F401 -- profilers patch model.apply_rope
 from .numcore import Parameter, Tensor, rowwise_matmul
 from .ordering import is_permutation
 
@@ -199,16 +200,17 @@ class ArpgParams:
 
 # ---------------------------------------------------------------- batched (tape) route
 
-def _ffn(x: Tensor, layer: Pass1Layer | Pass2Layer) -> Tensor:
-    xn = nc.rms_norm(x, layer.ffn_norm)
-    return nc.matmul(nc.swiglu(nc.matmul(xn, layer.w13)), layer.w2)
-
-
-def _maybe_drop(t: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+def _keep_mask(x: Tensor, rate: float, rng: np.random.Generator | None) -> np.ndarray | None:
+    """Scaled dropout keep mask for a residual branch added to x; None when off."""
     if rng is None or rate <= 0.0:
-        return t
-    keep = (rng.random(t.shape) >= rate).astype(t.dtype) / (1.0 - rate)
-    return nc.mul(t, keep)
+        return None
+    return (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+
+
+def _ffn_residual(x: Tensor, layer: Pass1Layer | Pass2Layer, rate: float,
+                  rng: np.random.Generator | None) -> Tensor:
+    h = nc.swiglu(nc.matmul(nc.rms_norm(x, layer.ffn_norm), layer.w13))
+    return nc.residual_matmul(x, h, layer.w2, _keep_mask(x, rate, rng))
 
 
 def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
@@ -219,59 +221,52 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     probs_sink, when given, receives each layer's attention probabilities
     [B, H, S, S], first layer first.
     """
-    table = params.rope_table(int(positions.max()) + 1)
-    heads = params.config.heads
+    d = params.config.hidden
     rate = params.config.dropout
     x = nc.embedding(params.token_embedding, input_ids)
+    cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=x.dtype)
     for layer in params.pass1:
-        xn = nc.rms_norm(x, layer.attn_norm)
-        a = self_attention(nc.matmul(xn, layer.wqkv), positions, table, mask, heads,
-                           probs_sink=probs_sink)
-        x = nc.add(x, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
-        x = nc.add(x, _maybe_drop(_ffn(x, layer), rate, dropout_rng))
+        qkv = rotary_matmul(nc.rms_norm(x, layer.attn_norm), layer.wqkv, 2 * d, cos, sin)
+        a = self_attention(qkv, mask, params.config.heads, probs_sink=probs_sink)
+        x = nc.residual_matmul(x, a, layer.wo, _keep_mask(x, rate, dropout_rng))
+        x = _ffn_residual(x, layer, rate, dropout_rng)
     return x
 
 
-def project_kv(params: ArpgParams, h: Tensor,
-               positions: np.ndarray) -> list[tuple[Tensor, Tensor]]:
-    """Normalized content states -> per-stream (k, v), k rotated at its position.
+def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> list[Tensor]:
+    """Normalized content states -> one k|v tensor [B, S, 2d] per stream.
 
-    One stream per fused k|v weight in params.kv_proj. k, v come back
-    joined, [B, S, d].
+    One stream per fused k|v weight in params.kv_proj; k (the first d
+    columns) is rotated at its position.
     """
     d = params.config.hidden
-    table = params.rope_table(int(positions.max()) + 1)
+    cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=h.dtype)
     hn = nc.rms_norm(h, params.kv_norm)
-    pairs = []
-    for w in params.kv_proj:
-        k, v = nc.split(nc.matmul(hn, w), [d, d], axis=-1)
-        pairs.append((apply_rope(k, positions, table), v))
-    return pairs
+    return [rotary_matmul(hn, w, d, cos, sin) for w in params.kv_proj]
 
 
-def pass2_logits(params: ArpgParams, kv: list[tuple[Tensor, Tensor]],
-                 target_positions: np.ndarray, mask: AttentionMask,
-                 probs_sink: list | None = None,
+def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndarray,
+                 mask: AttentionMask, probs_sink: list | None = None,
                  dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Query stack: [MASK] embedding rotated to each target, cross-attending kv.
 
-    probs_sink, when given, receives each layer's attention probabilities
-    [B, H, Q, S], first layer first.
+    kv holds project_kv's k|v tensors. probs_sink, when given, receives each
+    layer's attention probabilities [B, H, Q, S], first layer first.
     """
     cfg = params.config
-    table = params.rope_table(int(target_positions.max()) + 1)
     b, q_len = target_positions.shape
     rate = cfg.dropout
     o = nc.embedding(params.token_embedding,
                      np.full((b, q_len), cfg.mask_token, dtype=np.int64))
+    cos, sin = params.rope_table(int(target_positions.max()) + 1).gather(
+        target_positions, dtype=o.dtype)
     for li, layer in enumerate(params.pass2):
-        on = nc.rms_norm(o, layer.q_norm)
-        q = apply_rope(nc.matmul(on, layer.wq), target_positions, table)
-        k, v = kv[0] if cfg.shared_kv else kv[li]
-        a = cross_attention(q, k, v, mask, cfg.heads, probs_sink=probs_sink)
+        q = rotary_matmul(nc.rms_norm(o, layer.q_norm), layer.wq, cfg.hidden, cos, sin)
+        a = cross_attention(q, kv[0] if cfg.shared_kv else kv[li], mask, cfg.heads,
+                            probs_sink=probs_sink)
         # the rotated query itself is the residual carrier
-        o = nc.add(q, _maybe_drop(nc.matmul(a, layer.wo), rate, dropout_rng))
-        o = nc.add(o, _maybe_drop(_ffn(o, layer), rate, dropout_rng))
+        o = nc.residual_matmul(q, a, layer.wo, _keep_mask(q, rate, dropout_rng))
+        o = _ffn_residual(o, layer, rate, dropout_rng)
     return nc.matmul(nc.rms_norm(o, params.final_norm), params.head)
 
 

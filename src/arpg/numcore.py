@@ -17,7 +17,7 @@ first gradient a backward hands to a non-leaf parent becomes that parent's
 dtype, not already adopted by another parent in the same call). The child's
 own .grad qualifies, since the child is released right after. Views are
 copied. A backward must therefore never return an owned array that it keeps
-using elsewhere.
+using elsewhere. A backward may overwrite g, its node's own private .grad.
 """
 
 from __future__ import annotations
@@ -217,20 +217,45 @@ def _gemm_into(shape: tuple[int, ...], x2: np.ndarray, y2: np.ndarray) -> np.nda
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., d] @ [d, f], run as one [N, d] @ [d, f] gemm both ways.
-
-    The weight gradient is then a single a2^T @ g2 instead of a [..., d, f]
-    stack summed down.
-    """
-    if b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ValueError("matmul takes [..., d] @ [d, f], got %r @ %r" % (a.shape, b.shape))
+def gemm_rows(a: Tensor, w: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """a [..., d] @ w [d, f] as one [N, d] gemm: (a as [N, d], a fresh [..., f] product)."""
+    if w.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ValueError("gemm takes [..., d] @ [d, f], got %r @ %r" % (a.shape, w.shape))
     a2 = a.data.reshape(-1, a.shape[-1])
+    return a2, _gemm_into(a.shape[:-1] + w.shape[1:], a2, w.data)
+
+
+def gemm_rows_grads(a: Tensor, a2: np.ndarray, w: Tensor,
+                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(da, dw) of gemm_rows at output gradient g; dw is one a2^T @ g2 gemm, not a stack."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return _gemm_into(a.shape, g2, w.data.T), a2.T @ g2
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[..., d] @ [d, f] (see gemm_rows)."""
+    a2, out = gemm_rows(a, b)
+    return from_op(out, (a, b), lambda g: gemm_rows_grads(a, a2, b, g))
+
+
+def residual_matmul(x: Tensor, a: Tensor, w: Tensor,
+                    keep: np.ndarray | None = None) -> Tensor:
+    """x + (a @ w) * keep ([..., d] @ [d, f], keep optional), as one node.
+
+    The gemm writes the sum's buffer, so the tape holds no separate product;
+    the backward reads a and w only. Bit for bit add(x, mul(matmul(a, w), keep)).
+    """
+    a2, out = gemm_rows(a, w)
+    if x.shape != out.shape:
+        raise ValueError("residual %r does not match the product %r" % (x.shape, out.shape))
+    if keep is not None:
+        out *= keep
+    out += x.data
 
     def bwd(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return _gemm_into(a.shape, g2, b.data.T), a2.T @ g2
-    return from_op(_gemm_into(a.shape[:-1] + b.shape[1:], a2, b.data), (a, b), bwd)
+        # x takes g itself; the gemms have read it by then
+        return (g,) + gemm_rows_grads(a, a2, w, g if keep is None else g * keep)
+    return from_op(out, (x, a, w), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -239,29 +264,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(old),)
     return from_op(np.ascontiguousarray(x.data).reshape(shape), (x,), bwd)
-
-
-def narrow(x: Tensor, axis: int, start: int, size: int) -> Tensor:
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, start + size)
-    idx = tuple(idx)
-
-    def bwd(g):
-        # written into x's one gradient buffer, so the pieces of a split
-        # share a single allocation instead of a zero-filled array each
-        x._accumulate_at(idx, g)
-        return (None,)
-    return from_op(np.ascontiguousarray(x.data[idx]), (x,), bwd)
-
-
-def split(x: Tensor, sizes: Sequence[int], axis: int = -1) -> list[Tensor]:
-    if sum(sizes) != x.shape[axis]:
-        raise ValueError("split sizes %r do not cover axis %d of %r" % (sizes, axis, x.shape))
-    out, start = [], 0
-    for n in sizes:
-        out.append(narrow(x, axis, start, n))
-        start += n
-    return out
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -250,6 +250,17 @@ def train_step(params: ArpgParams, optim: OptimState, batch,
     order (permutations, then dropout, then model dropout), which is what
     makes snapshot resume bit-exact.
     """
+    return _train_step(params, optim, batch, rng, class_dropout, grad_clip)["loss"]
+
+
+def _train_step(params: ArpgParams, optim: OptimState, batch,
+                rng: np.random.Generator, class_dropout: float,
+                grad_clip: float | None) -> dict:
+    """train_step's work; returns {loss, grad_norm, clipped}.
+
+    grad_norm is the global L2 norm of the gradients before clipping, and
+    clipped says whether it exceeded grad_clip and was scaled down to it.
+    """
     toks, classes = _batch_arrays(batch)
     if toks.shape[0] == 0:
         raise ValueError("batch must be nonempty")
@@ -271,15 +282,14 @@ def train_step(params: ArpgParams, optim: OptimState, batch,
         raise RuntimeError("loss is %r at optimizer step %d; aborting"
                            % (value, optim.step))
     loss.backward()
-    if grad_clip is not None:
-        sq = sum(float((p.grad * p.grad).sum()) for p in params.parameters())
-        norm = np.sqrt(sq)
-        if norm > grad_clip:
-            scale = grad_clip / norm
-            for p in params.parameters():
-                p.grad *= scale
+    norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.parameters()))
+    clipped = grad_clip is not None and norm > grad_clip
+    if clipped:
+        scale = grad_clip / norm
+        for p in params.parameters():
+            p.grad *= scale
     adamw_update(optim, params)
-    return value
+    return {"loss": value, "grad_norm": float(norm), "clipped": bool(clipped)}
 
 
 @dataclass
@@ -313,7 +323,9 @@ def train_loop(params: ArpgParams, dataset: list[TokenGrid], cfg: TrainConfig,
     The lr schedule is always anchored at cfg.steps; stop_step just interrupts
     early. One rng stream drives batch indices, permutations, and dropout, so
     a resumed (params, optim, rng, start_step) continues the exact run.
-    on_step receives one record per step: {step, loss, lr, wall_ms}.
+    on_step receives one record per step: {step, loss, grad_norm, clipped,
+    lr, wall_ms}; grad_norm is the gradient norm before clipping, and
+    clipped says whether cfg.grad_clip scaled the gradients down.
     """
     toks, classes = dataset_arrays(dataset)
     if toks.shape[1] != params.config.seq_len:
@@ -329,9 +341,9 @@ def train_loop(params: ArpgParams, dataset: list[TokenGrid], cfg: TrainConfig,
         t0 = time.perf_counter()
         optim.lr = lr_at(step, cfg.steps, cfg.lr, cfg.warmup_frac, cfg.min_lr)
         idx = rng.integers(0, toks.shape[0], cfg.batch_size)
-        loss = train_step(params, optim, (toks[idx], classes[idx]), rng,
-                          cfg.class_dropout, cfg.grad_clip)
-        record = {"step": step, "loss": loss, "lr": optim.lr,
+        stats = _train_step(params, optim, (toks[idx], classes[idx]), rng,
+                            cfg.class_dropout, cfg.grad_clip)
+        record = {"step": step, **stats, "lr": optim.lr,
                   "wall_ms": (time.perf_counter() - t0) * 1e3}
         history.append(record)
         if on_step is not None:
@@ -368,23 +380,25 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     masked = np.asarray(masked, dtype=bool)
     fed = np.where(masked, mask_id, ids)
     x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
-    # q, k and v are leaves, so backward leaves their gradients to read
-    q, k, v = (nc.Tensor(nc.matmul(x, proj).data, requires_grad=True)
-               for proj in (wq, wk, wv))
-    out = cross_attention(q, k, v, cross_full_mask(rows, rows), heads=1)
+    # q and k|v are leaves, so backward leaves their gradients to read
+    q = nc.Tensor(nc.matmul(x, wq).data, requires_grad=True)
+    kv = nc.Tensor(np.concatenate([nc.matmul(x, wk).data, nc.matmul(x, wv).data], axis=-1),
+                   requires_grad=True)
+    out = cross_attention(q, kv, cross_full_mask(rows, rows), heads=1)
     logits = nc.reshape(nc.matmul(out, wo), (rows, vocab))
     sel = np.flatnonzero(masked)
     if sel.size:
         nc.cross_entropy(nc.embedding(logits, sel), ids[sel]).backward()
 
-    def norms(t):
+    def norms(t, cols=slice(None)):
         g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return np.sqrt((g[0] * g[0]).sum(axis=-1))
+        g = g[0, :, cols]
+        return np.sqrt((g * g).sum(axis=-1))
 
     report = {"masked": masked.tolist(),
               "dq_norms": norms(q).tolist(),
-              "dk_norms": norms(k).tolist(),
-              "dv_norms": norms(v).tolist()}
+              "dk_norms": norms(kv, slice(None, dim)).tolist(),
+              "dv_norms": norms(kv, slice(dim, None)).tolist()}
     for i, is_masked in enumerate(masked):
         if not is_masked:
             assert report["dq_norms"][i] == 0.0, \

@@ -93,6 +93,51 @@ def test_rope_joined_layout_matches_heads_fd():
         at.apply_rope(nc.Tensor(np.zeros((2, 3, 6))), pos, table)
 
 
+@pytest.mark.parametrize("rotated", [16, 24])
+def test_rotary_matmul_fd(rotated):
+    # q|k of a fused q|k|v (16 of 24 columns) or every column rotated
+    rng = np.random.default_rng(17)
+    table = at.RopeTable.build(16, 4)
+    a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
+    m = nc.Parameter("m", rng.standard_normal((6, 24)))
+    pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
+    cos, sin = table.gather(pos)
+    w = rng.standard_normal((2, 5, 24))
+
+    def run():
+        y = a.data @ m.data
+        heads = y[..., :rotated].reshape(2, 5, -1, 4)
+        y[..., :rotated] = at.rotate_pairs(heads, cos, sin).reshape(2, 5, rotated)
+        return float((y * w).sum())
+
+    nc.sum_all(nc.mul(at.rotary_matmul(a, m, rotated, cos, sin), w)).backward()
+    assert_grads_close(a.grad, fd_grad(run, a.data), rel_tol=1e-6)
+    assert_grads_close(m.grad, fd_grad(run, m.data), rel_tol=1e-6)
+    for bad in (6, 28):  # not whole heads; more columns than the product has
+        with pytest.raises(ValueError):
+            at.rotary_matmul(a, m, bad, cos, sin)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
+    rng = np.random.default_rng(18)
+    table = at.RopeTable.build(32, 8)
+    pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
+    a0, m0, w = (rng.standard_normal(s).astype(dtype) for s in ((3, 7, 12), (12, 16), (3, 7, 16)))
+
+    def run(fused):
+        a, m = nc.Parameter("a", a0.copy()), nc.Parameter("m", m0.copy())
+        if fused:
+            out = at.rotary_matmul(a, m, 16, *table.gather(pos, dtype=dtype))
+        else:
+            out = at.apply_rope(nc.matmul(a, m), pos, table)
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, a.grad, m.grad
+
+    for x, y in zip(run(True), run(False)):
+        assert x.dtype == dtype and np.array_equal(x, y)
+
+
 # ---------------------------------------------------------------- forward kernel
 
 def test_attention_equal_scores_mean_values():
@@ -184,19 +229,20 @@ def test_attention_backward_unmasked_query_sparsity():
 def test_attention_fd_two_heads():
     rng = np.random.default_rng(10)
     q = nc.Parameter("q", rng.standard_normal((2, 4, 6)))
-    k = nc.Parameter("k", rng.standard_normal((2, 4, 6)))
-    v = nc.Parameter("v", rng.standard_normal((2, 4, 6)))
+    kv = nc.Parameter("kv", rng.standard_normal((2, 4, 12)))  # k|v
     mask = at.causal_mask(4)
     w = rng.standard_normal((2, 4, 6))
 
     def run():
-        out, _ = at.attention_forward(*(_joined_heads(x.data, 2) for x in (q, k, v)), mask)
+        out, _ = at.attention_forward(*(_joined_heads(x, 2) for x in
+                                        (q.data, kv.data[..., :6], kv.data[..., 6:])), mask)
         return float((out.transpose(0, 2, 1, 3).reshape(2, 4, 6) * w).sum())
 
-    nc.sum_all(nc.mul(at.cross_attention(q, k, v, mask, 2), w)).backward()
+    nc.sum_all(nc.mul(at.cross_attention(q, kv, mask, 2), w)).backward()
     assert_grads_close(q.grad, fd_grad(run, q.data), rel_tol=1e-6)
-    assert_grads_close(k.grad, fd_grad(run, k.data), rel_tol=1e-6)
-    assert_grads_close(v.grad, fd_grad(run, v.data), rel_tol=1e-6)
+    assert_grads_close(kv.grad, fd_grad(run, kv.data), rel_tol=1e-6)
+    with pytest.raises(ValueError):
+        at.cross_attention(q, nc.Tensor(kv.data[..., :6]), mask, 2)
 
 
 def _joined_heads(x, heads):
@@ -216,32 +262,35 @@ def _self_attention_ref(qkv, pos, table, mask, heads):
 
 
 def test_self_attention_op_fd():
-    # fused q|k|v rows, causal mask, shuffled positions, 2 heads of 4
+    # fused q|k|v rows, causal mask, shuffled positions, 2 heads of 4; q and k
+    # are rotated by a rotary projection through the identity
     rng = np.random.default_rng(15)
     table = at.RopeTable.build(16, 4)
     qkv = nc.Parameter("qkv", rng.standard_normal((2, 5, 24)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     mask = at.causal_mask(5)
     w = rng.standard_normal((2, 5, 8))
+    cos, sin = table.gather(pos)
 
     def run():
         return float((_self_attention_ref(qkv.data, pos, table, mask, 2) * w).sum())
 
     sink = []
-    out = at.self_attention(qkv, pos, table, mask, 2, probs_sink=sink)
+    rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, cos, sin)
+    out = at.self_attention(rotated, mask, 2, probs_sink=sink)
     assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
     assert np.abs(out.data - _self_attention_ref(qkv.data, pos, table, mask, 2)).max() < 1e-12
     nc.sum_all(nc.mul(out, w)).backward()
     assert_grads_close(qkv.grad, fd_grad(run, qkv.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.self_attention(qkv, pos, table, mask, 3)
+        at.self_attention(qkv, mask, 3)
 
 
 def test_cross_attention_op_shared_kv_fd():
     # two query layers read one k, v, so their gradients sum into it
     rng = np.random.default_rng(16)
     q1, q2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("q1", "q2"))
-    k, v = (nc.Parameter(n, rng.standard_normal((2, 5, 8))) for n in ("k", "v"))
+    kv = nc.Parameter("kv", rng.standard_normal((2, 5, 16)))  # k|v
     allowed = np.zeros((3, 5), dtype=bool)
     for i, n in enumerate([2, 5, 3]):
         allowed[i, :n] = True
@@ -249,17 +298,17 @@ def test_cross_attention_op_shared_kv_fd():
     w1, w2 = rng.standard_normal((2, 2, 3, 8))
 
     def one(q, w):
-        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(k.data, 2),
-                                      _joined_heads(v.data, 2), mask)
+        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(kv.data[..., :8], 2),
+                                      _joined_heads(kv.data[..., 8:], 2), mask)
         return (out.transpose(0, 2, 1, 3).reshape(2, 3, 8) * w).sum()
 
     def run():
         return float(one(q1.data, w1) + one(q2.data, w2))
 
-    a1 = at.cross_attention(q1, k, v, mask, 2)
-    a2 = at.cross_attention(q2, k, v, mask, 2)
+    a1 = at.cross_attention(q1, kv, mask, 2)
+    a2 = at.cross_attention(q2, kv, mask, 2)
     nc.add(nc.sum_all(nc.mul(a1, w1)), nc.sum_all(nc.mul(a2, w2))).backward()
-    for p in (q1, q2, k, v):
+    for p in (q1, q2, kv):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 

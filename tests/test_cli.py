@@ -66,6 +66,7 @@ def test_train_writes_config_metrics_checkpoint(trained):
     recs = read_jsonl(trained / "metrics.jsonl")
     assert [r["step"] for r in recs] == list(range(6))
     assert all(np.isfinite(r["loss"]) for r in recs)
+    assert all(r["clipped"] == (r["grad_norm"] > 1.0) for r in recs)
     loaded = ck.load_checkpoint(trained / "model.ckpt")
     assert loaded.params.config.hidden == 32
     assert loaded.optim is not None
@@ -89,7 +90,8 @@ def test_resume_matches_uninterrupted(tmp_path):
     ra, rb = read_jsonl(a / "metrics.jsonl"), read_jsonl(b / "metrics.jsonl")
     assert len(ra) == 8 and len(rb) == 4
     for x, y in zip(ra[4:], rb):
-        assert (x["step"], x["loss"], x["lr"]) == (y["step"], y["loss"], y["lr"])
+        for key in ("step", "loss", "grad_norm", "clipped", "lr"):
+            assert x[key] == y[key]
     fa = ck.load_checkpoint(a / "model.ckpt").params
     fb = ck.load_checkpoint(b / "model.ckpt").params
     for pa, pb in zip(fa.parameters(), fb.parameters()):

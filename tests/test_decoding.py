@@ -48,6 +48,19 @@ def test_cache_overflow_is_contract_error():
         md.forward_pass1(params, [6], [4], cache=cache)
 
 
+def test_cache_stream_count_and_index_are_checked():
+    cfg = tiny_params().config
+    for streams in (0, -1):
+        with pytest.raises(ValueError):
+            dec.KvCache(cfg, 5, streams=streams)
+    cache = dec.KvCache(cfg, 5, streams=2)
+    for s in (2, -1, 3):
+        with pytest.raises(IndexError):
+            cache.stream(s)
+    for s in (0, 1):
+        assert cache.stream(s)._out_k[0].shape == (5, cfg.heads, cfg.head_dim)
+
+
 def test_cache_scalar_count_closed_form():
     for shared, p2 in ((True, 2), (False, 3)):
         cfg = md.ModelConfig(vocab_size=16, num_classes=4, hidden=32, heads=4,

@@ -284,7 +284,7 @@ def test_mask_embedding_sole_grad_path_through_queries():
     with nc.no_grad():
         h = md.pass1_hidden(params, ids, pos, at.causal_mask(16))
         kv = md.project_kv(params, h, pos)
-    frozen = [(nc.Tensor(k.data), nc.Tensor(v.data)) for k, v in kv]
+    frozen = [nc.Tensor(s.data) for s in kv]
     nc.zero_grads(params.parameters())
     logits = md.pass2_logits(params, frozen, np.arange(1, 17)[None], at.causal_mask(16))
     nc.cross_entropy(nc.reshape(logits, (16, 16)), toks).backward()
@@ -294,9 +294,9 @@ def test_mask_embedding_sole_grad_path_through_queries():
 
 
 def test_train_backward_grad_copies(monkeypatch):
-    # the fused ops hand each producer one fresh gradient, and one operand of
-    # each residual add adopts the add's own .grad; what is still copied: the
-    # root, the logits reshape, and the other operand of each of the 8 adds
+    # the fused ops hand each producer one fresh gradient, and the residual
+    # stream adopts each residual node's own .grad; what is still copied: the
+    # root and the logits reshape
     params = make_params(seed=23)
     cfg = params.config
     rng = np.random.default_rng(24)
@@ -314,7 +314,33 @@ def test_train_backward_grad_copies(monkeypatch):
         accumulate(self, g)
     monkeypatch.setattr(nc.Tensor, "_accumulate", counting)
     loss.backward()
-    assert len(copies) == 10
+    assert len(copies) == 2
+
+
+@pytest.mark.parametrize("kw", [{}, {"dropout": 0.2, "shared_kv": False}])
+def test_train_graph_holds_only_fused_projections(kw):
+    # every projection writes into the op that reads it: no residual add, no
+    # separate rotation and no k|v split sits on the tape
+    params = make_params(seed=25, **kw)
+    cfg = params.config
+    rng = np.random.default_rng(26)
+    toks = rng.integers(0, 16, (2, 16))
+    cond = np.array([cfg.class_token(1), cfg.null_class_token])
+    perms = np.stack([rng.permutation(16) + 1 for _ in range(2)])
+    logits, targets = md.forward_train_batch(params, toks, cond, perms,
+                                             dropout_rng=np.random.default_rng(27))
+    loss = nc.cross_entropy(nc.reshape(logits, (32, 16)), targets.reshape(-1))
+    names, stack, seen = set(), [loss], set()
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._backward is not None:
+            names.add(t._backward.__qualname__.split(".<locals>")[0])
+        stack.extend(t._parents)
+    assert {"residual_matmul", "rotary_matmul", "self_attention", "cross_attention"} <= names
+    assert not names & {"add", "mul", "apply_rope", "narrow"}
 
 
 def test_dropout_is_seeded_and_active():

@@ -169,17 +169,48 @@ def test_swiglu_fd():
     assert_grads_close(h.grad, fd_grad(run, h.data), rel_tol=1e-6)
 
 
-def test_split_and_narrow_fd():
+@pytest.mark.parametrize("dropout", [False, True])
+def test_residual_matmul_fd(dropout):
     rng = np.random.default_rng(7)
-    x = nc.Parameter("x", rng.standard_normal((3, 6)))
-    a, b = nc.split(x, [2, 4], axis=-1)
-    assert a.shape == (3, 2) and b.shape == (3, 4)
-    nc.sum_all(nc.mul(b, 2.0)).backward()
-    expect = np.zeros((3, 6))
-    expect[:, 2:] = 2.0
-    assert np.array_equal(x.grad, expect)
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 5)))
+    a = nc.Parameter("a", rng.standard_normal((2, 3, 4)))
+    m = nc.Parameter("m", rng.standard_normal((4, 5)))
+    keep = (rng.random((2, 3, 5)) >= 0.3) / 0.7 if dropout else None
+    w = rng.standard_normal((2, 3, 5))
+
+    def run():
+        y = a.data @ m.data
+        return float(((x.data + (y if keep is None else y * keep)) * w).sum())
+
+    nc.sum_all(nc.mul(nc.residual_matmul(x, a, m, keep), w)).backward()
+    for p in (x, a, m):
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        nc.split(x, [2, 2], axis=-1)
+        nc.residual_matmul(nc.Tensor(np.zeros((2, 3, 4))), a, m)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_residual_matmul_bit_equals_matmul_mul_add(dtype, dropout):
+    # x is a non-leaf, as on the model's residual stream
+    rng = np.random.default_rng(8)
+    x0, a0, w = (rng.standard_normal(s).astype(dtype) for s in ((4, 6, 8), (4, 6, 5), (4, 6, 8)))
+    m0 = rng.standard_normal((5, 8)).astype(dtype)
+    keep = ((rng.random((4, 6, 8)) >= 0.2).astype(dtype) / 0.8) if dropout else None
+
+    def run(fused):
+        p, a, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("a", a0), ("m", m0)))
+        x = nc.mul(p, 1.5)
+        if fused:
+            out = nc.residual_matmul(x, a, m, keep)
+        else:
+            y = nc.matmul(a, m)
+            out = nc.add(x, y if keep is None else nc.mul(y, keep))
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, p.grad, a.grad, m.grad
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and np.array_equal(u, v)
 
 
 def test_backward_sum_ones():

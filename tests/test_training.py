@@ -1,5 +1,7 @@
 """Dataset + verifier, optimizer arithmetic, the step loop, and the grad demo."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,25 @@ def test_train_loop_resume_matches_uninterrupted():
         _, h2 = tr.train_loop(params, ds, cfg, optim=optim, rng=rng,
                               start_step=4)
         return h1 + h2
-    straight = [h["loss"] for h in run(False)]
-    resumed = [h["loss"] for h in run(True)]
+    keys = ("step", "loss", "grad_norm", "clipped", "lr")
+    straight = [[h[k] for k in keys] for h in run(False)]
+    resumed = [[h[k] for k in keys] for h in run(True)]
     assert straight == resumed
+
+
+def test_train_loop_reports_grad_norm_and_clipping():
+    # a clip threshold inside the run's range of norms: some steps clip, some not
+    params, spec = tiny_setup(seed=10)
+    ds = tr.make_dataset(spec, 64, np.random.default_rng(11))
+    cfg = tr.TrainConfig(steps=8, batch_size=8, seed=12, grad_clip=2.5)
+    _, history = tr.train_loop(params, ds, cfg)
+    assert all(r["clipped"] == (r["grad_norm"] > cfg.grad_clip) for r in history)
+    assert {r["clipped"] for r in history} == {True, False}
+    # a clipped step leaves gradients of exactly the clip norm for AdamW
+    params, spec = tiny_setup(seed=10)
+    _, history = tr.train_loop(params, ds, replace(cfg, steps=1, grad_clip=1.0))
+    norm = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params.parameters()))
+    assert history[0]["clipped"] and abs(norm - 1.0) < 1e-5
 
 
 def test_every_pass2_query_projection_gets_grad():

@@ -111,26 +111,34 @@ def _rotate_leading(x: np.ndarray, width: int, cos: np.ndarray, sin: np.ndarray)
                              cos, sin).reshape(lead.shape)
 
 
-def rotary_matmul(a: Tensor, w: Tensor, rotated: int,
-                  cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int,
+                  cos: np.ndarray, sin: np.ndarray, gain: Tensor | None = None) -> Tensor:
     """Tape op: a @ w [..., T, f] with its first `rotated` columns rotated in place.
 
     Those columns turn per head_dim group (head_dim = 2 * cos.shape[-1]) by
     cos/sin [..., T, head_dim//2] from RopeTable.gather, so the tape holds
     one buffer for the projection and its rotation. Bit for bit apply_rope
-    of the matmul over those columns.
+    of the matmul over those columns. With gain the gemm reads RMSNorm(a) *
+    gain, rebuilt in backward (see nc.gemm_rows). A list of L weights gives
+    the products stacked [L, ..., T, f]; their gradients into a are summed
+    before the one RMSNorm backward.
     """
-    a2, out = nc.gemm_rows(a, w)
+    single = isinstance(w, Tensor)
+    ws = [w] if single else list(w)
+    saved, out = nc.gemm_rows(a, ws, gain)
     if rotated % (2 * cos.shape[-1]) or not 0 <= rotated <= out.shape[-1]:
         raise ValueError("cannot rotate %d of %d columns in whole heads of %d"
                          % (rotated, out.shape[-1], 2 * cos.shape[-1]))
-    _rotate_leading(out, rotated, cos, sin)
+    for o in out:
+        _rotate_leading(o, rotated, cos, sin)
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block), then the gemm grads
-        _rotate_leading(g, rotated, cos, -sin)
-        return nc.gemm_rows_grads(a, a2, w, g)
-    return nc.from_op(out, (a, w), bwd)
+        g = g.reshape(out.shape)
+        for gi in g:
+            _rotate_leading(gi, rotated, cos, -sin)
+        return nc.gemm_rows_grads(a, saved, ws, g, gain)
+    return nc.from_op(out[0] if single else out, nc.gemm_parents(a, gain, ws), bwd)
 
 
 # ---------------------------------------------------------------- masks
@@ -210,10 +218,11 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _joined(*parts: np.ndarray) -> np.ndarray:
-    """Per-head [B, H, T, hd] arrays side by side in a fresh joined [B, T, n * H * hd]."""
+def _joined(*parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-head [B, H, T, hd] arrays side by side in out or a fresh joined [B, T, n * H * hd]."""
     b, h, t, hd = parts[0].shape
-    out = np.empty((b, t, len(parts) * h * hd), dtype=parts[0].dtype)
+    if out is None:
+        out = np.empty((b, t, len(parts) * h * hd), dtype=parts[0].dtype)
     joined = out.reshape(b, t, len(parts) * h, hd)
     for i, x in enumerate(parts):
         joined[:, :, i * h:(i + 1) * h] = x.transpose(0, 2, 1, 3)
@@ -244,18 +253,22 @@ def self_attention(qkv: Tensor, mask: AttentionMask, heads: int,
 
 
 def cross_attention(q: Tensor, kv: Tensor, mask: AttentionMask, heads: int,
-                    probs_sink: list | None = None) -> Tensor:
+                    probs_sink: list | None = None, stream: int | None = None) -> Tensor:
     """Tape op: attention of joined queries q [B, Q, d] over k|v rows kv [B, S, 2d].
 
-    Rotation, if any, is the caller's: a shared k is rotated once for every
-    layer that reads it. Returns the joined heads [B, Q, d]; the backward
-    returns fresh gradients for q and for kv.
+    With stream, kv stacks several streams' rows [L, B, S, 2d] (as
+    rotary_matmul makes them from a list of weights) and the op reads
+    kv[stream]; its gradient for kv is zero outside that block. Rotation, if
+    any, is the caller's: a shared k is rotated once for every layer that
+    reads it. Returns the joined heads [B, Q, d]; the backward returns fresh
+    gradients for q and for kv.
     """
     d = q.shape[-1]
-    if kv.shape[-1] != 2 * d:
-        raise ValueError("k|v width %d is not twice the query width %d" % (kv.shape[-1], d))
+    rows = kv.data if stream is None else kv.data[stream]
+    if rows.shape[-1] != 2 * d:
+        raise ValueError("k|v width %d is not twice the query width %d" % (rows.shape[-1], d))
     qh = _heads(q.data, heads)
-    kh, vh = _heads(kv.data[..., :d], heads), _heads(kv.data[..., d:], heads)
+    kh, vh = _heads(rows[..., :d], heads), _heads(rows[..., d:], heads)
     out, probs = attention_forward(qh, kh, vh, mask)
     out = _joined(out)
     if probs_sink is not None:
@@ -263,7 +276,11 @@ def cross_attention(q: Tensor, kv: Tensor, mask: AttentionMask, heads: int,
 
     def bwd(g):
         dq, dk, dv = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
-        return _joined(dq), _joined(dk, dv)
+        if stream is None:
+            return _joined(dq), _joined(dk, dv)
+        dkv = (np.empty if kv.shape[0] == 1 else np.zeros)(kv.shape, dtype=kv.dtype)
+        _joined(dk, dv, out=dkv[stream])
+        return _joined(dq), dkv
     return nc.from_op(out, (q, kv), bwd)
 
 

@@ -350,9 +350,11 @@ def run_bench(params: md.ArpgParams, steps_list, patterns, batch: int = 16,
               seed: int = 0) -> dict:
     """Sweep step counts x attention patterns over full-grid decodes.
 
-    Each (steps, pattern) cell decodes `batch` independent grids per repeat;
-    one untimed warm-up repeat is discarded. Timings cover only the decode
-    calls, not checkpoint load or process startup. Returns {"rows": [...],
+    Each (steps, pattern) cell decodes `batch` independent grids per repeat.
+    One untimed warm-up round visits every cell first; each timed round then
+    runs one repeat of every cell in turn, so a change of clock speed lands
+    on all cells alike. Timings cover only the decode calls, not checkpoint
+    load or process startup. Returns {"rows": [...],
     "monotonicity_violations": [...]} where a violation is a pattern whose
     mean wall time went down when the step count went up.
     """
@@ -360,37 +362,39 @@ def run_bench(params: md.ArpgParams, steps_list, patterns, batch: int = 16,
     total = cfg.seq_len
     if base_dc is None:
         base_dc = DecodeConfig()
+    cells = [(pattern, int(steps)) for pattern in patterns for steps in steps_list]
+    wall_ms = [[] for _ in cells]
+    sinks = [[] for _ in cells]
+    for rep in range(repeats + 1):  # round 0 is warm-up
+        for (pattern, steps), times, sink in zip(cells, wall_ms, sinks):
+            dc = replace(base_dc, steps=steps, attention_pattern=pattern)
+            t0 = time.perf_counter()
+            for b in range(batch):
+                generate(params, b % cfg.num_classes,
+                         replace(dc, seed=seed + 1000 * rep + b),
+                         state_sink=sink if rep == b == 0 else None)
+            if rep > 0:
+                times.append((time.perf_counter() - t0) * 1e3)
     rows = []
-    for pattern in patterns:
-        for steps in steps_list:
-            dc = replace(base_dc, steps=int(steps), attention_pattern=pattern)
-            wall_ms, sink = [], []
-            for rep in range(repeats + 1):
-                t0 = time.perf_counter()
-                for b in range(batch):
-                    generate(params, b % cfg.num_classes,
-                             replace(dc, seed=seed + 1000 * rep + b),
-                             state_sink=sink if rep == b == 0 else None)
-                if rep > 0:  # repeat 0 is warm-up
-                    wall_ms.append((time.perf_counter() - t0) * 1e3)
-            arr = np.asarray(wall_ms)
-            # the caches one decode of this cell opened, as allocated
-            cache_scalars = sum(c.scalar_count() for c in sink[0].caches if c is not None)
-            rows.append({
-                "steps": int(steps), "pattern": pattern,
-                "wall_ms_mean": float(arr.mean()),
-                "wall_ms_p50": float(np.percentile(arr, 50)),
-                "wall_ms_p95": float(np.percentile(arr, 95)),
-                "tokens_per_s": float(batch * total / (arr.mean() / 1e3)),
-                "cache_scalars": cache_scalars,
-                "resident_bytes_est": params.dtype.itemsize * (md.param_count(cfg)
-                                                               + cache_scalars),
-            })
+    for (pattern, steps), times, sink in zip(cells, wall_ms, sinks):
+        arr = np.asarray(times)
+        # the caches one decode of this cell opened, as allocated
+        cache_scalars = sum(c.scalar_count() for c in sink[0].caches if c is not None)
+        rows.append({
+            "steps": steps, "pattern": pattern,
+            "wall_ms_mean": float(arr.mean()),
+            "wall_ms_p50": float(np.percentile(arr, 50)),
+            "wall_ms_p95": float(np.percentile(arr, 95)),
+            "tokens_per_s": float(batch * total / (arr.mean() / 1e3)),
+            "cache_scalars": cache_scalars,
+            "resident_bytes_est": params.dtype.itemsize * (md.param_count(cfg)
+                                                           + cache_scalars),
+        })
     violations = []
     for pattern in patterns:
-        cells = sorted((r for r in rows if r["pattern"] == pattern),
-                       key=lambda r: r["steps"])
-        for lo, hi in zip(cells, cells[1:]):
+        by_steps = sorted((r for r in rows if r["pattern"] == pattern),
+                          key=lambda r: r["steps"])
+        for lo, hi in zip(by_steps, by_steps[1:]):
             if hi["wall_ms_mean"] < lo["wall_ms_mean"]:
                 violations.append({"pattern": pattern,
                                    "steps": [lo["steps"], hi["steps"]],

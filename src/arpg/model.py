@@ -6,10 +6,14 @@ Projections that run as one matmul are stored as one fused weight: wq|wk|wv
 ([d, 3d]) per content layer, w1|w3 ([d, 2f]) per SwiGLU, and one k|v weight
 ([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
 The batched tape route (forward_train_batch) runs BLAS matmuls and feeds the
-optimizer. The single-sample inference route (forward_pass1 / forward_pass2)
-computes every matmul row by row and attention per query, so its bits are
-invariant to how tokens are chunked into calls; the decoding engine's
-cache-equality guarantees rest on that.
+optimizer. On it each RMSNorm is folded into the gemm that reads it and each
+SwiGLU into its w2 residual gemm, so the tape holds the residual stream with
+its per-row norm scales, the gemm products (q|k|v, w1|w3, q, k|v, logits)
+and attention's probs and joined outputs; backward rebuilds the normalized
+inputs and the SwiGLU outputs. The single-sample inference route
+(forward_pass1 / forward_pass2) computes every matmul row by row and
+attention per query, so its bits are invariant to how tokens are chunked
+into calls; the decoding engine's cache-equality guarantees rest on that.
 """
 
 from __future__ import annotations
@@ -209,8 +213,8 @@ def _keep_mask(x: Tensor, rate: float, rng: np.random.Generator | None) -> np.nd
 
 def _ffn_residual(x: Tensor, layer: Pass1Layer | Pass2Layer, rate: float,
                   rng: np.random.Generator | None) -> Tensor:
-    h = nc.swiglu(nc.matmul(nc.rms_norm(x, layer.ffn_norm), layer.w13))
-    return nc.residual_matmul(x, h, layer.w2, _keep_mask(x, rate, rng))
+    h = nc.matmul(x, layer.w13, layer.ffn_norm)
+    return nc.swiglu_residual(x, h, layer.w2, _keep_mask(x, rate, rng))
 
 
 def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
@@ -226,31 +230,30 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     x = nc.embedding(params.token_embedding, input_ids)
     cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=x.dtype)
     for layer in params.pass1:
-        qkv = rotary_matmul(nc.rms_norm(x, layer.attn_norm), layer.wqkv, 2 * d, cos, sin)
+        qkv = rotary_matmul(x, layer.wqkv, 2 * d, cos, sin, layer.attn_norm)
         a = self_attention(qkv, mask, params.config.heads, probs_sink=probs_sink)
         x = nc.residual_matmul(x, a, layer.wo, _keep_mask(x, rate, dropout_rng))
         x = _ffn_residual(x, layer, rate, dropout_rng)
     return x
 
 
-def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> list[Tensor]:
-    """Normalized content states -> one k|v tensor [B, S, 2d] per stream.
+def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> Tensor:
+    """Normalized content states -> k|v rows stacked [L, B, S, 2d] over the streams.
 
-    One stream per fused k|v weight in params.kv_proj; k (the first d
-    columns) is rotated at its position.
+    One stream per fused k|v weight in params.kv_proj, all reading one
+    RMSNorm of h; k (the first d columns) is rotated at its position.
     """
     d = params.config.hidden
     cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=h.dtype)
-    hn = nc.rms_norm(h, params.kv_norm)
-    return [rotary_matmul(hn, w, d, cos, sin) for w in params.kv_proj]
+    return rotary_matmul(h, params.kv_proj, d, cos, sin, params.kv_norm)
 
 
-def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndarray,
+def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
                  mask: AttentionMask, probs_sink: list | None = None,
                  dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Query stack: [MASK] embedding rotated to each target, cross-attending kv.
 
-    kv holds project_kv's k|v tensors. probs_sink, when given, receives each
+    kv holds project_kv's stacked k|v rows. probs_sink, when given, receives each
     layer's attention probabilities [B, H, Q, S], first layer first.
     """
     cfg = params.config
@@ -261,13 +264,13 @@ def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndar
     cos, sin = params.rope_table(int(target_positions.max()) + 1).gather(
         target_positions, dtype=o.dtype)
     for li, layer in enumerate(params.pass2):
-        q = rotary_matmul(nc.rms_norm(o, layer.q_norm), layer.wq, cfg.hidden, cos, sin)
-        a = cross_attention(q, kv[0] if cfg.shared_kv else kv[li], mask, cfg.heads,
-                            probs_sink=probs_sink)
+        q = rotary_matmul(o, layer.wq, cfg.hidden, cos, sin, layer.q_norm)
+        a = cross_attention(q, kv, mask, cfg.heads, probs_sink=probs_sink,
+                            stream=0 if cfg.shared_kv else li)
         # the rotated query itself is the residual carrier
         o = nc.residual_matmul(q, a, layer.wo, _keep_mask(q, rate, dropout_rng))
         o = _ffn_residual(o, layer, rate, dropout_rng)
-    return nc.matmul(nc.rms_norm(o, params.final_norm), params.head)
+    return nc.matmul(o, params.head, params.final_norm)
 
 
 def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,

@@ -18,6 +18,13 @@ dtype, not already adopted by another parent in the same call). The child's
 own .grad qualifies, since the child is released right after. Views are
 copied. A backward must therefore never return an owned array that it keeps
 using elsewhere. A backward may overwrite g, its node's own private .grad.
+
+What the tape keeps of the cheap elementwise ops: nothing of their outputs.
+A gemm node given a gain reads RMSNorm(x) * gain without holding it: it
+keeps x and x's per-row scale s, and its backward rebuilds x * s * gain.
+swiglu_residual keeps the gate|up product h and rebuilds silu(a) * b from it.
+Each rebuild repeats the forward's own ops, so the backward sees bit for bit
+the values the forward used.
 """
 
 from __future__ import annotations
@@ -181,6 +188,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------- arithmetic
 
+RMS_EPS = 1e-6  # RMSNorm's epsilon, added to the mean square
+
+
 def _as_const(x, like: Tensor) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.dtype)
 
@@ -217,25 +227,95 @@ def _gemm_into(shape: tuple[int, ...], x2: np.ndarray, y2: np.ndarray) -> np.nda
     return out
 
 
-def gemm_rows(a: Tensor, w: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """a [..., d] @ w [d, f] as one [N, d] gemm: (a as [N, d], a fresh [..., f] product)."""
-    if w.ndim != 2 or a.shape[-1] != w.shape[0]:
-        raise ValueError("gemm takes [..., d] @ [d, f], got %r @ %r" % (a.shape, w.shape))
-    a2 = a.data.reshape(-1, a.shape[-1])
-    return a2, _gemm_into(a.shape[:-1] + w.shape[1:], a2, w.data)
+def _rms_scale(x: np.ndarray) -> np.ndarray:
+    """Per-row RMSNorm scale 1 / rms(x) [..., 1] of x [..., d]."""
+    return 1.0 / np.sqrt(_rowdot(x, x) / x.shape[-1] + RMS_EPS)
 
 
-def gemm_rows_grads(a: Tensor, a2: np.ndarray, w: Tensor,
-                    g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(da, dw) of gemm_rows at output gradient g; dw is one a2^T @ g2 gemm, not a stack."""
-    g2 = g.reshape(-1, g.shape[-1])
-    return _gemm_into(a.shape, g2, w.data.T), a2.T @ g2
+def gemm_rows(a: Tensor, ws: Sequence[Tensor],
+              gain: Tensor | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a [..., d] times each w [d, f] in ws, one [N, d] gemm per weight.
+
+    Returns (saved, out): out [len(ws), ..., f] holds the products, each block
+    written by its own gemm. With gain the gemms read RMSNorm(a) * gain, that
+    is a * s * gain for a's per-row scale s; saved is s, so the tape keeps a
+    and s and gemm_rows_grads rebuilds the rows bit for bit. Without gain,
+    saved is a as [N, d].
+    """
+    d = a.shape[-1]
+    if any(w.ndim != 2 or w.shape != ws[0].shape or w.shape[0] != d for w in ws):
+        raise ValueError("gemm takes [..., d] @ [d, f], got %r @ %r"
+                         % (a.shape, [w.shape for w in ws]))
+    if gain is None:
+        saved = rows = a.data.reshape(-1, d)
+    else:
+        saved = _rms_scale(a.data)
+        rows = (a.data * saved * gain.data).reshape(-1, d)
+    f = ws[0].shape[1]
+    out = np.empty((len(ws),) + a.shape[:-1] + (f,), dtype=np.result_type(rows, ws[0].data))
+    for w, o in zip(ws, out):
+        np.matmul(rows, w.data, out=o.reshape(-1, f))
+    return saved, out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """[..., d] @ [d, f] (see gemm_rows)."""
-    a2, out = gemm_rows(a, b)
-    return from_op(out, (a, b), lambda g: gemm_rows_grads(a, a2, b, g))
+def gemm_rows_grads(a: Tensor, saved: np.ndarray, ws: Sequence[Tensor], g: np.ndarray,
+                    gain: Tensor | None = None) -> tuple[np.ndarray, ...]:
+    """Gradients of gemm_rows at g [len(ws), ..., f]: (da, dgain, *dws), dgain only with gain.
+
+    Each dw is one rows^T @ g gemm, not a stack. da sums the weights'
+    products in ws order, then takes one RMSNorm backward when gain is given.
+    """
+    f = g.shape[-1]
+    if gain is None:
+        rows = saved
+    else:
+        xs = a.data * saved
+        rows = (xs * gain.data).reshape(-1, a.shape[-1])
+    dws = [rows.T @ gi.reshape(-1, f) for gi in g]
+    del rows
+    da = _gemm_into(a.shape, g[0].reshape(-1, f), ws[0].data.T)
+    for w, gi in zip(ws[1:], g[1:]):
+        da += _gemm_into(a.shape, gi.reshape(-1, f), w.data.T)
+    if gain is None:
+        return (da, *dws)
+    return (*_rms_grads(da, xs, saved, gain), *dws)
+
+
+def _rms_grads(g: np.ndarray, xs: np.ndarray, s: np.ndarray,
+               gain: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dgain) of y = xs * gain, xs = x * s, at gradient g; g and xs are overwritten.
+
+    dx = s * (gy - xs * mean(gy * xs)) with gy = g * gain.
+    """
+    n = g.shape[-1]
+    dgain = np.einsum("ri,ri->i", g.reshape(-1, n), xs.reshape(-1, n))
+    g *= gain.data
+    xs *= _rowdot(g, xs) / n
+    g -= xs
+    g *= s
+    return g, dgain
+
+
+def gemm_parents(a: Tensor, gain: Tensor | None, ws: Sequence[Tensor]) -> tuple[Tensor, ...]:
+    """A gemm node's parents in the order gemm_rows_grads returns their gradients."""
+    return (a, *ws) if gain is None else (a, gain, *ws)
+
+
+def matmul(a: Tensor, b: Tensor, gain: Tensor | None = None) -> Tensor:
+    """[..., d] @ [d, f]; with gain, RMSNorm(a) * gain @ b as one node (see gemm_rows)."""
+    saved, out = gemm_rows(a, (b,), gain)
+    return from_op(out[0], gemm_parents(a, gain, (b,)),
+                   lambda g: gemm_rows_grads(a, saved, (b,), g[None], gain))
+
+
+def _residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """x + out * keep, in out's buffer."""
+    if x.shape != out.shape:
+        raise ValueError("residual %r does not match the product %r" % (x.shape, out.shape))
+    if keep is not None:
+        out *= keep
+    out += x.data
+    return out
 
 
 def residual_matmul(x: Tensor, a: Tensor, w: Tensor,
@@ -245,17 +325,59 @@ def residual_matmul(x: Tensor, a: Tensor, w: Tensor,
     The gemm writes the sum's buffer, so the tape holds no separate product;
     the backward reads a and w only. Bit for bit add(x, mul(matmul(a, w), keep)).
     """
-    a2, out = gemm_rows(a, w)
-    if x.shape != out.shape:
-        raise ValueError("residual %r does not match the product %r" % (x.shape, out.shape))
-    if keep is not None:
-        out *= keep
-    out += x.data
+    a2, out = gemm_rows(a, (w,))
+    out = _residual_sum(x, out[0], keep)
 
     def bwd(g):
         # x takes g itself; the gemms have read it by then
-        return (g,) + gemm_rows_grads(a, a2, w, g if keep is None else g * keep)
+        return (g,) + gemm_rows_grads(a, a2, (w,), (g if keep is None else g * keep)[None])
     return from_op(out, (x, a, w), bwd)
+
+
+def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
+                    keep: np.ndarray | None = None) -> Tensor:
+    """x + (silu(a) * b @ w) * keep for h = a|b [..., 2f] and w [f, d], as one node.
+
+    The tape keeps h, not the SwiGLU output silu(a) * b: the backward rebuilds
+    it with the forward's own ops for dw. Bit for bit residual_matmul of the
+    SwiGLU output.
+    """
+    f = h.shape[-1] // 2
+    if w.ndim != 2 or 2 * w.shape[0] != h.shape[-1]:
+        raise ValueError("SwiGLU of %r cannot feed a %r weight" % (h.shape, w.shape))
+    a, b = h.data[..., :f], h.data[..., f:]
+    u = a * _sigmoid(a)
+    u *= b
+    out = _residual_sum(x, _gemm_into(h.shape[:-1] + w.shape[1:], u.reshape(-1, f), w.data),
+                        keep)
+    del u
+
+    def bwd(g):
+        # scratch besides the input gradient d is one [..., f] buffer: it holds
+        # sig (computed contiguous, as in the forward), then u, then du = gk @ w^T;
+        # db keeps a copy of sig until the end
+        g2 = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
+        d = np.empty(h.shape, dtype=h.dtype)
+        da, db = d[..., :f], d[..., f:]
+        u = _sigmoid(a)
+        db[...] = u
+        sig = db
+        np.multiply(a, u, out=u)
+        u *= b
+        u2 = u.reshape(-1, f)
+        dw = u2.T @ g2
+        du = np.matmul(g2, w.data.T, out=u2).reshape(u.shape)
+        # da = sig * (1 + a * (1 - sig)) * (du * b), db = silu(a) * du
+        np.subtract(1.0, sig, out=da)
+        da *= a
+        da += 1.0
+        da *= sig
+        np.multiply(a, sig, out=db)
+        db *= du
+        du *= b
+        da *= du
+        return g, d, dw
+    return from_op(out, (x, h, w), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -283,53 +405,9 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return sig
 
 
-def swiglu(h: Tensor) -> Tensor:
-    """silu(a) * b for h = a|b [..., 2f], as one node holding only h."""
-    f = h.shape[-1] // 2
-    a, b = h.data[..., :f], h.data[..., f:]
-    out = a * _sigmoid(a)
-    out *= b
-
-    def bwd(g):
-        # da = sig * (1 + a * (1 - sig)) * (g * b), db = g * silu(a), in one
-        # buffer; db holds g * b until da is done. sig is recomputed from a,
-        # bit for bit the forward's
-        sig = _sigmoid(a)
-        d = np.empty(h.shape, dtype=h.dtype)
-        da, db = d[..., :f], d[..., f:]
-        np.multiply(g, b, out=db)
-        np.subtract(1.0, sig, out=da)
-        da *= a
-        da += 1.0
-        da *= sig
-        da *= db
-        np.multiply(a, sig, out=db)
-        db *= g
-        return (d,)
-    return from_op(out, (h,), bwd)
-
-
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-row dot product over the last axis, kept as a trailing unit axis."""
     return np.einsum("...i,...i->...", a, b)[..., None]
-
-
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-6) -> Tensor:
-    # x [..., d], gain [d]; y = xs * gain with xs = x / rms(x); only the
-    # per-row scale s is saved, xs = x * s is recomputed bit for bit
-    n = x.shape[-1]
-    s = 1.0 / np.sqrt(_rowdot(x.data, x.data) / n + eps)
-
-    def bwd(g):
-        # dx = s * (gy - xs * mean(gy * xs)) with gy = g * gain
-        xs = x.data * s
-        gy = g * gain.data
-        t = xs * (_rowdot(gy, xs) / n)
-        gy -= t
-        gy *= s
-        dgain = np.einsum("ri,ri->i", g.reshape(-1, n), xs.reshape(-1, n))
-        return gy, dgain
-    return from_op(x.data * s * gain.data, (x, gain), bwd)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -283,6 +283,12 @@ def _train_step(params: ArpgParams, optim: OptimState, batch,
                            % (value, optim.step))
     loss.backward()
     norm = np.sqrt(sum(float((p.grad * p.grad).sum()) for p in params.parameters()))
+    if not np.isfinite(norm):
+        bad = next((p.name for p in params.parameters() if not np.isfinite(p.grad).all()),
+                   None)
+        raise RuntimeError("gradient %s at optimizer step %d; aborting before the update"
+                           % ("of %s is not finite" % bad if bad else "norm overflows",
+                              optim.step))
     clipped = grad_clip is not None and norm > grad_clip
     if clipped:
         scale = grad_clip / norm

@@ -5,7 +5,7 @@ import pytest
 
 from arpg import attention as at
 from arpg import numcore as nc
-from conftest import assert_grads_close, fd_grad
+from conftest import assert_grads_close, fd_grad, rms_norm_node
 
 
 # ---------------------------------------------------------------- rope
@@ -138,6 +138,68 @@ def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
         assert x.dtype == dtype and np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("streams", [1, 3])
+def test_rotary_matmul_norm_fd(streams):
+    # RMSNorm folded in; several weights stack their products and share a's norm
+    rng = np.random.default_rng(19)
+    table = at.RopeTable.build(16, 4)
+    a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
+    g = nc.Parameter("g", rng.standard_normal(6))
+    ms = [nc.Parameter("m%d" % i, rng.standard_normal((6, 8))) for i in range(streams)]
+    pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
+    cos, sin = table.gather(pos)
+    w = rng.standard_normal((streams, 2, 5, 8))
+
+    def run():
+        xn = a.data / np.sqrt((a.data ** 2).mean(axis=-1, keepdims=True) + 1e-6) * g.data
+        total = 0.0
+        for m, wi in zip(ms, w):
+            y = xn @ m.data
+            y[..., :4] = at.rotate_pairs(y[..., :4].reshape(2, 5, 1, 4), cos, sin).reshape(2, 5, 4)
+            total += float((y * wi).sum())
+        return total
+
+    out = at.rotary_matmul(a, ms[0] if streams == 1 else ms, 4, cos, sin, g)
+    assert out.shape == ((2, 5, 8) if streams == 1 else (streams, 2, 5, 8))
+    nc.sum_all(nc.mul(out, w.reshape(out.shape))).backward()
+    for p in [a, g] + ms:
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
+    # one weight, and three whose gradients into the one norm sum in list order
+    rng = np.random.default_rng(20)
+    table = at.RopeTable.build(32, 8)
+    pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
+    cos, sin = table.gather(pos, dtype=dtype)
+    x0 = rng.standard_normal((3, 7, 12)).astype(dtype)
+    g0 = rng.standard_normal(12).astype(dtype)
+    m0 = rng.standard_normal((3, 12, 16)).astype(dtype)
+    w = rng.standard_normal((3, 3, 7, 16)).astype(dtype)
+    for streams in (1, 3):
+        def run(fused):
+            p, g = nc.Parameter("p", x0.copy()), nc.Parameter("g", g0.copy())
+            ms = [nc.Parameter("m%d" % i, m0[i].copy()) for i in range(streams)]
+            x = nc.mul(p, 1.5)
+            if fused:
+                out = at.rotary_matmul(x, ms[0] if streams == 1 else ms, 8, cos, sin, g)
+                loss = nc.sum_all(nc.mul(out, w[:streams].reshape(out.shape)))
+                outs = out.data.reshape(w[:streams].shape)
+            else:
+                xn = rms_norm_node(x, g)
+                parts = [at.rotary_matmul(xn, m, 8, cos, sin) for m in ms]
+                loss = nc.sum_all(nc.mul(parts[0], w[0]))
+                for part, wi in zip(parts[1:], w[1:]):
+                    loss = nc.add(loss, nc.sum_all(nc.mul(part, wi)))
+                outs = np.stack([part.data for part in parts])
+            loss.backward()
+            return [outs, p.grad, g.grad] + [m.grad for m in ms]
+
+        for u, v in zip(run(True), run(False)):
+            assert u.dtype == dtype and np.array_equal(u, v)
+
+
 # ---------------------------------------------------------------- forward kernel
 
 def test_attention_equal_scores_mean_values():
@@ -243,6 +305,29 @@ def test_attention_fd_two_heads():
     assert_grads_close(kv.grad, fd_grad(run, kv.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
         at.cross_attention(q, nc.Tensor(kv.data[..., :6]), mask, 2)
+
+
+def test_cross_attention_reads_one_stream():
+    # stacked k|v rows [L, B, S, 2d]: the op reads kv[stream], and its kv
+    # gradient is the unstacked op's inside that block, zero elsewhere
+    rng = np.random.default_rng(11)
+    q0 = rng.standard_normal((2, 4, 6))
+    kv0 = rng.standard_normal((3, 2, 4, 12))
+    mask = at.causal_mask(4)
+    w = rng.standard_normal((2, 4, 6))
+
+    def run(rows, stream):
+        q, kv = nc.Parameter("q", q0.copy()), nc.Parameter("kv", rows.copy())
+        out = at.cross_attention(q, kv, mask, 2, stream=stream)
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, q.grad, kv.grad
+
+    ref = run(kv0[1], None)
+    for rows, stream in ((kv0, 1), (kv0[1:2], 0)):
+        out, dq, dkv = run(rows, stream)
+        assert np.array_equal(out, ref[0]) and np.array_equal(dq, ref[1])
+        assert np.array_equal(dkv[stream], ref[2])
+        assert not np.delete(dkv, stream, axis=0).any()
 
 
 def _joined_heads(x, heads):

@@ -284,7 +284,7 @@ def test_mask_embedding_sole_grad_path_through_queries():
     with nc.no_grad():
         h = md.pass1_hidden(params, ids, pos, at.causal_mask(16))
         kv = md.project_kv(params, h, pos)
-    frozen = [nc.Tensor(s.data) for s in kv]
+    frozen = nc.Tensor(kv.data)
     nc.zero_grads(params.parameters())
     logits = md.pass2_logits(params, frozen, np.arange(1, 17)[None], at.causal_mask(16))
     nc.cross_entropy(nc.reshape(logits, (16, 16)), toks).backward()
@@ -319,8 +319,9 @@ def test_train_backward_grad_copies(monkeypatch):
 
 @pytest.mark.parametrize("kw", [{}, {"dropout": 0.2, "shared_kv": False}])
 def test_train_graph_holds_only_fused_projections(kw):
-    # every projection writes into the op that reads it: no residual add, no
-    # separate rotation and no k|v split sits on the tape
+    # every projection writes into the op that reads it and every RMSNorm and
+    # SwiGLU is folded into the gemm that reads it: no residual add, no
+    # separate rotation, no k|v split and no norm or SwiGLU output on the tape
     params = make_params(seed=25, **kw)
     cfg = params.config
     rng = np.random.default_rng(26)
@@ -339,8 +340,9 @@ def test_train_graph_holds_only_fused_projections(kw):
         if t._backward is not None:
             names.add(t._backward.__qualname__.split(".<locals>")[0])
         stack.extend(t._parents)
-    assert {"residual_matmul", "rotary_matmul", "self_attention", "cross_attention"} <= names
-    assert not names & {"add", "mul", "apply_rope", "narrow"}
+    assert {"residual_matmul", "swiglu_residual", "rotary_matmul", "self_attention",
+            "cross_attention"} <= names
+    assert not names & {"add", "mul", "apply_rope", "narrow", "rms_norm", "swiglu"}
 
 
 def test_dropout_is_seeded_and_active():

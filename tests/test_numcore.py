@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arpg import numcore as nc
-from conftest import assert_grads_close, fd_grad
+from conftest import assert_grads_close, fd_grad, rms_norm_node, swiglu_node
 
 
 def test_matmul_identity():
@@ -73,34 +73,57 @@ def test_matmul_batched_fd():
     assert_grads_close(b2.grad, fd_grad(run_t, b2.data))
 
 
+def _rms_ref(x, eps=1e-6):
+    return x / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + eps)
+
+
 def test_rms_norm_zeros():
+    # a zero row stays zero through the norm the gemm reads
     x = nc.Tensor(np.zeros((2, 4)))
     g = nc.Parameter("g", np.ones(4))
-    assert np.array_equal(nc.rms_norm(x, g).data, np.zeros((2, 4)))
+    assert np.array_equal(nc.matmul(x, nc.Tensor(np.eye(4)), g).data, np.zeros((2, 4)))
 
 
 def test_rms_norm_closed_form():
     x = nc.Tensor(np.array([3.0, 4.0]))
     g = nc.Parameter("g", np.ones(2))
-    y = nc.rms_norm(x, g, eps=0.0)
+    y = nc.matmul(x, nc.Tensor(np.eye(2)), g)
     assert np.allclose(y.data, np.array([3.0, 4.0]) / np.sqrt(12.5))
 
 
 def test_rms_norm_fd():
+    # RMSNorm folded into the gemm that reads it: gradients for x, gain and w
     rng = np.random.default_rng(4)
-    x = nc.Parameter("x", rng.standard_normal((3, 6)))
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 6)))
     g = nc.Parameter("g", rng.standard_normal(6))
-    w = rng.standard_normal((3, 6))
-    eps = 1e-6
+    m = nc.Parameter("m", rng.standard_normal((6, 5)))
+    w = rng.standard_normal((2, 3, 5))
 
     def run():
-        s = 1.0 / np.sqrt((x.data ** 2).mean(axis=-1, keepdims=True) + eps)
-        return float((x.data * s * g.data * w).sum())
+        return float(((_rms_ref(x.data) * g.data) @ m.data * w).sum())
 
-    loss = nc.sum_all(nc.mul(nc.rms_norm(x, g, eps), w))
+    loss = nc.sum_all(nc.mul(nc.matmul(x, m, g), w))
     loss.backward()
-    assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
-    assert_grads_close(g.grad, fd_grad(run, g.data), rel_tol=1e-6)
+    for p in (x, g, m):
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norm_matmul_bit_equals_rms_norm_then_matmul(dtype):
+    # x is a non-leaf, as on the model's residual stream
+    rng = np.random.default_rng(21)
+    x0, w = (rng.standard_normal(s).astype(dtype) for s in ((4, 6, 8), (4, 6, 5)))
+    g0, m0 = rng.standard_normal(8).astype(dtype), rng.standard_normal((8, 5)).astype(dtype)
+
+    def run(fused):
+        p, g, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("g", g0), ("m", m0)))
+        x = nc.mul(p, 1.5)
+        out = nc.matmul(x, m, g) if fused else nc.matmul(rms_norm_node(x, g), m)
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, p.grad, g.grad, m.grad
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and np.array_equal(u, v)
 
 
 def test_cross_entropy_aligned_margin():
@@ -155,18 +178,49 @@ def test_embedding_gather_and_grad():
 
 
 def test_swiglu_fd():
+    # x + (silu(a) * b @ m) * keep for h = a|b, without and with a keep mask
     rng = np.random.default_rng(6)
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
     h = nc.Parameter("h", rng.standard_normal((2, 3, 10)))
-    w = rng.standard_normal((2, 3, 5))
+    m = nc.Parameter("m", rng.standard_normal((5, 4)))
+    w = rng.standard_normal((2, 3, 4))
+    for keep in (None, (rng.random((2, 3, 4)) >= 0.3) / 0.7):
+        def run():
+            a, b = h.data[..., :5], h.data[..., 5:]
+            y = (a / (1.0 + np.exp(-a)) * b) @ m.data
+            return float(((x.data + (y if keep is None else y * keep)) * w).sum())
 
-    def run():
-        a, b = h.data[..., :5], h.data[..., 5:]
-        return float((a / (1.0 + np.exp(-a)) * b * w).sum())
+        nc.zero_grads([x, h, m])
+        y = nc.swiglu_residual(x, h, m, keep)
+        assert y.shape == (2, 3, 4)
+        nc.sum_all(nc.mul(y, w)).backward()
+        for p in (x, h, m):
+            assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
+    with pytest.raises(ValueError):
+        nc.swiglu_residual(x, h, nc.Tensor(np.zeros((4, 4))))
 
-    y = nc.swiglu(h)
-    assert y.shape == (2, 3, 5)
-    nc.sum_all(nc.mul(y, w)).backward()
-    assert_grads_close(h.grad, fd_grad(run, h.data), rel_tol=1e-6)
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_swiglu_residual_bit_equals_swiglu_then_residual(dtype, dropout):
+    # x and h are non-leaves, as on the model's residual stream; odd f
+    rng = np.random.default_rng(22)
+    x0, h0, w = (rng.standard_normal(s).astype(dtype) for s in ((4, 6, 8), (4, 6, 14), (4, 6, 8)))
+    m0 = rng.standard_normal((7, 8)).astype(dtype)
+    keep = ((rng.random((4, 6, 8)) >= 0.2).astype(dtype) / 0.8) if dropout else None
+
+    def run(fused):
+        p, q, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("q", h0), ("m", m0)))
+        x, h = nc.mul(p, 1.5), nc.mul(q, 0.5)
+        if fused:
+            out = nc.swiglu_residual(x, h, m, keep)
+        else:
+            out = nc.residual_matmul(x, swiglu_node(h), m, keep)
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, p.grad, q.grad, m.grad
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("dropout", [False, True])
@@ -265,23 +319,25 @@ def test_self_add_of_non_leaf_fd():
 
 
 def test_diamond_through_non_leaf_fd():
-    # z = swiglu(y) w + y * y v with y = x @ m: two paths write into y.grad
+    # z = swiglu(y) w2 w + y * y v with y = x @ m: two paths write into y.grad
     rng = np.random.default_rng(13)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
     m = nc.Parameter("m", rng.standard_normal((4, 6)))
-    w = rng.standard_normal((2, 3, 3))
+    m2 = nc.Parameter("m2", rng.standard_normal((3, 2)))
+    w = rng.standard_normal((2, 3, 2))
     v = rng.standard_normal((2, 3, 6))
 
     def run():
         y = x.data @ m.data
         a, b = y[..., :3], y[..., 3:]
-        return float((a / (1.0 + np.exp(-a)) * b * w).sum() + (y * y * v).sum())
+        return float(((a / (1.0 + np.exp(-a)) * b) @ m2.data * w).sum() + (y * y * v).sum())
 
     y = nc.matmul(x, m)
-    nc.add(nc.sum_all(nc.mul(nc.swiglu(y), w)),
+    r = nc.Tensor(np.zeros((2, 3, 2)))
+    nc.add(nc.sum_all(nc.mul(nc.swiglu_residual(r, y, m2), w)),
            nc.sum_all(nc.mul(nc.mul(y, y), v))).backward()
-    assert_grads_close(x.grad, fd_grad(run, x.data))
-    assert_grads_close(m.grad, fd_grad(run, m.data))
+    for p in (x, m, m2):
+        assert_grads_close(p.grad, fd_grad(run, p.data))
 
 
 @pytest.mark.parametrize("rotate", [0, 1, 2])
@@ -329,27 +385,28 @@ def test_backward_releases_graph():
     rng = np.random.default_rng(15)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
     m = nc.Parameter("m", rng.standard_normal((4, 6)))
-    gain = nc.Parameter("gain", rng.standard_normal(3))
+    m2 = nc.Parameter("m2", rng.standard_normal((3, 4)))
+    m3 = nc.Parameter("m3", rng.standard_normal((4, 3)))
+    gain = nc.Parameter("gain", rng.standard_normal(4))
     w = rng.standard_normal((2, 3, 3))
 
     def run():
         y = x.data @ m.data
         a, b = y[..., :3], y[..., 3:]
-        h = a / (1.0 + np.exp(-a)) * b
-        hn = h / np.sqrt((h * h).mean(axis=-1, keepdims=True) + 1e-6) * gain.data
-        return float((hn * w).sum())
+        h = x.data + (a / (1.0 + np.exp(-a)) * b) @ m2.data
+        return float((_rms_ref(h) * gain.data @ m3.data * w).sum())
 
     y = nc.matmul(x, m)
-    h = nc.swiglu(y)
-    probe = weakref.ref(h.data)  # Tensor has __slots__; its array is the activation
-    n = nc.rms_norm(h, gain)
+    probe = weakref.ref(y.data)  # Tensor has __slots__; its array is the activation
+    h = nc.swiglu_residual(x, y, m2)
+    n = nc.matmul(h, m3, gain)
     out = nc.mul(n, w)
     loss = nc.sum_all(out)
-    del h  # from here on only the graph holds h
+    del y  # from here on only the graph holds y
     loss.backward()
     assert probe() is None
-    assert all(t.grad is None for t in (y, n, out, loss))
-    for p in (x, m, gain):
+    assert all(t.grad is None for t in (h, n, out, loss))
+    for p in (x, m, m2, m3, gain):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 

@@ -206,6 +206,30 @@ def test_train_step_rejects_empty_and_nan():
         tr.train_step(params, optim, ds, np.random.default_rng(2))
 
 
+@pytest.mark.parametrize("clip", [None, 1.0])
+def test_train_step_stops_on_non_finite_grad(monkeypatch, clip):
+    # one NaN planted in a gradient after backward: the step raises before
+    # AdamW, naming the step and the parameter, and leaves weights and moments
+    params, spec = tiny_setup()
+    optim = tr.OptimState.init(params, lr=1e-3)
+    ds = tr.make_dataset(spec, 8, np.random.default_rng(1))
+    tr.train_step(params, optim, ds, np.random.default_rng(2), grad_clip=clip)
+    backward = tr.nc.Tensor.backward
+
+    def planting(self):
+        backward(self)
+        params.head.grad[0, 0] = np.nan
+    monkeypatch.setattr(tr.nc.Tensor, "backward", planting)
+    before = [(p.data.copy(), optim.m[p.name].copy(), optim.v[p.name].copy())
+              for p in params.parameters()]
+    with pytest.raises(RuntimeError, match="head.proj.*step 1"):
+        tr.train_step(params, optim, ds, np.random.default_rng(3), grad_clip=clip)
+    assert optim.step == 1
+    for p, kept in zip(params.parameters(), before):
+        for now, then in zip((p.data, optim.m[p.name], optim.v[p.name]), kept):
+            assert np.array_equal(now, then)
+
+
 def test_train_loop_rejects_grid_mismatch():
     params, _ = tiny_setup()
     ds = tr.make_dataset(tr.ToyDatasetSpec(), 8, np.random.default_rng(0))

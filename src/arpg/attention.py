@@ -3,16 +3,20 @@
 Layouts: the batched kernels (attention_forward/attention_backward) work on
 [..., H, T, head_dim]. The training route keeps activations joined,
 [B, T, H * head_dim], and its attention tape ops read them in place:
-`self_attention` takes the rows of the fused q|k|v projection [B, T, 3d]
-(the model stores wq|wk|wv as one weight), `cross_attention` takes q
-[B, Q, d] and the rows of one fused k|v projection [B, S, 2d]. Both hand
-the kernels per-head strided views (reshape + transpose, no copy) and
-return the joined heads [B, T, d]; their backwards write one fresh joined
-gradient per input. Rotary embedding rotates each head_dim group of the
-last axis, in either layout, at per-token positions; on the training route
-`rotary_matmul` does it inside the projection's own buffer, so q and k are
-held once, rotated. The decoding engine uses the per-query-row kernel at
-the bottom, whose bits never depend on how queries are grouped into calls.
+`self_attention_residual` takes the rows of the fused q|k|v projection
+[B, T, 3d] (the model stores wq|wk|wv as one weight),
+`cross_attention_residual` takes q [B, Q, d] and one stream of stacked k|v
+rows [L, B, S, 2d]. Both hand the kernels per-head strided views (reshape +
+transpose, no copy) and feed the joined heads [B, T, d] to their wo gemm,
+whose product goes straight into the residual sum. The tape holds neither
+the probs nor the joined heads, only the inputs it keeps anyway and each
+query row's softmax max and divisor; backward rebuilds the rest bit for bit
+and writes one fresh joined gradient per input. Rotary embedding rotates
+each head_dim group of the last axis, in either layout, at per-token
+positions; on the training route `rotary_matmul` does it inside the
+projection's own buffer, so q and k are held once, rotated. The decoding
+engine uses the per-query-row kernel at the bottom, whose bits never depend
+on how queries are grouped into calls.
 """
 
 from __future__ import annotations
@@ -103,12 +107,24 @@ def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
 
 
 def _rotate_leading(x: np.ndarray, width: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Rotate the first `width` columns of x [..., T, f] in place, per head_dim group."""
-    lead = x[..., :width]
+    """Rotate the first `width` columns of x [..., T, f] in place, per head_dim group.
+
+    Three full-width ops on interleaved tables: sw = the pair-swapped columns
+    times (-s, s), x *= (c, c), x += sw. Bit for bit rotate_pairs, since
+    x0*c + x1*(-s) is x0*c - x1*s and IEEE addition commutes.
+    """
     hd = 2 * cos.shape[-1]
-    # rotate_pairs reads every lane it writes, hence the temporary
-    lead[...] = rotate_pairs(lead.reshape(lead.shape[:-1] + (width // hd, hd)),
-                             cos, sin).reshape(lead.shape)
+    lead = x[..., :width].reshape(x.shape[:-1] + (width // hd, hd))
+    cc = np.repeat(cos, 2, axis=-1)[..., None, :]  # broadcast over the head axis
+    ss = np.empty_like(cc)
+    ss[..., 0::2] = -sin[..., None, :]
+    ss[..., 1::2] = sin[..., None, :]
+    sw = np.empty_like(lead)
+    sw[..., 0::2] = lead[..., 1::2]
+    sw[..., 1::2] = lead[..., 0::2]
+    sw *= ss
+    lead *= cc
+    lead += sw
 
 
 def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int,
@@ -164,13 +180,17 @@ def cross_full_mask(num_queries: int, num_keys: int) -> AttentionMask:
 
 # ---------------------------------------------------------------- batched kernel
 
-def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                      mask: AttentionMask) -> tuple[np.ndarray, np.ndarray]:
+def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,
+                      stats: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Masked softmax attention on [..., H, T, head_dim]; returns (out, probs).
 
     Disallowed entries get a -1e9 bias; with max-subtraction their exp
     underflows to exact zero, and they are zeroed explicitly as well so a row
-    with no allowed key yields the zero vector instead of NaN.
+    with no allowed key yields the zero vector instead of NaN. stats carries
+    each query row's max score and softmax divisor [..., H, T, 1]: an empty
+    list receives them, and a list holding them stands in for the two
+    reductions, so the call rebuilds the probs and out of an earlier call
+    bit for bit.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]:
         raise ValueError("q/k/v head shapes disagree: %r %r %r"
@@ -182,11 +202,19 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     p = q @ k.swapaxes(-1, -2)  # scores, turned into probs in place
     p *= scale
     p += mask.bias(q.dtype)
-    p -= p.max(axis=-1, keepdims=True)
+    rebuild = bool(stats)
+    row_max = stats[0] if rebuild else p.max(axis=-1, keepdims=True)
+    p -= row_max
     np.exp(p, out=p)
     p *= mask.allowed
-    denom = p.sum(axis=-1, keepdims=True)
-    p /= np.where(denom == 0.0, 1.0, denom)
+    if rebuild:
+        divisor = stats[1]
+    else:
+        denom = p.sum(axis=-1, keepdims=True)
+        divisor = np.where(denom == 0.0, 1.0, denom)
+        if stats is not None:
+            stats += [row_max, divisor]
+    p /= divisor
     return p @ v, p
 
 
@@ -229,59 +257,93 @@ def _joined(*parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def self_attention(qkv: Tensor, mask: AttentionMask, heads: int,
-                   probs_sink: list | None = None) -> Tensor:
-    """Tape op: self-attention over fused q|k|v rows [B, T, 3d], q and k rotated.
+def _attention_residual(x: Tensor, q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                        mask: AttentionMask, wo: Tensor, keep: np.ndarray | None,
+                        probs_sink: list | None, parents: tuple, input_grads) -> Tensor:
+    """x + (joined attention heads @ wo) * keep as one node over per-head views q, k, v.
 
-    The kernels read per-head views of qkv in place. Returns the joined heads
-    [B, T, d]; the backward returns one fresh [B, T, 3d] gradient.
+    The node keeps each query row's softmax max and divisor, not the probs or
+    the joined heads: its backward rebuilds both with attention_forward, then
+    runs dW_o, the heads' gradient and attention_backward as a residual gemm
+    node and an attention node would. input_grads(g, dq, dk, dv) turns the
+    head gradients into the gradients of parents[:-1]; wo's comes last.
+    """
+    heads = q.shape[1]
+    stats: list = []
+    o, probs = attention_forward(q, k, v, mask, stats)
+    if probs_sink is not None:
+        probs_sink.append(probs)
+    del probs
+    a = Tensor(_joined(o))
+    del o
+    _, out = nc.gemm_rows(a, (wo,))
+    out = nc.residual_sum(x, out[0], keep)
+    del a
+
+    def bwd(g):
+        o, probs = attention_forward(q, k, v, mask, stats)
+        a = Tensor(_joined(o))
+        del o
+        da, dwo = nc.gemm_rows_grads(a, a.data.reshape(-1, a.shape[-1]), (wo,),
+                                     (g if keep is None else g * keep)[None])
+        dq, dk, dv = attention_backward(q, k, v, probs, _heads(a.data, heads),
+                                        _heads(da, heads))
+        del probs, a, da
+        return input_grads(g, dq, dk, dv) + (dwo,)
+    return nc.from_op(out, parents, bwd)
+
+
+def self_attention_residual(x: Tensor, qkv: Tensor, wo: Tensor, mask: AttentionMask,
+                            heads: int, keep: np.ndarray | None = None,
+                            probs_sink: list | None = None) -> Tensor:
+    """Tape op: x + (self-attention over fused q|k|v rows [B, T, 3d]) @ wo * keep.
+
+    q and k come rotated. The kernels read per-head views of qkv in place, so
+    the node holds qkv and two [B, H, T, 1] softmax statistics (see
+    _attention_residual); the backward returns g for x and one fresh
+    [B, T, 3d] gradient for qkv. Bit for bit a self-attention node whose
+    joined heads [B, T, d] feed a residual gemm node.
     """
     b, t, d3 = qkv.shape
     if d3 % (3 * heads):
         raise ValueError("fused q|k|v width %d does not hold 3 x %d heads" % (d3, heads))
-    x = qkv.data.reshape(b, t, 3 * heads, d3 // (3 * heads)).transpose(0, 2, 1, 3)
-    q, k, v = x[:, :heads], x[:, heads:2 * heads], x[:, 2 * heads:]
-    out, probs = attention_forward(q, k, v, mask)
-    out = _joined(out)
-    if probs_sink is not None:
-        probs_sink.append(probs)
-
-    def bwd(g):
-        grads = attention_backward(q, k, v, probs, _heads(out, heads), _heads(g, heads))
-        return (_joined(*grads),)
-    return nc.from_op(out, (qkv,), bwd)
+    xh = qkv.data.reshape(b, t, 3 * heads, d3 // (3 * heads)).transpose(0, 2, 1, 3)
+    q, k, v = xh[:, :heads], xh[:, heads:2 * heads], xh[:, 2 * heads:]
+    return _attention_residual(x, q, k, v, mask, wo, keep, probs_sink, (x, qkv, wo),
+                               lambda g, dq, dk, dv: (g, _joined(dq, dk, dv)))
 
 
-def cross_attention(q: Tensor, kv: Tensor, mask: AttentionMask, heads: int,
-                    probs_sink: list | None = None, stream: int | None = None) -> Tensor:
-    """Tape op: attention of joined queries q [B, Q, d] over k|v rows kv [B, S, 2d].
+def cross_attention_residual(q: Tensor, kv: Tensor, stream: int, wo: Tensor,
+                             mask: AttentionMask, heads: int, keep: np.ndarray | None = None,
+                             probs_sink: list | None = None) -> Tensor:
+    """Tape op: q + (attention of q [B, Q, d] over kv[stream]) @ wo * keep.
 
-    With stream, kv stacks several streams' rows [L, B, S, 2d] (as
-    rotary_matmul makes them from a list of weights) and the op reads
-    kv[stream]; its gradient for kv is zero outside that block. Rotation, if
-    any, is the caller's: a shared k is rotated once for every layer that
-    reads it. Returns the joined heads [B, Q, d]; the backward returns fresh
-    gradients for q and for kv.
+    kv stacks the k|v rows of L streams [L, B, S, 2d], as rotary_matmul makes
+    them from a list of weights; the query itself is the residual carrier.
+    Rotation, if any, is the caller's: a shared k is rotated once for every
+    layer that reads it. The node holds q, kv and two [B, H, Q, 1] softmax
+    statistics. The backward returns g + dq for q; for kv it returns a fresh
+    [1, B, S, 2d] gradient when L = 1, and otherwise adds its block into kv's
+    gradient (zero elsewhere) itself. Bit for bit a cross-attention node whose
+    joined heads feed a residual gemm node.
     """
     d = q.shape[-1]
-    rows = kv.data if stream is None else kv.data[stream]
+    rows = kv.data[stream]
     if rows.shape[-1] != 2 * d:
         raise ValueError("k|v width %d is not twice the query width %d" % (rows.shape[-1], d))
-    qh = _heads(q.data, heads)
-    kh, vh = _heads(rows[..., :d], heads), _heads(rows[..., d:], heads)
-    out, probs = attention_forward(qh, kh, vh, mask)
-    out = _joined(out)
-    if probs_sink is not None:
-        probs_sink.append(probs)
 
-    def bwd(g):
-        dq, dk, dv = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
-        if stream is None:
-            return _joined(dq), _joined(dk, dv)
-        dkv = (np.empty if kv.shape[0] == 1 else np.zeros)(kv.shape, dtype=kv.dtype)
-        _joined(dk, dv, out=dkv[stream])
-        return _joined(dq), dkv
-    return nc.from_op(out, (q, kv), bwd)
+    def input_grads(g, dq, dk, dv):
+        g += _joined(dq)
+        if kv.shape[0] > 1:
+            if kv.requires_grad:
+                kv._accumulate_at(stream, _joined(dk, dv))
+            return g, None
+        dkv = np.empty(kv.shape, dtype=kv.dtype)
+        _joined(dk, dv, out=dkv[0])
+        return g, dkv
+    return _attention_residual(q, _heads(q.data, heads), _heads(rows[..., :d], heads),
+                               _heads(rows[..., d:], heads), mask, wo, keep, probs_sink,
+                               (q, kv, wo), input_grads)
 
 
 # ---------------------------------------------------------------- row kernel

@@ -3,16 +3,19 @@
 One command is one process. Config is a flat JSON object with dotted keys
 ("model.hidden": 256) merged with key=value overrides from the command line;
 the fully resolved dict is copied into the output directory before any work
-starts. Exit codes: 0 success, 1 assertion or runtime failure, 2 bad usage
-or config.
+starts. Exit codes: 0 success, 2 bad usage, config or input (a ConfigError or
+OSError, or a failed check while a command reads its inputs), 1 any other
+failure of the run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
+import traceback
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -23,7 +26,8 @@ from . import numcore as nc
 from .attention import causal_mask, cross_full_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
-from .decoding import DecodeConfig, TokenGrid, _grid_shape, expand, generate, inpaint
+from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
+                       inpaint)
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -87,6 +91,19 @@ def take(cfg: dict, key: str, used: set[str], default=_MISSING):
     if default is _MISSING:
         raise ConfigError("missing required config key: %s" % key)
     return default
+
+
+@contextlib.contextmanager
+def _input_checks():
+    """Reading and checking what a command was given: the ValueError, TypeError,
+    KeyError or IndexError of a library check in here is bad input (exit 2).
+
+    Outside such a block the same errors are failures of the run (exit 1).
+    """
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, IndexError) as e:
+        raise ConfigError(str(e)) from e
 
 
 def check_used(cfg: dict, used: set[str]) -> None:
@@ -173,44 +190,46 @@ def _write_sample(stem: Path, grid: TokenGrid, order: np.ndarray,
 # ---------------------------------------------------------------- train
 
 def cmd_train(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    mc = build(md.ModelConfig, cfg, "model", used)
-    spec = build(ToyDatasetSpec, cfg, "data", used)
-    tc = build(TrainConfig, cfg, "train", used)
-    data_n = int(take(cfg, "data.n", used, 512))
-    data_seed = int(take(cfg, "data.seed", used, 0))
-    snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
-    log_every = int(take(cfg, "train.log_every", used, 50))
-    resume = take(cfg, "train.resume", used, None)
-    check_used(cfg, used)
-    if spec.grid_h * spec.grid_w != mc.seq_len:
-        raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
-                          "is %d" % (spec.grid_h, spec.grid_w,
-                                     spec.grid_h * spec.grid_w, mc.seq_len))
-    if spec.vocab_size != mc.vocab_size or spec.num_classes != mc.num_classes:
-        raise ConfigError("data vocab/classes (%d, %d) do not match model "
-                          "(%d, %d)" % (spec.vocab_size, spec.num_classes,
-                                        mc.vocab_size, mc.num_classes))
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        mc = build(md.ModelConfig, cfg, "model", used)
+        spec = build(ToyDatasetSpec, cfg, "data", used)
+        tc = build(TrainConfig, cfg, "train", used)
+        data_n = int(take(cfg, "data.n", used, 512))
+        data_seed = int(take(cfg, "data.seed", used, 0))
+        snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
+        log_every = int(take(cfg, "train.log_every", used, 50))
+        resume = take(cfg, "train.resume", used, None)
+        check_used(cfg, used)
+        if spec.grid_h * spec.grid_w != mc.seq_len:
+            raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
+                              "is %d" % (spec.grid_h, spec.grid_w,
+                                         spec.grid_h * spec.grid_w, mc.seq_len))
+        if spec.vocab_size != mc.vocab_size or spec.num_classes != mc.num_classes:
+            raise ConfigError("data vocab/classes (%d, %d) do not match model "
+                              "(%d, %d)" % (spec.vocab_size, spec.num_classes,
+                                            mc.vocab_size, mc.num_classes))
     _write_resolved(out, cfg)
     dataset = make_dataset(spec, data_n, np.random.default_rng(data_seed))
     data_id = {"n": data_n, "seed": data_seed, "spec": asdict(spec)}
 
     if resume is not None:
-        ck = load_checkpoint(resume)
-        if ck.meta.get("model") != asdict(mc):
-            raise ConfigError("checkpoint model config does not match the "
-                              "requested one: %s" % resume)
-        extra = ck.meta.get("extra") or {}
-        if extra.get("data") != data_id:
-            raise ConfigError("checkpoint was trained on a different "
-                              "dataset: %s" % resume)
-        if ck.optim is None:
-            raise ConfigError("checkpoint holds no optimizer state, cannot "
-                              "resume: %s" % resume)
+        with _input_checks():
+            ck = load_checkpoint(resume)
+            if ck.meta.get("model") != asdict(mc):
+                raise ConfigError("checkpoint model config does not match the "
+                                  "requested one: %s" % resume)
+            extra = ck.meta.get("extra") or {}
+            if extra.get("data") != data_id:
+                raise ConfigError("checkpoint was trained on a different "
+                                  "dataset: %s" % resume)
+            if ck.optim is None:
+                raise ConfigError("checkpoint holds no optimizer state, cannot "
+                                  "resume: %s" % resume)
+            start_step = int(extra["loop_step"])
+            rng = restore_rng(extra["rng_state"])
         params, optim = ck.params, ck.optim
-        start_step = int(extra["loop_step"])
-        rng = restore_rng(extra["rng_state"])
         metrics_mode = "a"
     else:
         params = md.ArpgParams.init(mc, np.random.default_rng(tc.seed))
@@ -255,17 +274,18 @@ def _check_class(mc: md.ModelConfig, class_id: int) -> None:
 
 
 def cmd_generate(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    ck_path = take(cfg, "checkpoint", used)
-    dc = build(DecodeConfig, cfg, "decode", used)
-    n = int(take(cfg, "generate.n", used, 1))
-    class_id = int(take(cfg, "generate.class_id", used, 0))
-    cell_px = int(take(cfg, "image.cell_px", used, 16))
-    check_used(cfg, used)
-    params = load_checkpoint(ck_path).params
-    _check_class(params.config, class_id)
-    _grid_shape(params.config, dc)
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        ck_path = take(cfg, "checkpoint", used)
+        dc = build(DecodeConfig, cfg, "decode", used)
+        n = int(take(cfg, "generate.n", used, 1))
+        class_id = int(take(cfg, "generate.class_id", used, 0))
+        cell_px = int(take(cfg, "image.cell_px", used, 16))
+        check_used(cfg, used)
+        params = load_checkpoint(ck_path).params
+        _check_class(params.config, class_id)
+        _grid_shape(params.config, dc)
     _write_resolved(out, cfg)
     for i in range(n):
         dci = replace(dc, seed=dc.seed + i)
@@ -280,29 +300,33 @@ def cmd_generate(cfg: dict) -> int:
 
 
 def cmd_inpaint(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    ck_path = take(cfg, "checkpoint", used)
-    dc = build(DecodeConfig, cfg, "decode", used)
-    input_path = take(cfg, "inpaint.input", used)
-    mask_path = take(cfg, "inpaint.mask", used)
-    class_id = int(take(cfg, "inpaint.class_id", used, 0))
-    cell_px = int(take(cfg, "image.cell_px", used, 16))
-    check_used(cfg, used)
-    params = load_checkpoint(ck_path).params
-    _check_class(params.config, class_id)
-    grid_shape = _grid_shape(params.config, dc)
-    toks = load_tokens_txt(input_path)
-    known = load_tokens_txt(mask_path)
-    if known.shape != toks.shape:
-        raise ConfigError("mask shape %s does not match input %s"
-                          % (known.shape, toks.shape))
-    if toks.shape != grid_shape:
-        raise ConfigError("input grid has shape %s, decode grid is %s"
-                          % (toks.shape, grid_shape))
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        ck_path = take(cfg, "checkpoint", used)
+        dc = build(DecodeConfig, cfg, "decode", used)
+        input_path = take(cfg, "inpaint.input", used)
+        mask_path = take(cfg, "inpaint.mask", used)
+        class_id = int(take(cfg, "inpaint.class_id", used, 0))
+        cell_px = int(take(cfg, "image.cell_px", used, 16))
+        check_used(cfg, used)
+        params = load_checkpoint(ck_path).params
+        _check_class(params.config, class_id)
+        grid_shape = _grid_shape(params.config, dc)
+        toks = load_tokens_txt(input_path)
+        known = load_tokens_txt(mask_path)
+        if known.shape != toks.shape:
+            raise ConfigError("mask shape %s does not match input %s"
+                              % (known.shape, toks.shape))
+        if toks.shape != grid_shape:
+            raise ConfigError("input grid has shape %s, decode grid is %s"
+                              % (toks.shape, grid_shape))
+        if not known.any():
+            raise ConfigError("inpaint.mask marks no known cell; use generate instead")
+        partial = TokenGrid(toks, class_id).validate(params.config.vocab_size)
     _write_resolved(out, cfg)
     sink: list = []
-    grid = inpaint(params, TokenGrid(toks, class_id), known.astype(bool),
+    grid = inpaint(params, partial, known.astype(bool),
                    class_id, dc, state_sink=sink)
     order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
     _write_sample(out / "inpaint", grid, order,
@@ -315,20 +339,23 @@ def cmd_inpaint(cfg: dict) -> int:
 
 
 def cmd_expand(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    ck_path = take(cfg, "checkpoint", used)
-    dc = build(DecodeConfig, cfg, "decode", used)
-    input_path = take(cfg, "expand.input", used)
-    new_h = int(take(cfg, "expand.new_h", used))
-    new_w = int(take(cfg, "expand.new_w", used))
-    mode = take(cfg, "expand.mode", used, "outpaint")
-    class_id = int(take(cfg, "expand.class_id", used, 0))
-    cell_px = int(take(cfg, "image.cell_px", used, 16))
-    check_used(cfg, used)
-    params = load_checkpoint(ck_path).params
-    _check_class(params.config, class_id)
-    base = TokenGrid(load_tokens_txt(input_path), class_id)
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        ck_path = take(cfg, "checkpoint", used)
+        dc = build(DecodeConfig, cfg, "decode", used)
+        input_path = take(cfg, "expand.input", used)
+        new_h = int(take(cfg, "expand.new_h", used))
+        new_w = int(take(cfg, "expand.new_w", used))
+        mode = take(cfg, "expand.mode", used, "outpaint")
+        class_id = int(take(cfg, "expand.class_id", used, 0))
+        cell_px = int(take(cfg, "image.cell_px", used, 16))
+        check_used(cfg, used)
+        params = load_checkpoint(ck_path).params
+        _check_class(params.config, class_id)
+        base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
+            params.config.vocab_size)
+        expand_layout(base.tokens.shape, new_h, new_w, mode)
     _write_resolved(out, cfg)
     sink: list = []
     grid = expand(params, base, new_h, new_w, mode, dc, state_sink=sink)
@@ -428,23 +455,24 @@ def _default_steps(total: int) -> list[int]:
 
 
 def cmd_bench(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    ck_path = take(cfg, "checkpoint", used, None)
-    dc = build(DecodeConfig, cfg, "decode", used)
-    if ck_path is not None:
-        params = load_checkpoint(ck_path).params
-        used.update(k for k in cfg if k.startswith("model."))
-    else:
-        mc = build(md.ModelConfig, cfg, "model", used)
-        params = md.ArpgParams.init(mc, np.random.default_rng(0))
-    steps_list = take(cfg, "bench.steps", used,
-                      _default_steps(params.config.seq_len))
-    patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
-    batch = int(take(cfg, "bench.batch", used, 16))
-    repeats = int(take(cfg, "bench.repeats", used, 3))
-    seed = int(take(cfg, "bench.seed", used, 0))
-    check_used(cfg, used)
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        ck_path = take(cfg, "checkpoint", used, None)
+        dc = build(DecodeConfig, cfg, "decode", used)
+        if ck_path is not None:
+            params = load_checkpoint(ck_path).params
+            used.update(k for k in cfg if k.startswith("model."))
+        else:
+            mc = build(md.ModelConfig, cfg, "model", used)
+            params = md.ArpgParams.init(mc, np.random.default_rng(0))
+        steps_list = take(cfg, "bench.steps", used,
+                          _default_steps(params.config.seq_len))
+        patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
+        batch = int(take(cfg, "bench.batch", used, 16))
+        repeats = int(take(cfg, "bench.repeats", used, 3))
+        seed = int(take(cfg, "bench.seed", used, 0))
+        check_used(cfg, used)
     _write_resolved(out, cfg)
     report = run_bench(params, steps_list, patterns, batch, repeats, dc, seed)
     (out / "bench.json").write_text(
@@ -462,11 +490,12 @@ def _fmt_norm(v: float) -> str:
 
 
 def cmd_grad_demo(cfg: dict) -> int:
-    used: set[str] = set()
-    out_path = take(cfg, "out_dir", used, None)
-    seed = int(take(cfg, "demo.seed", used, 0))
-    rows = int(take(cfg, "demo.rows", used, 8))
-    check_used(cfg, used)
+    with _input_checks():
+        used: set[str] = set()
+        out_path = take(cfg, "out_dir", used, None)
+        seed = int(take(cfg, "demo.seed", used, 0))
+        rows = int(take(cfg, "demo.rows", used, 8))
+        check_used(cfg, used)
 
     report = masked_baseline_grad_demo(seed, rows=rows)
     print("one-layer masked baseline, seed %d: per-row query-grad norms" % seed)
@@ -508,30 +537,31 @@ def cmd_grad_demo(cfg: dict) -> int:
 # ---------------------------------------------------------------- attention export
 
 def cmd_attn_export(cfg: dict) -> int:
-    used: set[str] = set()
-    out = _out_dir(cfg, used)
-    ck_path = take(cfg, "checkpoint", used)
-    input_path = take(cfg, "attn.input", used, None)
-    class_id = int(take(cfg, "attn.class_id", used, 0))
-    seed = int(take(cfg, "attn.seed", used, 0))
-    check_used(cfg, used)
-    ck = load_checkpoint(ck_path)
-    params = ck.params
-    mc = params.config
-    total = mc.seq_len
-    _check_class(mc, class_id)
-    if input_path is None:
-        toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
-    else:
-        grid = load_tokens_txt(input_path)
-        # the grid the checkpoint was trained on, else the square one
-        spec = ck.meta["extra"].get("data", {}).get("spec")
-        model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
-                      else _grid_shape(mc, DecodeConfig()))
-        if grid.shape != model_grid:
-            raise ConfigError("attn.input grid has shape %s, model grid is %s"
-                              % (grid.shape, model_grid))
-        toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
+    with _input_checks():
+        used: set[str] = set()
+        out = _out_dir(cfg, used)
+        ck_path = take(cfg, "checkpoint", used)
+        input_path = take(cfg, "attn.input", used, None)
+        class_id = int(take(cfg, "attn.class_id", used, 0))
+        seed = int(take(cfg, "attn.seed", used, 0))
+        check_used(cfg, used)
+        ck = load_checkpoint(ck_path)
+        params = ck.params
+        mc = params.config
+        total = mc.seq_len
+        _check_class(mc, class_id)
+        if input_path is None:
+            toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
+        else:
+            grid = load_tokens_txt(input_path)
+            # the grid the checkpoint was trained on, else the square one
+            spec = ck.meta["extra"].get("data", {}).get("spec")
+            model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
+                          else _grid_shape(mc, DecodeConfig()))
+            if grid.shape != model_grid:
+                raise ConfigError("attn.input grid has shape %s, model grid is %s"
+                                  % (grid.shape, model_grid))
+            toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
     _write_resolved(out, cfg)
 
     # Raster teacher forcing: content row i sees [cond, x_1..x_i], query row
@@ -589,14 +619,16 @@ def main(argv: list[str] | None = None) -> int:
                         help="flat JSON config with dotted keys")
     args, overrides = parser.parse_known_args(argv)
     try:
-        cfg = load_config(args.config, overrides)
+        with _input_checks():
+            cfg = load_config(args.config, overrides)
         return COMMANDS[args.command](cfg)
-    except (AssertionError, RuntimeError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (ConfigError, OSError, ValueError, TypeError, KeyError) as e:
+    except (ConfigError, OSError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
+    except Exception as e:  # any other failure is the run's, not the input's
+        traceback.print_exc()
+        print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

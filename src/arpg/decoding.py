@@ -506,9 +506,22 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
     centers it. Positions are re-indexed on the target raster and the rotary
     table is rebuilt for the longer sequence, never extrapolated.
     """
-    cfg = params.config
-    old_h, old_w = base.tokens.shape
-    base.validate(cfg.vocab_size)
+    base.validate(params.config.vocab_size)
+    base_idx = expand_layout(base.tokens.shape, new_h, new_w, mode)
+    todo = np.setdiff1d(np.arange(new_h * new_w), base_idx)
+    return _decode_region(params, base.class_id, base.flat, base_idx + 1, todo,
+                          new_h, new_w, min(dc.steps, todo.size), dc,
+                          state_sink)
+
+
+def expand_layout(base_shape: tuple[int, int], new_h: int, new_w: int,
+                  mode: str) -> np.ndarray:
+    """Raster indices of the base cells on the new_h x new_w target (see expand).
+
+    Raises ValueError for a target smaller than the base, past the rotary
+    rebuild limit, or an unknown mode.
+    """
+    old_h, old_w = base_shape
     if new_h < old_h or new_w < old_w:
         raise ValueError("target %dx%d smaller than base %dx%d"
                          % (new_h, new_w, old_h, old_w))
@@ -524,8 +537,4 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
         raise ValueError("mode must be outpaint or resolution, got %r" % mode)
     rows = np.arange(old_h)[:, None] + off_r
     cols = np.arange(old_w)[None, :] + off_c
-    base_idx = (rows * new_w + cols).reshape(-1)
-    todo = np.setdiff1d(np.arange(total), base_idx)
-    return _decode_region(params, base.class_id, base.flat, base_idx + 1, todo,
-                          new_h, new_w, min(dc.steps, todo.size), dc,
-                          state_sink)
+    return (rows * new_w + cols).reshape(-1)

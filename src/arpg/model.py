@@ -6,14 +6,16 @@ Projections that run as one matmul are stored as one fused weight: wq|wk|wv
 ([d, 3d]) per content layer, w1|w3 ([d, 2f]) per SwiGLU, and one k|v weight
 ([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
 The batched tape route (forward_train_batch) runs BLAS matmuls and feeds the
-optimizer. On it each RMSNorm is folded into the gemm that reads it and each
-SwiGLU into its w2 residual gemm, so the tape holds the residual stream with
-its per-row norm scales, the gemm products (q|k|v, w1|w3, q, k|v, logits)
-and attention's probs and joined outputs; backward rebuilds the normalized
-inputs and the SwiGLU outputs. The single-sample inference route
-(forward_pass1 / forward_pass2) computes every matmul row by row and
-attention per query, so its bits are invariant to how tokens are chunked
-into calls; the decoding engine's cache-equality guarantees rest on that.
+optimizer. On it each RMSNorm is folded into the gemm that reads it, each
+SwiGLU into its w2 residual gemm and each attention block into its wo
+residual gemm, so the tape holds the residual stream with its per-row norm
+scales, the gemm products (q|k|v, w1|w3, q, k|v, logits) and two per-row
+softmax statistics per attention block; backward rebuilds the normalized
+inputs, the SwiGLU outputs, the attention probs and the joined heads. The
+single-sample inference route (forward_pass1 / forward_pass2) computes every
+matmul row by row and attention per query, so its bits are invariant to how
+tokens are chunked into calls; the decoding engine's cache-equality
+guarantees rest on that.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numpy as np
 
 from . import numcore as nc
 from .attention import (AttentionMask, RopeTable, attention_rows, causal_mask,
-                        cross_attention, rotary_matmul, rotate_pairs, self_attention)
+                        cross_attention_residual, rotary_matmul, rotate_pairs,
+                        self_attention_residual)
 from .attention import apply_rope  # noqa: F401 -- profilers patch model.apply_rope
 from .numcore import Parameter, Tensor, rowwise_matmul
 from .ordering import is_permutation
@@ -231,8 +234,8 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=x.dtype)
     for layer in params.pass1:
         qkv = rotary_matmul(x, layer.wqkv, 2 * d, cos, sin, layer.attn_norm)
-        a = self_attention(qkv, mask, params.config.heads, probs_sink=probs_sink)
-        x = nc.residual_matmul(x, a, layer.wo, _keep_mask(x, rate, dropout_rng))
+        x = self_attention_residual(x, qkv, layer.wo, mask, params.config.heads,
+                                    _keep_mask(x, rate, dropout_rng), probs_sink)
         x = _ffn_residual(x, layer, rate, dropout_rng)
     return x
 
@@ -265,10 +268,9 @@ def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
         target_positions, dtype=o.dtype)
     for li, layer in enumerate(params.pass2):
         q = rotary_matmul(o, layer.wq, cfg.hidden, cos, sin, layer.q_norm)
-        a = cross_attention(q, kv, mask, cfg.heads, probs_sink=probs_sink,
-                            stream=0 if cfg.shared_kv else li)
         # the rotated query itself is the residual carrier
-        o = nc.residual_matmul(q, a, layer.wo, _keep_mask(q, rate, dropout_rng))
+        o = cross_attention_residual(q, kv, 0 if cfg.shared_kv else li, layer.wo, mask,
+                                     cfg.heads, _keep_mask(q, rate, dropout_rng), probs_sink)
         o = _ffn_residual(o, layer, rate, dropout_rng)
     return nc.matmul(o, params.head, params.final_norm)
 

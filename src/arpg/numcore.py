@@ -23,8 +23,10 @@ What the tape keeps of the cheap elementwise ops: nothing of their outputs.
 A gemm node given a gain reads RMSNorm(x) * gain without holding it: it
 keeps x and x's per-row scale s, and its backward rebuilds x * s * gain.
 swiglu_residual keeps the gate|up product h and rebuilds silu(a) * b from it.
-Each rebuild repeats the forward's own ops, so the backward sees bit for bit
-the values the forward used.
+The attention nodes (attention.self_attention_residual and
+cross_attention_residual) keep q|k|v and two per-row softmax statistics, and
+rebuild the probs and the joined heads. Each rebuild repeats the forward's
+own ops, so the backward sees bit for bit the values the forward used.
 """
 
 from __future__ import annotations
@@ -308,7 +310,7 @@ def matmul(a: Tensor, b: Tensor, gain: Tensor | None = None) -> Tensor:
                    lambda g: gemm_rows_grads(a, saved, (b,), g[None], gain))
 
 
-def _residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+def residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     """x + out * keep, in out's buffer."""
     if x.shape != out.shape:
         raise ValueError("residual %r does not match the product %r" % (x.shape, out.shape))
@@ -318,29 +320,13 @@ def _residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.nda
     return out
 
 
-def residual_matmul(x: Tensor, a: Tensor, w: Tensor,
-                    keep: np.ndarray | None = None) -> Tensor:
-    """x + (a @ w) * keep ([..., d] @ [d, f], keep optional), as one node.
-
-    The gemm writes the sum's buffer, so the tape holds no separate product;
-    the backward reads a and w only. Bit for bit add(x, mul(matmul(a, w), keep)).
-    """
-    a2, out = gemm_rows(a, (w,))
-    out = _residual_sum(x, out[0], keep)
-
-    def bwd(g):
-        # x takes g itself; the gemms have read it by then
-        return (g,) + gemm_rows_grads(a, a2, (w,), (g if keep is None else g * keep)[None])
-    return from_op(out, (x, a, w), bwd)
-
-
 def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
                     keep: np.ndarray | None = None) -> Tensor:
     """x + (silu(a) * b @ w) * keep for h = a|b [..., 2f] and w [f, d], as one node.
 
     The tape keeps h, not the SwiGLU output silu(a) * b: the backward rebuilds
-    it with the forward's own ops for dw. Bit for bit residual_matmul of the
-    SwiGLU output.
+    it with the forward's own ops for dw. Bit for bit a SwiGLU node whose
+    output feeds a residual gemm node.
     """
     f = h.shape[-1] // 2
     if w.ndim != 2 or 2 * w.shape[0] != h.shape[-1]:
@@ -348,8 +334,8 @@ def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
     a, b = h.data[..., :f], h.data[..., f:]
     u = a * _sigmoid(a)
     u *= b
-    out = _residual_sum(x, _gemm_into(h.shape[:-1] + w.shape[1:], u.reshape(-1, f), w.data),
-                        keep)
+    out = residual_sum(x, _gemm_into(h.shape[:-1] + w.shape[1:], u.reshape(-1, f), w.data),
+                       keep)
     del u
 
     def bwd(g):

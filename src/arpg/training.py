@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import numcore as nc
-from .attention import cross_attention, cross_full_mask
+from .attention import attention_backward, attention_forward, cross_full_mask
 from .decoding import DecodeConfig, TokenGrid, generate
 from .model import ArpgParams, forward_train_batch
 
@@ -386,25 +386,29 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     masked = np.asarray(masked, dtype=bool)
     fed = np.where(masked, mask_id, ids)
     x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
-    # q and k|v are leaves, so backward leaves their gradients to read
-    q = nc.Tensor(nc.matmul(x, wq).data, requires_grad=True)
-    kv = nc.Tensor(np.concatenate([nc.matmul(x, wk).data, nc.matmul(x, wv).data], axis=-1),
-                   requires_grad=True)
-    out = cross_attention(q, kv, cross_full_mask(rows, rows), heads=1)
+    # one head: q and k|v as [1, 1, rows, dim] views, the layout the model's heads take
+    q = nc.matmul(x, wq).data[:, None]
+    kv = np.concatenate([nc.matmul(x, wk).data, nc.matmul(x, wv).data], axis=-1)[:, None]
+    k, v = kv[..., :dim], kv[..., dim:]
+    o, probs = attention_forward(q, k, v, cross_full_mask(rows, rows))
+    # the attention output is a leaf; attention_backward carries its gradient on
+    out = nc.Tensor(o[:, 0], requires_grad=True)
     logits = nc.reshape(nc.matmul(out, wo), (rows, vocab))
     sel = np.flatnonzero(masked)
+    grads = (np.zeros_like(o),) * 3
     if sel.size:
         nc.cross_entropy(nc.embedding(logits, sel), ids[sel]).backward()
+        grads = attention_backward(q, k, v, probs, o, out.grad[:, None])
 
-    def norms(t, cols=slice(None)):
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        g = g[0, :, cols]
+    def norms(g):
+        g = g[0, 0]
         return np.sqrt((g * g).sum(axis=-1))
 
+    dq, dk, dv = grads
     report = {"masked": masked.tolist(),
-              "dq_norms": norms(q).tolist(),
-              "dk_norms": norms(kv, slice(None, dim)).tolist(),
-              "dv_norms": norms(kv, slice(dim, None)).tolist()}
+              "dq_norms": norms(dq).tolist(),
+              "dk_norms": norms(dk).tolist(),
+              "dv_norms": norms(dv).tolist()}
     for i, is_masked in enumerate(masked):
         if not is_masked:
             assert report["dq_norms"][i] == 0.0, \

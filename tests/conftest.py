@@ -1,9 +1,10 @@
-"""Shared test helpers: finite-difference oracle and tolerance assertions."""
+"""Shared test helpers: finite-difference oracle, tolerance assertions, unfused references."""
 
 import numpy as np
 import pytest
 
 from arpg import numcore as nc
+from arpg.attention import _heads, _joined, attention_backward, attention_forward
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -95,3 +96,58 @@ def swiglu_node(h):
         db *= g
         return (d,)
     return nc.from_op(out, (h,), bwd)
+
+
+# The standalone attention and residual gemm nodes that the fused attention
+# nodes replace. They hold the probs and the joined heads on the tape.
+
+def self_attention_node(qkv, mask, heads):
+    """Joined heads [B, T, d] of self-attention over q|k|v rows [B, T, 3d]."""
+    b, t, d3 = qkv.shape
+    x = qkv.data.reshape(b, t, 3 * heads, d3 // (3 * heads)).transpose(0, 2, 1, 3)
+    q, k, v = x[:, :heads], x[:, heads:2 * heads], x[:, 2 * heads:]
+    out, probs = attention_forward(q, k, v, mask)
+    out = _joined(out)
+
+    def bwd(g):
+        grads = attention_backward(q, k, v, probs, _heads(out, heads), _heads(g, heads))
+        return (_joined(*grads),)
+    return nc.from_op(out, (qkv,), bwd)
+
+
+def cross_attention_node(q, kv, stream, mask, heads):
+    """Joined heads [B, Q, d] of q [B, Q, d] attending to stacked k|v rows kv[stream].
+
+    The kv gradient is a zero-filled [L, B, S, 2d] array (unfilled when
+    L = 1) holding the block at stream.
+    """
+    d = q.shape[-1]
+    rows = kv.data[stream]
+    qh = _heads(q.data, heads)
+    kh, vh = _heads(rows[..., :d], heads), _heads(rows[..., d:], heads)
+    out, probs = attention_forward(qh, kh, vh, mask)
+    out = _joined(out)
+
+    def bwd(g):
+        dq, dk, dv = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
+        dkv = (np.empty if kv.shape[0] == 1 else np.zeros)(kv.shape, dtype=kv.dtype)
+        _joined(dk, dv, out=dkv[stream])
+        return _joined(dq), dkv
+    return nc.from_op(out, (q, kv), bwd)
+
+
+def residual_matmul_node(x, a, w, keep=None):
+    """x + (a @ w) * keep as one node that holds a."""
+    d = a.shape[-1]
+    out = (a.data.reshape(-1, d) @ w.data).reshape(x.shape)
+    if keep is not None:
+        out *= keep
+    out += x.data
+
+    def bwd(g):
+        gk = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
+        dw = a.data.reshape(-1, d).T @ gk
+        da = np.empty(a.shape, dtype=a.dtype)
+        np.matmul(gk, w.data.T, out=da.reshape(-1, d))
+        return g, da, dw
+    return nc.from_op(out, (x, a, w), bwd)

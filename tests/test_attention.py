@@ -5,7 +5,8 @@ import pytest
 
 from arpg import attention as at
 from arpg import numcore as nc
-from conftest import assert_grads_close, fd_grad, rms_norm_node
+from conftest import (assert_grads_close, cross_attention_node, fd_grad, residual_matmul_node,
+                      rms_norm_node, self_attention_node)
 
 
 # ---------------------------------------------------------------- rope
@@ -289,50 +290,61 @@ def test_attention_backward_unmasked_query_sparsity():
 
 
 def test_attention_fd_two_heads():
+    # the pass-2 node: q + (attention of q over kv[0]) @ wo, q the residual carrier
     rng = np.random.default_rng(10)
     q = nc.Parameter("q", rng.standard_normal((2, 4, 6)))
-    kv = nc.Parameter("kv", rng.standard_normal((2, 4, 12)))  # k|v
+    kv = nc.Parameter("kv", rng.standard_normal((1, 2, 4, 12)))  # one k|v stream
+    wo = nc.Parameter("wo", rng.standard_normal((6, 6)))
     mask = at.causal_mask(4)
     w = rng.standard_normal((2, 4, 6))
 
     def run():
+        rows = kv.data[0]
         out, _ = at.attention_forward(*(_joined_heads(x, 2) for x in
-                                        (q.data, kv.data[..., :6], kv.data[..., 6:])), mask)
-        return float((out.transpose(0, 2, 1, 3).reshape(2, 4, 6) * w).sum())
+                                        (q.data, rows[..., :6], rows[..., 6:])), mask)
+        return float(((q.data + _unjoined(out) @ wo.data) * w).sum())
 
-    nc.sum_all(nc.mul(at.cross_attention(q, kv, mask, 2), w)).backward()
-    assert_grads_close(q.grad, fd_grad(run, q.data), rel_tol=1e-6)
-    assert_grads_close(kv.grad, fd_grad(run, kv.data), rel_tol=1e-6)
+    nc.sum_all(nc.mul(at.cross_attention_residual(q, kv, 0, wo, mask, 2), w)).backward()
+    for p in (q, kv, wo):
+        assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.cross_attention(q, nc.Tensor(kv.data[..., :6]), mask, 2)
+        at.cross_attention_residual(q, nc.Tensor(kv.data[..., :6]), 0, wo, mask, 2)
 
 
 def test_cross_attention_reads_one_stream():
-    # stacked k|v rows [L, B, S, 2d]: the op reads kv[stream], and its kv
-    # gradient is the unstacked op's inside that block, zero elsewhere
+    # stacked k|v rows [L, B, S, 2d]: the node reads kv[stream], and its kv
+    # gradient is a one-stream stack's inside that block, zero elsewhere
     rng = np.random.default_rng(11)
     q0 = rng.standard_normal((2, 4, 6))
     kv0 = rng.standard_normal((3, 2, 4, 12))
+    wo0 = rng.standard_normal((6, 6))
     mask = at.causal_mask(4)
     w = rng.standard_normal((2, 4, 6))
 
     def run(rows, stream):
-        q, kv = nc.Parameter("q", q0.copy()), nc.Parameter("kv", rows.copy())
-        out = at.cross_attention(q, kv, mask, 2, stream=stream)
+        q, kv, wo = (nc.Parameter(n, x.copy()) for n, x in (("q", q0), ("kv", rows), ("wo", wo0)))
+        out = at.cross_attention_residual(q, kv, stream, wo, mask, 2)
         nc.sum_all(nc.mul(out, w)).backward()
-        return out.data, q.grad, kv.grad
+        return out.data, q.grad, kv.grad, wo.grad
 
-    ref = run(kv0[1], None)
-    for rows, stream in ((kv0, 1), (kv0[1:2], 0)):
-        out, dq, dkv = run(rows, stream)
-        assert np.array_equal(out, ref[0]) and np.array_equal(dq, ref[1])
-        assert np.array_equal(dkv[stream], ref[2])
+    ref = run(kv0[1:2], 0)
+    for stream in range(3):
+        out, dq, dkv, dwo = run(kv0, stream)
+        if stream == 1:
+            for x, y in zip((out, dq, dkv[1], dwo), (ref[0], ref[1], ref[2][0], ref[3])):
+                assert np.array_equal(x, y)
         assert not np.delete(dkv, stream, axis=0).any()
+        assert np.abs(dkv[stream]).max(axis=-1).min() > 0
 
 
 def _joined_heads(x, heads):
     b, t, d = x.shape
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _unjoined(x):
+    b, h, t, hd = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(b, t, h * hd)
 
 
 def _self_attention_ref(qkv, pos, table, mask, heads):
@@ -343,58 +355,146 @@ def _self_attention_ref(qkv, pos, table, mask, heads):
     q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, t, heads, -1) for i in range(3))
     q, k = at.rotate_pairs(q, cos, sin), at.rotate_pairs(k, cos, sin)
     out, _ = at.attention_forward(*(x.transpose(0, 2, 1, 3) for x in (q, k, v)), mask)
-    return out.transpose(0, 2, 1, 3).reshape(b, t, d)
+    return _unjoined(out)
 
 
 def test_self_attention_op_fd():
-    # fused q|k|v rows, causal mask, shuffled positions, 2 heads of 4; q and k
-    # are rotated by a rotary projection through the identity
+    # the pass-1 node x + (self-attention over q|k|v) @ wo * keep, without and
+    # with a keep mask: fused q|k|v rows, causal mask, shuffled positions, 2
+    # heads of 4; q and k are rotated by a rotary projection through the identity
     rng = np.random.default_rng(15)
     table = at.RopeTable.build(16, 4)
+    x = nc.Parameter("x", rng.standard_normal((2, 5, 8)))
     qkv = nc.Parameter("qkv", rng.standard_normal((2, 5, 24)))
+    wo = nc.Parameter("wo", rng.standard_normal((8, 8)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     mask = at.causal_mask(5)
     w = rng.standard_normal((2, 5, 8))
     cos, sin = table.gather(pos)
+    for keep in (None, (rng.random((2, 5, 8)) >= 0.3) / 0.7):
+        def ref():
+            y = _self_attention_ref(qkv.data, pos, table, mask, 2) @ wo.data
+            return x.data + (y if keep is None else y * keep)
 
-    def run():
-        return float((_self_attention_ref(qkv.data, pos, table, mask, 2) * w).sum())
+        def run():
+            return float((ref() * w).sum())
 
-    sink = []
-    rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, cos, sin)
-    out = at.self_attention(rotated, mask, 2, probs_sink=sink)
-    assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
-    assert np.abs(out.data - _self_attention_ref(qkv.data, pos, table, mask, 2)).max() < 1e-12
-    nc.sum_all(nc.mul(out, w)).backward()
-    assert_grads_close(qkv.grad, fd_grad(run, qkv.data), rel_tol=1e-6)
+        nc.zero_grads([x, qkv, wo])
+        sink = []
+        rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, cos, sin)
+        out = at.self_attention_residual(x, rotated, wo, mask, 2, keep, probs_sink=sink)
+        assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
+        assert np.abs(out.data - ref()).max() < 1e-12
+        nc.sum_all(nc.mul(out, w)).backward()
+        for p in (x, qkv, wo):
+            assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.self_attention(qkv, mask, 3)
+        at.self_attention_residual(x, qkv, wo, mask, 3)
+    with pytest.raises(ValueError):  # the residual does not match the product
+        at.self_attention_residual(nc.Tensor(np.zeros((2, 5, 6))), qkv, wo, mask, 2)
 
 
 def test_cross_attention_op_shared_kv_fd():
-    # two query layers read one k, v, so their gradients sum into it
+    # two query layers read one k|v stream, so their gradients sum into it
     rng = np.random.default_rng(16)
     q1, q2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("q1", "q2"))
-    kv = nc.Parameter("kv", rng.standard_normal((2, 5, 16)))  # k|v
+    wo1, wo2 = (nc.Parameter(n, rng.standard_normal((8, 8))) for n in ("wo1", "wo2"))
+    kv = nc.Parameter("kv", rng.standard_normal((1, 2, 5, 16)))  # k|v
     allowed = np.zeros((3, 5), dtype=bool)
     for i, n in enumerate([2, 5, 3]):
         allowed[i, :n] = True
     mask = at.AttentionMask("cross_full", allowed)
     w1, w2 = rng.standard_normal((2, 2, 3, 8))
 
-    def one(q, w):
-        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(kv.data[..., :8], 2),
-                                      _joined_heads(kv.data[..., 8:], 2), mask)
-        return (out.transpose(0, 2, 1, 3).reshape(2, 3, 8) * w).sum()
+    def one(q, wo, w):
+        rows = kv.data[0]
+        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(rows[..., :8], 2),
+                                      _joined_heads(rows[..., 8:], 2), mask)
+        return ((q + _unjoined(out) @ wo) * w).sum()
 
     def run():
-        return float(one(q1.data, w1) + one(q2.data, w2))
+        return float(one(q1.data, wo1.data, w1) + one(q2.data, wo2.data, w2))
 
-    a1 = at.cross_attention(q1, kv, mask, 2)
-    a2 = at.cross_attention(q2, kv, mask, 2)
-    nc.add(nc.sum_all(nc.mul(a1, w1)), nc.sum_all(nc.mul(a2, w2))).backward()
-    for p in (q1, q2, kv):
+    o1 = at.cross_attention_residual(q1, kv, 0, wo1, mask, 2)
+    o2 = at.cross_attention_residual(q2, kv, 0, wo2, mask, 2)
+    nc.add(nc.sum_all(nc.mul(o1, w1)), nc.sum_all(nc.mul(o2, w2))).backward()
+    for p in (q1, q2, wo1, wo2, kv):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+@pytest.mark.parametrize("streams", [0, 1, 3])
+def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, streams):
+    # streams 0: a pass-1 stack of self-attention nodes; 1: two query layers
+    # on one shared k|v stream; 3: three query layers, one stream each. The
+    # inputs are non-leaves made by the model's own rotary projections, so the
+    # gradients meet in the same sums as in training.
+    rng = np.random.default_rng(30)
+    b, t, d, heads, layers = 2, 5, 8, 2, 2 if streams == 1 else 3
+    table = at.RopeTable.build(16, d // heads)
+    cos, sin = table.gather(np.stack([rng.permutation(16)[:t] for _ in range(b)]), dtype=dtype)
+    mask = at.causal_mask(t)
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+    x0, r0, w = draw(b, t, d), draw(b, t, d), draw(b, t, d)
+    weights = {"gain": draw(d)}
+    for li in range(layers):
+        weights["in%d" % li] = draw(d, 3 * d if streams == 0 else d)
+        weights["gain%d" % li] = draw(d)
+        weights["wo%d" % li] = draw(d, d)
+    for si in range(streams):
+        weights["kv%d" % si] = draw(d, 2 * d)
+    keeps = [((rng.random((b, t, d)) >= 0.2).astype(dtype) / 0.8) if dropout else None
+             for _ in range(layers)]
+
+    def run(fused):
+        p = {n: nc.Parameter(n, v.copy()) for n, v in weights.items()}
+        px, pr = nc.Parameter("x", x0.copy()), nc.Parameter("r", r0.copy())
+        x = nc.mul(px, 1.5)
+        if streams:
+            kv = at.rotary_matmul(x, [p["kv%d" % si] for si in range(streams)], d, cos, sin,
+                                  p["gain"])
+            x = nc.mul(pr, 0.5)
+        for li, keep in enumerate(keeps):
+            wo = p["wo%d" % li]
+            if streams == 0:
+                qkv = at.rotary_matmul(x, p["in%d" % li], 2 * d, cos, sin, p["gain%d" % li])
+                x = (at.self_attention_residual(x, qkv, wo, mask, heads, keep) if fused else
+                     residual_matmul_node(x, self_attention_node(qkv, mask, heads), wo, keep))
+            else:
+                q = at.rotary_matmul(x, p["in%d" % li], d, cos, sin, p["gain%d" % li])
+                stream = 0 if streams == 1 else li
+                x = (at.cross_attention_residual(q, kv, stream, wo, mask, heads, keep) if fused
+                     else residual_matmul_node(q, cross_attention_node(q, kv, stream, mask, heads),
+                                               wo, keep))
+        nc.sum_all(nc.mul(x, w)).backward()
+        return [x.data, px.grad, pr.grad] + [p[n].grad for n in sorted(p)]
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and _same_bits(u, v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_rotate_leading_bit_equals_rotate_pairs(dtype, sign):
+    # both directions the tape turns: forward by sin, backward by -sin
+    rng = np.random.default_rng(31)
+    table = at.RopeTable.build(32, 8)
+    cos, sin = table.gather(np.stack([rng.permutation(32)[:7] for _ in range(3)]), dtype=dtype)
+    x0 = rng.standard_normal((3, 7, 40)).astype(dtype)
+    x0[0, 0, :4] = [0.0, -0.0, -0.0, 0.0]
+    x = x0.copy()
+    at._rotate_leading(x, 24, cos, sign * sin)
+    ref = x0.copy()
+    ref[..., :24] = at.rotate_pairs(x0[..., :24].reshape(3, 7, 3, 8), cos,
+                                    sign * sin).reshape(3, 7, 24)
+    assert _same_bits(x, ref)
 
 
 # ---------------------------------------------------------------- row kernel

@@ -330,3 +330,36 @@ def test_diverged_run_exits_1(tmp_path, capsys):
                              **{"train.steps": 3, "train.lr": 1e9}))
     assert main(["train", "--config", cfg]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_value_error_mid_run_exits_1(trained, tmp_path, capsys, monkeypatch):
+    # a check failing inside the run is a runtime failure, not bad input
+    import arpg.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("q/k/v head shapes disagree")
+    monkeypatch.setattr(cli, "generate", broken)
+    assert main(["generate", "out_dir=%s" % (tmp_path / "out"),
+                 "checkpoint=%s" % (trained / "model.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert "error: ValueError: q/k/v head shapes disagree" in err
+    assert "config error" not in err
+
+
+def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"not a checkpoint at all")
+    assert main(["generate", "out_dir=%s" % (tmp_path / "out"), "checkpoint=%s" % bad]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, text", [("expand.new_h=3", "smaller than base"),
+                                           ("expand.mode=tile", "mode must be")])
+def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
+    np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
+    out = tmp_path / "out"
+    assert main(["expand", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "expand.input=%s" % (tmp_path / "in.txt"), "expand.new_h=4",
+                 "expand.new_w=6", setting]) == 2
+    assert text in capsys.readouterr().err
+    assert not (out / "config.json").exists()

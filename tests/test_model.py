@@ -317,32 +317,82 @@ def test_train_backward_grad_copies(monkeypatch):
     assert len(copies) == 2
 
 
-@pytest.mark.parametrize("kw", [{}, {"dropout": 0.2, "shared_kv": False}])
-def test_train_graph_holds_only_fused_projections(kw):
-    # every projection writes into the op that reads it and every RMSNorm and
-    # SwiGLU is folded into the gemm that reads it: no residual add, no
-    # separate rotation, no k|v split and no norm or SwiGLU output on the tape
-    params = make_params(seed=25, **kw)
+def _train_graph(params, seed):
+    """Every node of one forward_train_batch's loss graph, with dropout on when configured."""
     cfg = params.config
-    rng = np.random.default_rng(26)
+    rng = np.random.default_rng(seed)
     toks = rng.integers(0, 16, (2, 16))
     cond = np.array([cfg.class_token(1), cfg.null_class_token])
     perms = np.stack([rng.permutation(16) + 1 for _ in range(2)])
     logits, targets = md.forward_train_batch(params, toks, cond, perms,
-                                             dropout_rng=np.random.default_rng(27))
+                                             dropout_rng=np.random.default_rng(seed + 1))
     loss = nc.cross_entropy(nc.reshape(logits, (32, 16)), targets.reshape(-1))
-    names, stack, seen = set(), [loss], set()
+    nodes, stack, seen = [], [loss], set()
     while stack:
         t = stack.pop()
         if id(t) in seen:
             continue
         seen.add(id(t))
-        if t._backward is not None:
-            names.add(t._backward.__qualname__.split(".<locals>")[0])
+        nodes.append(t)
         stack.extend(t._parents)
-    assert {"residual_matmul", "swiglu_residual", "rotary_matmul", "self_attention",
-            "cross_attention"} <= names
-    assert not names & {"add", "mul", "apply_rope", "narrow", "rms_norm", "swiglu"}
+    return nodes
+
+
+@pytest.mark.parametrize("kw", [{}, {"dropout": 0.2, "shared_kv": False}])
+def test_train_graph_holds_only_fused_projections(kw):
+    # every projection writes into the op that reads it, every RMSNorm is
+    # folded into the gemm that reads it, and every SwiGLU and attention block
+    # into its residual gemm: no residual add, no separate rotation, no k|v
+    # split, and no norm, SwiGLU or attention output on the tape
+    params = make_params(seed=25, **kw)
+    names, attention_wo = set(), set()
+    for t in _train_graph(params, 26):
+        if t._backward is not None:
+            name = t._backward.__qualname__.split(".<locals>")[0]
+            names.add(name)
+            if name == "_attention_residual":
+                attention_wo.add(t._parents[-1].name)
+    assert {"swiglu_residual", "rotary_matmul", "_attention_residual"} <= names
+    assert attention_wo == {layer.wo.name for layer in params.pass1 + params.pass2}
+    assert not names & {"add", "mul", "apply_rope", "narrow", "rms_norm", "swiglu",
+                        "self_attention", "cross_attention", "residual_matmul"}
+
+
+def _closure_arrays(fn):
+    """Arrays a backward closure reaches: its cells, through containers, tensors,
+    nested closures and view bases."""
+    stack, seen = [fn], set()
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        if isinstance(v, np.ndarray):
+            yield v
+            if v.base is not None:
+                stack.append(v.base)
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+        elif isinstance(v, nc.Tensor):
+            stack.append(v.data)
+        elif callable(v) and getattr(v, "__closure__", None):
+            stack.extend(c.cell_contents for c in v.__closure__)
+
+
+@pytest.mark.parametrize("shared_kv", [True, False])
+def test_train_graph_holds_no_attention_scores(shared_kv):
+    # the attention nodes keep per-row softmax statistics and rebuild their
+    # probs in backward: no [B, H, T, S] array waits on the tape
+    params = make_params(seed=28, pass2_layers=3, shared_kv=shared_kv)
+    cfg = params.config
+    scores = (2, cfg.heads, 16, 16)
+    stats = 0
+    for t in _train_graph(params, 29):
+        if t._backward is not None:
+            for a in _closure_arrays(t._backward):
+                assert a.shape != scores, t._backward.__qualname__
+                stats += a.shape == scores[:3] + (1,)
+    assert stats == 2 * (cfg.pass1_layers + cfg.pass2_layers)
 
 
 def test_dropout_is_seeded_and_active():

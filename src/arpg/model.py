@@ -7,11 +7,12 @@ Projections that run as one matmul are stored as one fused weight: wq|wk|wv
 ([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
 The batched tape route (forward_train_batch) runs BLAS matmuls and feeds the
 optimizer. On it each RMSNorm is folded into the gemm that reads it, each
-SwiGLU into its w2 residual gemm and each attention block into its wo
-residual gemm, so the tape holds the residual stream with its per-row norm
-scales, the gemm products (q|k|v, w1|w3, q, k|v, logits) and two per-row
-softmax statistics per attention block; backward rebuilds the normalized
-inputs, the SwiGLU outputs, the attention probs and the joined heads. The
+FFN (norm, w1|w3 gemm, SwiGLU, w2 residual gemm) is one node and each
+attention block is folded into its wo residual gemm, so the tape holds the
+residual stream with its per-row norm scales, the gemm products (q|k|v, q,
+k|v, logits) and two per-row softmax statistics per attention block;
+backward rebuilds the normalized inputs, the w1|w3 products, the SwiGLU
+outputs, the attention probs and the joined heads. The
 single-sample inference route (forward_pass1 / forward_pass2) computes every
 matmul row by row and attention per query, so its bits are invariant to how
 tokens are chunked into calls; the decoding engine's cache-equality
@@ -216,8 +217,7 @@ def _keep_mask(x: Tensor, rate: float, rng: np.random.Generator | None) -> np.nd
 
 def _ffn_residual(x: Tensor, layer: Pass1Layer | Pass2Layer, rate: float,
                   rng: np.random.Generator | None) -> Tensor:
-    h = nc.matmul(x, layer.w13, layer.ffn_norm)
-    return nc.swiglu_residual(x, h, layer.w2, _keep_mask(x, rate, rng))
+    return nc.ffn_residual(x, layer.ffn_norm, layer.w13, layer.w2, _keep_mask(x, rate, rng))
 
 
 def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,

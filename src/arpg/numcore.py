@@ -22,7 +22,8 @@ using elsewhere. A backward may overwrite g, its node's own private .grad.
 What the tape keeps of the cheap elementwise ops: nothing of their outputs.
 A gemm node given a gain reads RMSNorm(x) * gain without holding it: it
 keeps x and x's per-row scale s, and its backward rebuilds x * s * gain.
-swiglu_residual keeps the gate|up product h and rebuilds silu(a) * b from it.
+ffn_residual keeps only the same x and s: its backward rebuilds the gate|up
+product with the forward's own gemm, then silu(a) * b from it.
 The attention nodes (attention.self_attention_residual and
 cross_attention_residual) keep q|k|v and two per-row softmax statistics, and
 rebuild the probs and the joined heads. Each rebuild repeats the forward's
@@ -320,28 +321,35 @@ def residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndar
     return out
 
 
-def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
-                    keep: np.ndarray | None = None) -> Tensor:
-    """x + (silu(a) * b @ w) * keep for h = a|b [..., 2f] and w [f, d], as one node.
+def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
+                 keep: np.ndarray | None = None) -> Tensor:
+    """x + (silu(a) * b @ w2) * keep for a|b = RMSNorm(x) * gain @ w13, as one node.
 
-    The tape keeps h, not the SwiGLU output silu(a) * b: the backward rebuilds
-    it with the forward's own ops for dw. Bit for bit a SwiGLU node whose
-    output feeds a residual gemm node.
+    w13 [d, 2f] holds the gate|up columns, w2 [f, d] the down projection.
+    The tape keeps x and its per-row scale, not the gate|up product h = a|b
+    [..., 2f] or the SwiGLU output: the backward rebuilds h with the
+    forward's own gemm_rows call and silu(a) * b from h. Bit for bit a gain
+    gemm node whose output feeds a SwiGLU node and a residual gemm node.
     """
-    f = h.shape[-1] // 2
-    if w.ndim != 2 or 2 * w.shape[0] != h.shape[-1]:
-        raise ValueError("SwiGLU of %r cannot feed a %r weight" % (h.shape, w.shape))
-    a, b = h.data[..., :f], h.data[..., f:]
+    if w13.ndim != 2 or w2.ndim != 2 or w13.shape[1] != 2 * w2.shape[0]:
+        raise ValueError("a %r gate|up weight cannot feed a %r down weight"
+                         % (w13.shape, w2.shape))
+    f = w2.shape[0]
+    saved, h = gemm_rows(x, (w13,), gain)
+    a, b = h[0, ..., :f], h[0, ..., f:]
     u = a * _sigmoid(a)
     u *= b
-    out = residual_sum(x, _gemm_into(h.shape[:-1] + w.shape[1:], u.reshape(-1, f), w.data),
+    del h, a, b
+    out = residual_sum(x, _gemm_into(x.shape[:-1] + w2.shape[1:], u.reshape(-1, f), w2.data),
                        keep)
     del u
 
     def bwd(g):
-        # scratch besides the input gradient d is one [..., f] buffer: it holds
-        # sig (computed contiguous, as in the forward), then u, then du = gk @ w^T;
-        # db keeps a copy of sig until the end
+        # scratch besides the rebuilt h and its gradient d is one [..., f]
+        # buffer: it holds sig (computed contiguous, as in the forward), then u,
+        # then du = gk @ w2^T; db keeps a copy of sig until the end
+        h = gemm_rows(x, (w13,), gain)[1][0]
+        a, b = h[..., :f], h[..., f:]
         g2 = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
         d = np.empty(h.shape, dtype=h.dtype)
         da, db = d[..., :f], d[..., f:]
@@ -351,8 +359,8 @@ def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
         np.multiply(a, u, out=u)
         u *= b
         u2 = u.reshape(-1, f)
-        dw = u2.T @ g2
-        du = np.matmul(g2, w.data.T, out=u2).reshape(u.shape)
+        dw2 = u2.T @ g2
+        du = np.matmul(g2, w2.data.T, out=u2).reshape(u.shape)
         # da = sig * (1 + a * (1 - sig)) * (du * b), db = silu(a) * du
         np.subtract(1.0, sig, out=da)
         da *= a
@@ -362,8 +370,11 @@ def swiglu_residual(x: Tensor, h: Tensor, w: Tensor,
         db *= du
         du *= b
         da *= du
-        return g, d, dw
-    return from_op(out, (x, h, w), bwd)
+        del h, a, b, u, u2, du, g2  # free the rebuilt product before the gemm grads
+        dx, dgain, dw13 = gemm_rows_grads(x, saved, (w13,), d[None], gain)
+        dx += g  # the residual's gradient; da + g has the bits of the unfused g + da
+        return dx, dgain, dw13, dw2
+    return from_op(out, (x, gain, w13, w2), bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -98,6 +98,46 @@ def swiglu_node(h):
     return nc.from_op(out, (h,), bwd)
 
 
+def swiglu_residual(x, h, w, keep=None):
+    """x + (silu(a) * b @ w) * keep for h = a|b [..., 2f] and w [f, d], as one node.
+
+    The SwiGLU residual node that ffn_residual replaces: it holds the
+    gate|up product h and rebuilds silu(a) * b from it. Bit for bit
+    swiglu_node feeding residual_matmul_node.
+    """
+    f = h.shape[-1] // 2
+    a, b = h.data[..., :f], h.data[..., f:]
+    u = a * nc._sigmoid(a)
+    u *= b
+    out = nc.residual_sum(x, (u.reshape(-1, f) @ w.data).reshape(h.shape[:-1] + w.shape[1:]),
+                          keep)
+    del u
+
+    def bwd(g):
+        g2 = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
+        d = np.empty(h.shape, dtype=h.dtype)
+        da, db = d[..., :f], d[..., f:]
+        u = nc._sigmoid(a)
+        db[...] = u
+        sig = db
+        np.multiply(a, u, out=u)
+        u *= b
+        u2 = u.reshape(-1, f)
+        dw = u2.T @ g2
+        du = np.matmul(g2, w.data.T, out=u2).reshape(u.shape)
+        # da = sig * (1 + a * (1 - sig)) * (du * b), db = silu(a) * du
+        np.subtract(1.0, sig, out=da)
+        da *= a
+        da += 1.0
+        da *= sig
+        np.multiply(a, sig, out=db)
+        db *= du
+        du *= b
+        da *= du
+        return g, d, dw
+    return nc.from_op(out, (x, h, w), bwd)
+
+
 # The standalone attention and residual gemm nodes that the fused attention
 # nodes replace. They hold the probs and the joined heads on the tape.
 

@@ -203,6 +203,22 @@ def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
 
 # ---------------------------------------------------------------- forward kernel
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_row_max_tree_equals_max(dtype):
+    # every width up to 70, odd ones included, with some rows wholly biased
+    # by NEG_BIAS (a query with no allowed key) and some holding ties
+    rng = np.random.default_rng(40)
+    for n in range(1, 71):
+        shape = tuple(rng.integers(1, 4, rng.integers(0, 3))) + (5, n)
+        p = rng.standard_normal(shape).astype(dtype)
+        p[..., 1, :] += at.NEG_BIAS
+        p[..., 2, :] = np.round(p[..., 2, :])
+        got = at._row_max(p)
+        assert got.shape == shape[:-1] + (1,) and got.dtype == dtype
+        assert np.array_equal(got, p.max(axis=-1, keepdims=True)), n
+        assert not np.shares_memory(got, p)
+
+
 def test_attention_equal_scores_mean_values():
     q = np.zeros((1, 1, 4))
     k = np.zeros((1, 2, 4))

@@ -345,17 +345,22 @@ def test_train_graph_holds_only_fused_projections(kw):
     # into its residual gemm: no residual add, no separate rotation, no k|v
     # split, and no norm, SwiGLU or attention output on the tape
     params = make_params(seed=25, **kw)
-    names, attention_wo = set(), set()
+    names, attention_wo, ffn_w2 = set(), set(), set()
     for t in _train_graph(params, 26):
         if t._backward is not None:
             name = t._backward.__qualname__.split(".<locals>")[0]
             names.add(name)
             if name == "_attention_residual":
                 attention_wo.add(t._parents[-1].name)
-    assert {"swiglu_residual", "rotary_matmul", "_attention_residual"} <= names
-    assert attention_wo == {layer.wo.name for layer in params.pass1 + params.pass2}
+            if name == "ffn_residual":
+                ffn_w2.add(t._parents[-1].name)
+    layers = params.pass1 + params.pass2
+    assert {"ffn_residual", "rotary_matmul", "_attention_residual"} <= names
+    assert attention_wo == {layer.wo.name for layer in layers}
+    assert ffn_w2 == {layer.w2.name for layer in layers}
     assert not names & {"add", "mul", "apply_rope", "narrow", "rms_norm", "swiglu",
-                        "self_attention", "cross_attention", "residual_matmul"}
+                        "swiglu_residual", "self_attention", "cross_attention",
+                        "residual_matmul"}
 
 
 def _closure_arrays(fn):
@@ -393,6 +398,22 @@ def test_train_graph_holds_no_attention_scores(shared_kv):
                 assert a.shape != scores, t._backward.__qualname__
                 stats += a.shape == scores[:3] + (1,)
     assert stats == 2 * (cfg.pass1_layers + cfg.pass2_layers)
+
+
+@pytest.mark.parametrize("shared_kv", [True, False])
+def test_train_graph_holds_no_ffn_products(shared_kv):
+    # the FFN nodes rebuild their gate|up product in backward: no [..., B, T, 2f]
+    # array (gemm_rows stacks its products on a leading axis) waits on the tape
+    params = make_params(seed=30, pass2_layers=3, shared_kv=shared_kv)
+    cfg = params.config
+    gate_up = (2, 16, 2 * cfg.ffn_hidden)
+    ffn_nodes = 0
+    for t in _train_graph(params, 31):
+        if t._backward is not None:
+            for a in _closure_arrays(t._backward):
+                assert a.shape[-3:] != gate_up, t._backward.__qualname__
+            ffn_nodes += t._backward.__qualname__.startswith("ffn_residual")
+    assert ffn_nodes == cfg.pass1_layers + cfg.pass2_layers
 
 
 def test_dropout_is_seeded_and_active():

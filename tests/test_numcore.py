@@ -7,7 +7,7 @@ import pytest
 
 from arpg import numcore as nc
 from conftest import (assert_grads_close, fd_grad, residual_matmul_node, rms_norm_node,
-                      swiglu_node)
+                      swiglu_node, swiglu_residual)
 
 
 def test_matmul_identity():
@@ -178,33 +178,76 @@ def test_embedding_gather_and_grad():
     assert np.array_equal(table.grad[3], w.reshape(10, 3).sum(axis=0))
 
 
-def test_swiglu_fd():
-    # x + (silu(a) * b @ m) * keep for h = a|b, without and with a keep mask
+def test_ffn_residual_fd():
+    # x + (silu(a) * b @ w2) * keep for a|b = RMSNorm(x) * gain @ w13, without
+    # and with a keep mask; odd f
     rng = np.random.default_rng(6)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
-    h = nc.Parameter("h", rng.standard_normal((2, 3, 10)))
-    m = nc.Parameter("m", rng.standard_normal((5, 4)))
+    gain = nc.Parameter("gain", rng.standard_normal(4))
+    w13 = nc.Parameter("w13", rng.standard_normal((4, 10)))
+    w2 = nc.Parameter("w2", rng.standard_normal((5, 4)))
     w = rng.standard_normal((2, 3, 4))
     for keep in (None, (rng.random((2, 3, 4)) >= 0.3) / 0.7):
         def run():
-            a, b = h.data[..., :5], h.data[..., 5:]
-            y = (a / (1.0 + np.exp(-a)) * b) @ m.data
+            h = _rms_ref(x.data) * gain.data @ w13.data
+            a, b = h[..., :5], h[..., 5:]
+            y = (a / (1.0 + np.exp(-a)) * b) @ w2.data
             return float(((x.data + (y if keep is None else y * keep)) * w).sum())
 
-        nc.zero_grads([x, h, m])
-        y = nc.swiglu_residual(x, h, m, keep)
+        nc.zero_grads([x, gain, w13, w2])
+        y = nc.ffn_residual(x, gain, w13, w2, keep)
         assert y.shape == (2, 3, 4)
         nc.sum_all(nc.mul(y, w)).backward()
-        for p in (x, h, m):
+        for p in (x, gain, w13, w2):
             assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
-    with pytest.raises(ValueError):
-        nc.swiglu_residual(x, h, nc.Tensor(np.zeros((4, 4))))
+
+
+def test_ffn_residual_rejects_mismatched_weights():
+    rng = np.random.default_rng(23)
+    x = nc.Parameter("x", rng.standard_normal((2, 3, 4)))
+    gain = nc.Parameter("gain", np.ones(4))
+    w13 = nc.Parameter("w13", rng.standard_normal((4, 10)))
+    for w2 in (np.zeros((4, 4)), np.zeros((10, 4)), np.zeros(20)):
+        with pytest.raises(ValueError):
+            nc.ffn_residual(x, gain, w13, nc.Tensor(w2))
+    with pytest.raises(ValueError):  # gate|up rows must match x's width
+        nc.ffn_residual(x, gain, nc.Tensor(np.zeros((3, 10))), nc.Tensor(np.zeros((5, 4))))
+    with pytest.raises(ValueError):  # the down projection must return to x's width
+        nc.ffn_residual(x, gain, w13, nc.Tensor(np.zeros((5, 3))))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_ffn_residual_bit_equals_norm_matmul_then_swiglu_residual(dtype, dropout):
+    # the fused node against a gain gemm node feeding the SwiGLU residual
+    # reference node; x is a non-leaf, as on the model's residual stream; odd f
+    rng = np.random.default_rng(24)
+    x0, w = (rng.standard_normal((4, 6, 8)).astype(dtype) for _ in range(2))
+    g0 = (1.0 + 0.1 * rng.standard_normal(8)).astype(dtype)
+    w13_0 = rng.standard_normal((8, 14)).astype(dtype)
+    w2_0 = rng.standard_normal((7, 8)).astype(dtype)
+    keep = ((rng.random((4, 6, 8)) >= 0.2).astype(dtype) / 0.8) if dropout else None
+
+    def run(fused):
+        p, gain, w13, w2 = (nc.Parameter(n, v.copy()) for n, v in
+                            (("p", x0), ("gain", g0), ("w13", w13_0), ("w2", w2_0)))
+        x = nc.mul(p, 1.5)
+        if fused:
+            out = nc.ffn_residual(x, gain, w13, w2, keep)
+        else:
+            out = swiglu_residual(x, nc.matmul(x, w13, gain), w2, keep)
+        nc.sum_all(nc.mul(out, w)).backward()
+        return out.data, p.grad, gain.grad, w13.grad, w2.grad
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and np.array_equal(u, v)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("dropout", [False, True])
 def test_swiglu_residual_bit_equals_swiglu_then_residual(dtype, dropout):
-    # x and h are non-leaves, as on the model's residual stream; odd f
+    # the reference node ffn_residual is held to, against its own unfused
+    # composition; x and h are non-leaves, as on the model's residual stream; odd f
     rng = np.random.default_rng(22)
     x0, h0, w = (rng.standard_normal(s).astype(dtype) for s in ((4, 6, 8), (4, 6, 14), (4, 6, 8)))
     m0 = rng.standard_normal((7, 8)).astype(dtype)
@@ -214,7 +257,7 @@ def test_swiglu_residual_bit_equals_swiglu_then_residual(dtype, dropout):
         p, q, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("q", h0), ("m", m0)))
         x, h = nc.mul(p, 1.5), nc.mul(q, 0.5)
         if fused:
-            out = nc.swiglu_residual(x, h, m, keep)
+            out = swiglu_residual(x, h, m, keep)
         else:
             out = residual_matmul_node(x, swiglu_node(h), m, keep)
         nc.sum_all(nc.mul(out, w)).backward()
@@ -226,7 +269,7 @@ def test_swiglu_residual_bit_equals_swiglu_then_residual(dtype, dropout):
 
 @pytest.mark.parametrize("dropout", [False, True])
 def test_residual_matmul_fd(dropout):
-    # the unfused reference the fused SwiGLU and attention nodes are held to
+    # the unfused reference the SwiGLU reference and the attention nodes are held to
     rng = np.random.default_rng(7)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 5)))
     a = nc.Parameter("a", rng.standard_normal((2, 3, 4)))
@@ -334,7 +377,7 @@ def test_diamond_through_non_leaf_fd():
 
     y = nc.matmul(x, m)
     r = nc.Tensor(np.zeros((2, 3, 2)))
-    nc.add(nc.sum_all(nc.mul(nc.swiglu_residual(r, y, m2), w)),
+    nc.add(nc.sum_all(nc.mul(swiglu_residual(r, y, m2), w)),
            nc.sum_all(nc.mul(nc.mul(y, y), v))).backward()
     for p in (x, m, m2):
         assert_grads_close(p.grad, fd_grad(run, p.data))
@@ -398,7 +441,7 @@ def test_backward_releases_graph():
 
     y = nc.matmul(x, m)
     probe = weakref.ref(y.data)  # Tensor has __slots__; its array is the activation
-    h = nc.swiglu_residual(x, y, m2)
+    h = swiglu_residual(x, y, m2)
     n = nc.matmul(h, m3, gain)
     out = nc.mul(n, w)
     loss = nc.sum_all(out)

@@ -63,18 +63,15 @@ class RopeTable:
         return self.cos[p].astype(dtype), self.sin[p].astype(dtype)
 
 
-def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate even/odd feature pairs of x [..., T, H, hd] by cos/sin [..., T, hd//2].
 
-    The result goes to `out` (any layout of x's shape) or to a fresh array
-    that owns its buffer.
+    The result is a fresh array that owns its buffer.
     """
     c = cos[..., None, :]  # broadcast over the head axis
     s = sin[..., None, :]
     x0, x1 = x[..., 0::2], x[..., 1::2]
-    if out is None:
-        out = np.empty(x.shape, dtype=x.dtype)
+    out = np.empty(x.shape, dtype=x.dtype)
     out[..., 0::2] = x0 * c - x1 * s
     out[..., 1::2] = x0 * s + x1 * c
     return out
@@ -95,14 +92,11 @@ def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
         raise ValueError("positions shape %r does not match x %r" % (p.shape, x.shape))
     heads = x.shape[:-1] + (x.shape[-1] // hd, hd) if joined else x.shape
     cos, sin = table.gather(p, dtype=x.dtype)
-    out = np.empty(x.shape, dtype=x.dtype)
-    rotate_pairs(x.data.reshape(heads), cos, sin, out=out.reshape(heads))
+    out = rotate_pairs(x.data.reshape(heads), cos, sin).reshape(x.shape)
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block)
-        gx = np.empty(x.shape, dtype=x.dtype)
-        rotate_pairs(g.reshape(heads), cos, -sin, out=gx.reshape(heads))
-        return (gx,)
+        return (rotate_pairs(g.reshape(heads), cos, -sin).reshape(x.shape),)
     return nc.from_op(out, (x,), bwd)
 
 

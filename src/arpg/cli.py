@@ -27,7 +27,7 @@ from .attention import causal_mask, cross_full_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
-                       inpaint)
+                       inpaint, inpaint_layout)
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -268,11 +268,6 @@ def cmd_train(cfg: dict) -> int:
 
 # ---------------------------------------------------------------- decode commands
 
-def _check_class(mc: md.ModelConfig, class_id: int) -> None:
-    if not 0 <= class_id < mc.num_classes:
-        raise ConfigError("class_id %d outside [0, %d)" % (class_id, mc.num_classes))
-
-
 def cmd_generate(cfg: dict) -> int:
     with _input_checks():
         used: set[str] = set()
@@ -284,7 +279,7 @@ def cmd_generate(cfg: dict) -> int:
         cell_px = int(take(cfg, "image.cell_px", used, 16))
         check_used(cfg, used)
         params = load_checkpoint(ck_path).params
-        _check_class(params.config, class_id)
+        params.config.class_token(class_id)  # raises for an unknown class
         _grid_shape(params.config, dc)
     _write_resolved(out, cfg)
     for i in range(n):
@@ -311,23 +306,14 @@ def cmd_inpaint(cfg: dict) -> int:
         cell_px = int(take(cfg, "image.cell_px", used, 16))
         check_used(cfg, used)
         params = load_checkpoint(ck_path).params
-        _check_class(params.config, class_id)
-        grid_shape = _grid_shape(params.config, dc)
-        toks = load_tokens_txt(input_path)
-        known = load_tokens_txt(mask_path)
-        if known.shape != toks.shape:
-            raise ConfigError("mask shape %s does not match input %s"
-                              % (known.shape, toks.shape))
-        if toks.shape != grid_shape:
-            raise ConfigError("input grid has shape %s, decode grid is %s"
-                              % (toks.shape, grid_shape))
-        if not known.any():
-            raise ConfigError("inpaint.mask marks no known cell; use generate instead")
-        partial = TokenGrid(toks, class_id).validate(params.config.vocab_size)
+        params.config.class_token(class_id)  # raises for an unknown class
+        partial = TokenGrid(load_tokens_txt(input_path), class_id).validate(
+            params.config.vocab_size)
+        known = load_tokens_txt(mask_path).astype(bool)
+        inpaint_layout(partial.tokens.shape, known, *_grid_shape(params.config, dc))
     _write_resolved(out, cfg)
     sink: list = []
-    grid = inpaint(params, partial, known.astype(bool),
-                   class_id, dc, state_sink=sink)
+    grid = inpaint(params, partial, known, class_id, dc, state_sink=sink)
     order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
     _write_sample(out / "inpaint", grid, order,
                   {"command": "inpaint", "seed": dc.seed,
@@ -352,7 +338,7 @@ def cmd_expand(cfg: dict) -> int:
         cell_px = int(take(cfg, "image.cell_px", used, 16))
         check_used(cfg, used)
         params = load_checkpoint(ck_path).params
-        _check_class(params.config, class_id)
+        params.config.class_token(class_id)  # raises for an unknown class
         base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
             params.config.vocab_size)
         expand_layout(base.tokens.shape, new_h, new_w, mode)
@@ -549,7 +535,7 @@ def cmd_attn_export(cfg: dict) -> int:
         params = ck.params
         mc = params.config
         total = mc.seq_len
-        _check_class(mc, class_id)
+        mc.class_token(class_id)  # raises for an unknown class
         if input_path is None:
             toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
         else:

@@ -458,7 +458,17 @@ def sequential_reference_generate(params: md.ArpgParams, class_id: int,
 
 # ---------------------------------------------------------------- editing
 
-def _known_indices(known, grid_h: int, grid_w: int) -> np.ndarray:
+def inpaint_layout(partial_shape: tuple[int, ...], known, grid_h: int,
+                   grid_w: int) -> np.ndarray:
+    """Raster indices of inpaint's known cells on the grid_h x grid_w grid.
+
+    known is a boolean grid of that shape or a set of flat raster indices.
+    Raises ValueError for a partial grid or mask of another shape, an index
+    outside the grid, or an empty known set.
+    """
+    if partial_shape != (grid_h, grid_w):
+        raise ValueError("partial grid has shape %r, grid is %r"
+                         % (partial_shape, (grid_h, grid_w)))
     arr = np.asarray(known)
     if arr.dtype == bool:
         if arr.shape != (grid_h, grid_w):
@@ -467,7 +477,9 @@ def _known_indices(known, grid_h: int, grid_w: int) -> np.ndarray:
         idx = np.flatnonzero(arr)
     else:
         idx = np.unique(arr.reshape(-1))
-    if idx.size and (idx.min() < 0 or idx.max() >= grid_h * grid_w):
+    if idx.size == 0:
+        raise ValueError("known set is empty; use generate instead")
+    if idx.min() < 0 or idx.max() >= grid_h * grid_w:
         raise ValueError("known indices outside the grid")
     return idx
 
@@ -485,12 +497,7 @@ def inpaint(params: md.ArpgParams, partial: TokenGrid, known,
     cfg = params.config
     grid_h, grid_w = _grid_shape(cfg, dc)
     partial.validate(cfg.vocab_size)
-    if partial.tokens.shape != (grid_h, grid_w):
-        raise ValueError("partial grid has shape %r, grid is %r"
-                         % (partial.tokens.shape, (grid_h, grid_w)))
-    idx = _known_indices(known, grid_h, grid_w)
-    if idx.size == 0:
-        raise ValueError("known set is empty; use generate instead")
+    idx = inpaint_layout(partial.tokens.shape, known, grid_h, grid_w)
     todo = np.setdiff1d(np.arange(cfg.seq_len), idx)
     return _decode_region(params, class_id, partial.flat[idx], idx + 1, todo,
                           grid_h, grid_w, min(dc.steps, todo.size), dc,

@@ -70,7 +70,7 @@ class ModelConfig:
     # embedding-row layout: [image tokens | class tokens | null class | mask]
     def class_token(self, class_id: int) -> int:
         if not 0 <= class_id < self.num_classes:
-            raise ValueError("class id %d outside [0, %d)" % (class_id, self.num_classes))
+            raise ValueError("class_id %d outside [0, %d)" % (class_id, self.num_classes))
         return self.vocab_size + class_id
 
     @property

@@ -19,9 +19,10 @@ own .grad qualifies, since the child is released right after. Views are
 copied. A backward must therefore never return an owned array that it keeps
 using elsewhere. A backward may overwrite g, its node's own private .grad.
 
-What the tape keeps of the cheap elementwise ops: nothing of their outputs.
-A gemm node given a gain reads RMSNorm(x) * gain without holding it: it
-keeps x and x's per-row scale s, and its backward rebuilds x * s * gain.
+Every op here is one the model runs; the unfused references that the fused
+nodes are held to live with the tests. A gemm node given a gain reads
+RMSNorm(x) * gain without holding it: it keeps x and x's per-row scale s,
+and its backward rebuilds x * s * gain.
 ffn_residual keeps only the same x and s: its backward rebuilds the gate|up
 product with the forward's own gemm, then silu(a) * b from it.
 The attention nodes (attention.self_attention_residual and
@@ -178,49 +179,9 @@ def zero_grads(params: Sequence[Parameter]) -> None:
         p.grad[...] = 0
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g down to `shape` across the axes numpy broadcasting expanded."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-# ---------------------------------------------------------------- arithmetic
+# ---------------------------------------------------------------- gemm nodes
 
 RMS_EPS = 1e-6  # RMSNorm's epsilon, added to the mean square
-
-
-def _as_const(x, like: Tensor) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.dtype)
-
-
-def add(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        def bwd(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-        return from_op(a.data + b.data, (a, b), bwd)
-    c = _as_const(b, a)
-
-    def bwd(g):
-        return (_unbroadcast(g, a.shape),)
-    return from_op(a.data + c, (a,), bwd)
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, Tensor):
-        def bwd(g):
-            return (_unbroadcast(g * b.data, a.shape),
-                    _unbroadcast(g * a.data, b.shape))
-        return from_op(a.data * b.data, (a, b), bwd)
-    c = _as_const(b, a)
-
-    def bwd(g):
-        return (_unbroadcast(g * c, a.shape),)
-    return from_op(a.data * c, (a,), bwd)
 
 
 def _gemm_into(shape: tuple[int, ...], x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -383,12 +344,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bwd(g):
         return (g.reshape(old),)
     return from_op(np.ascontiguousarray(x.data).reshape(shape), (x,), bwd)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    def bwd(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
-    return from_op(np.asarray(x.data.sum()), (x,), bwd)
 
 
 # ---------------------------------------------------------------- nonlinear ops

@@ -45,6 +45,40 @@ def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
 
 
 # ---------------------------------------------------------------- unfused references
+# Elementwise tape nodes the tests build losses and compositions from. They
+# never broadcast: b is a tensor or a constant (array or scalar) whose
+# product or sum with a has a's shape.
+
+def _const(b, a):
+    c = np.asarray(b, dtype=a.dtype)
+    assert np.broadcast_shapes(a.shape, c.shape) == a.shape, (a.shape, c.shape)
+    return c
+
+
+def add(a, b):
+    """a + b as its own node."""
+    if isinstance(b, nc.Tensor):
+        assert a.shape == b.shape, (a.shape, b.shape)
+        return nc.from_op(a.data + b.data, (a, b), lambda g: (g, g))
+    return nc.from_op(a.data + _const(b, a), (a,), lambda g: (g,))
+
+
+def mul(a, b):
+    """a * b as its own node."""
+    if isinstance(b, nc.Tensor):
+        assert a.shape == b.shape, (a.shape, b.shape)
+        return nc.from_op(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    c = _const(b, a)
+    return nc.from_op(a.data * c, (a,), lambda g: (g * c,))
+
+
+def sum_all(x):
+    """The sum of every element of x, a 0-d node."""
+    def bwd(g):
+        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
+    return nc.from_op(np.asarray(x.data.sum()), (x,), bwd)
+
+
 # The standalone RMSNorm and SwiGLU tape nodes that the fused gemm nodes
 # replace. Each holds its output on the tape; the fused nodes must match
 # their compositions bit for bit.

@@ -5,8 +5,8 @@ import pytest
 
 from arpg import attention as at
 from arpg import numcore as nc
-from conftest import (assert_grads_close, cross_attention_node, fd_grad, residual_matmul_node,
-                      rms_norm_node, self_attention_node)
+from conftest import (add, assert_grads_close, cross_attention_node, fd_grad, mul,
+                      residual_matmul_node, rms_norm_node, self_attention_node, sum_all)
 
 
 # ---------------------------------------------------------------- rope
@@ -68,7 +68,7 @@ def test_rope_gradient_fd():
         cos, sin = table.gather(pos)
         return float((at.rotate_pairs(x.data, cos, sin) * w).sum())
 
-    nc.sum_all(nc.mul(at.apply_rope(x, pos, table), w)).backward()
+    sum_all(mul(at.apply_rope(x, pos, table), w)).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
 
 
@@ -88,7 +88,7 @@ def test_rope_joined_layout_matches_heads_fd():
         return float((at.rotate_pairs(x.data.reshape(2, 3, 2, 4), cos, sin).reshape(2, 3, 8)
                       * w).sum())
 
-    nc.sum_all(nc.mul(joined, w)).backward()
+    sum_all(mul(joined, w)).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
         at.apply_rope(nc.Tensor(np.zeros((2, 3, 6))), pos, table)
@@ -111,7 +111,7 @@ def test_rotary_matmul_fd(rotated):
         y[..., :rotated] = at.rotate_pairs(heads, cos, sin).reshape(2, 5, rotated)
         return float((y * w).sum())
 
-    nc.sum_all(nc.mul(at.rotary_matmul(a, m, rotated, cos, sin), w)).backward()
+    sum_all(mul(at.rotary_matmul(a, m, rotated, cos, sin), w)).backward()
     assert_grads_close(a.grad, fd_grad(run, a.data), rel_tol=1e-6)
     assert_grads_close(m.grad, fd_grad(run, m.data), rel_tol=1e-6)
     for bad in (6, 28):  # not whole heads; more columns than the product has
@@ -132,7 +132,7 @@ def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
             out = at.rotary_matmul(a, m, 16, *table.gather(pos, dtype=dtype))
         else:
             out = at.apply_rope(nc.matmul(a, m), pos, table)
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         return out.data, a.grad, m.grad
 
     for x, y in zip(run(True), run(False)):
@@ -162,7 +162,7 @@ def test_rotary_matmul_norm_fd(streams):
 
     out = at.rotary_matmul(a, ms[0] if streams == 1 else ms, 4, cos, sin, g)
     assert out.shape == ((2, 5, 8) if streams == 1 else (streams, 2, 5, 8))
-    nc.sum_all(nc.mul(out, w.reshape(out.shape))).backward()
+    sum_all(mul(out, w.reshape(out.shape))).backward()
     for p in [a, g] + ms:
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
@@ -182,17 +182,17 @@ def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
         def run(fused):
             p, g = nc.Parameter("p", x0.copy()), nc.Parameter("g", g0.copy())
             ms = [nc.Parameter("m%d" % i, m0[i].copy()) for i in range(streams)]
-            x = nc.mul(p, 1.5)
+            x = mul(p, 1.5)
             if fused:
                 out = at.rotary_matmul(x, ms[0] if streams == 1 else ms, 8, cos, sin, g)
-                loss = nc.sum_all(nc.mul(out, w[:streams].reshape(out.shape)))
+                loss = sum_all(mul(out, w[:streams].reshape(out.shape)))
                 outs = out.data.reshape(w[:streams].shape)
             else:
                 xn = rms_norm_node(x, g)
                 parts = [at.rotary_matmul(xn, m, 8, cos, sin) for m in ms]
-                loss = nc.sum_all(nc.mul(parts[0], w[0]))
+                loss = sum_all(mul(parts[0], w[0]))
                 for part, wi in zip(parts[1:], w[1:]):
-                    loss = nc.add(loss, nc.sum_all(nc.mul(part, wi)))
+                    loss = add(loss, sum_all(mul(part, wi)))
                 outs = np.stack([part.data for part in parts])
             loss.backward()
             return [outs, p.grad, g.grad] + [m.grad for m in ms]
@@ -320,7 +320,7 @@ def test_attention_fd_two_heads():
                                         (q.data, rows[..., :6], rows[..., 6:])), mask)
         return float(((q.data + _unjoined(out) @ wo.data) * w).sum())
 
-    nc.sum_all(nc.mul(at.cross_attention_residual(q, kv, 0, wo, mask, 2), w)).backward()
+    sum_all(mul(at.cross_attention_residual(q, kv, 0, wo, mask, 2), w)).backward()
     for p in (q, kv, wo):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
@@ -340,7 +340,7 @@ def test_cross_attention_reads_one_stream():
     def run(rows, stream):
         q, kv, wo = (nc.Parameter(n, x.copy()) for n, x in (("q", q0), ("kv", rows), ("wo", wo0)))
         out = at.cross_attention_residual(q, kv, stream, wo, mask, 2)
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         return out.data, q.grad, kv.grad, wo.grad
 
     ref = run(kv0[1:2], 0)
@@ -401,7 +401,7 @@ def test_self_attention_op_fd():
         out = at.self_attention_residual(x, rotated, wo, mask, 2, keep, probs_sink=sink)
         assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
         assert np.abs(out.data - ref()).max() < 1e-12
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         for p in (x, qkv, wo):
             assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
@@ -433,7 +433,7 @@ def test_cross_attention_op_shared_kv_fd():
 
     o1 = at.cross_attention_residual(q1, kv, 0, wo1, mask, 2)
     o2 = at.cross_attention_residual(q2, kv, 0, wo2, mask, 2)
-    nc.add(nc.sum_all(nc.mul(o1, w1)), nc.sum_all(nc.mul(o2, w2))).backward()
+    add(sum_all(mul(o1, w1)), sum_all(mul(o2, w2))).backward()
     for p in (q1, q2, wo1, wo2, kv):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
@@ -472,11 +472,11 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
     def run(fused):
         p = {n: nc.Parameter(n, v.copy()) for n, v in weights.items()}
         px, pr = nc.Parameter("x", x0.copy()), nc.Parameter("r", r0.copy())
-        x = nc.mul(px, 1.5)
+        x = mul(px, 1.5)
         if streams:
             kv = at.rotary_matmul(x, [p["kv%d" % si] for si in range(streams)], d, cos, sin,
                                   p["gain"])
-            x = nc.mul(pr, 0.5)
+            x = mul(pr, 0.5)
         for li, keep in enumerate(keeps):
             wo = p["wo%d" % li]
             if streams == 0:
@@ -489,7 +489,7 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
                 x = (at.cross_attention_residual(q, kv, stream, wo, mask, heads, keep) if fused
                      else residual_matmul_node(q, cross_attention_node(q, kv, stream, mask, heads),
                                                wo, keep))
-        nc.sum_all(nc.mul(x, w)).backward()
+        sum_all(mul(x, w)).backward()
         return [x.data, px.grad, pr.grad] + [p[n].grad for n in sorted(p)]
 
     for u, v in zip(run(True), run(False)):

@@ -1,6 +1,8 @@
 """Command-line round trips: files written, exit codes, resume, determinism."""
 
 import json
+import shlex
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +129,22 @@ def test_generate_outputs_and_determinism(trained, tmp_path):
     # distinct sample indices exist and differ in seed
     s1 = json.loads((outs[0] / "sample_001.json").read_text())
     assert s1["seed"] == sidecar["seed"] + 1
+
+
+def test_readme_generate_runs(trained, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the quickstart writes train.json into the working directory first
+    heredoc = readme.split("cat > train.json <<'EOF'\n", 1)[1].split("\nEOF", 1)[0]
+    (tmp_path / "train.json").write_text(heredoc)
+    line = next(ln for ln in readme.replace("\\\n", " ").splitlines()
+                if ln.startswith("arpg generate "))
+    args = shlex.split(line)[1:]
+    ck_path = tmp_path / next(a for a in args if a.startswith("checkpoint=")).split("=", 1)[1]
+    ck_path.parent.mkdir(parents=True)
+    shutil.copy(trained / "model.ckpt", ck_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    assert len(list((tmp_path / "runs" / "samples").glob("sample_*.tokens.txt"))) == 8
 
 
 def test_generate_class_out_of_range_exits_2(trained, tmp_path):

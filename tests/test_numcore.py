@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arpg import numcore as nc
-from conftest import (assert_grads_close, fd_grad, residual_matmul_node, rms_norm_node,
-                      swiglu_node, swiglu_residual)
+from conftest import (add, assert_grads_close, fd_grad, mul, residual_matmul_node, rms_norm_node,
+                      sum_all, swiglu_node, swiglu_residual)
 
 
 def test_matmul_identity():
@@ -40,7 +40,7 @@ def test_matmul_fd():
     def run():
         return float(((a.data @ b.data) * w).sum())
 
-    loss = nc.sum_all(nc.mul(nc.matmul(a, b), w))
+    loss = sum_all(mul(nc.matmul(a, b), w))
     loss.backward()
     assert_grads_close(a.grad, fd_grad(run, a.data), rel_tol=1e-6)
     assert_grads_close(b.grad, fd_grad(run, b.data), rel_tol=1e-6)
@@ -55,7 +55,7 @@ def test_matmul_batched_fd():
     def run():
         return float(((a.data @ b.data) * w).sum())
 
-    loss = nc.sum_all(nc.mul(nc.matmul(a, b), w))
+    loss = sum_all(mul(nc.matmul(a, b), w))
     loss.backward()
     assert_grads_close(a.grad, fd_grad(run, a.data))
     assert_grads_close(b.grad, fd_grad(run, b.data))
@@ -69,7 +69,7 @@ def test_matmul_batched_fd():
     def run_t():
         return float(((base.swapaxes(0, 1) @ b2.data) * w).sum())
 
-    nc.sum_all(nc.mul(nc.matmul(left, b2), w)).backward()
+    sum_all(mul(nc.matmul(left, b2), w)).backward()
     assert_grads_close(left.grad.swapaxes(0, 1), fd_grad(run_t, base))
     assert_grads_close(b2.grad, fd_grad(run_t, b2.data))
 
@@ -103,7 +103,7 @@ def test_rms_norm_fd():
     def run():
         return float(((_rms_ref(x.data) * g.data) @ m.data * w).sum())
 
-    loss = nc.sum_all(nc.mul(nc.matmul(x, m, g), w))
+    loss = sum_all(mul(nc.matmul(x, m, g), w))
     loss.backward()
     for p in (x, g, m):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
@@ -118,9 +118,9 @@ def test_norm_matmul_bit_equals_rms_norm_then_matmul(dtype):
 
     def run(fused):
         p, g, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("g", g0), ("m", m0)))
-        x = nc.mul(p, 1.5)
+        x = mul(p, 1.5)
         out = nc.matmul(x, m, g) if fused else nc.matmul(rms_norm_node(x, g), m)
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         return out.data, p.grad, g.grad, m.grad
 
     for u, v in zip(run(True), run(False)):
@@ -164,7 +164,7 @@ def test_embedding_gather_and_grad():
     ids = np.array([[0, 2], [2, 2]])
     y = nc.embedding(table, ids)
     assert y.shape == (2, 2, 3)
-    nc.sum_all(y).backward()
+    sum_all(y).backward()
     # row 2 gathered three times, row 0 once, rows 1 and 3 never
     assert np.array_equal(table.grad[:, 0], np.array([1.0, 0.0, 3.0, 0.0]))
     with pytest.raises(IndexError):
@@ -173,7 +173,7 @@ def test_embedding_gather_and_grad():
     # every slot gathers one row, as the query stack gathers [MASK]
     nc.zero_grads([table])
     w = np.arange(30.0).reshape(2, 5, 3)
-    nc.sum_all(nc.mul(nc.embedding(table, np.full((2, 5), 3)), w)).backward()
+    sum_all(mul(nc.embedding(table, np.full((2, 5), 3)), w)).backward()
     assert np.array_equal(table.grad[:3], np.zeros((3, 3)))
     assert np.array_equal(table.grad[3], w.reshape(10, 3).sum(axis=0))
 
@@ -197,7 +197,7 @@ def test_ffn_residual_fd():
         nc.zero_grads([x, gain, w13, w2])
         y = nc.ffn_residual(x, gain, w13, w2, keep)
         assert y.shape == (2, 3, 4)
-        nc.sum_all(nc.mul(y, w)).backward()
+        sum_all(mul(y, w)).backward()
         for p in (x, gain, w13, w2):
             assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
@@ -231,12 +231,12 @@ def test_ffn_residual_bit_equals_norm_matmul_then_swiglu_residual(dtype, dropout
     def run(fused):
         p, gain, w13, w2 = (nc.Parameter(n, v.copy()) for n, v in
                             (("p", x0), ("gain", g0), ("w13", w13_0), ("w2", w2_0)))
-        x = nc.mul(p, 1.5)
+        x = mul(p, 1.5)
         if fused:
             out = nc.ffn_residual(x, gain, w13, w2, keep)
         else:
             out = swiglu_residual(x, nc.matmul(x, w13, gain), w2, keep)
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         return out.data, p.grad, gain.grad, w13.grad, w2.grad
 
     for u, v in zip(run(True), run(False)):
@@ -255,12 +255,12 @@ def test_swiglu_residual_bit_equals_swiglu_then_residual(dtype, dropout):
 
     def run(fused):
         p, q, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("q", h0), ("m", m0)))
-        x, h = nc.mul(p, 1.5), nc.mul(q, 0.5)
+        x, h = mul(p, 1.5), mul(q, 0.5)
         if fused:
             out = swiglu_residual(x, h, m, keep)
         else:
             out = residual_matmul_node(x, swiglu_node(h), m, keep)
-        nc.sum_all(nc.mul(out, w)).backward()
+        sum_all(mul(out, w)).backward()
         return out.data, p.grad, q.grad, m.grad
 
     for u, v in zip(run(True), run(False)):
@@ -281,7 +281,7 @@ def test_residual_matmul_fd(dropout):
         y = a.data @ m.data
         return float(((x.data + (y if keep is None else y * keep)) * w).sum())
 
-    nc.sum_all(nc.mul(residual_matmul_node(x, a, m, keep), w)).backward()
+    sum_all(mul(residual_matmul_node(x, a, m, keep), w)).backward()
     for p in (x, a, m):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
@@ -297,13 +297,13 @@ def test_residual_matmul_bit_equals_matmul_mul_add(dtype, dropout):
 
     def run(fused):
         p, a, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("a", a0), ("m", m0)))
-        x = nc.mul(p, 1.5)
+        x = mul(p, 1.5)
         if fused:
             out = residual_matmul_node(x, a, m, keep)
         else:
             y = nc.matmul(a, m)
-            out = nc.add(x, y if keep is None else nc.mul(y, keep))
-        nc.sum_all(nc.mul(out, w)).backward()
+            out = add(x, y if keep is None else mul(y, keep))
+        sum_all(mul(out, w)).backward()
         return out.data, p.grad, a.grad, m.grad
 
     for u, v in zip(run(True), run(False)):
@@ -312,13 +312,13 @@ def test_residual_matmul_bit_equals_matmul_mul_add(dtype, dropout):
 
 def test_backward_sum_ones():
     x = nc.Parameter("x", np.random.default_rng(8).standard_normal((2, 3, 4)))
-    nc.sum_all(x).backward()
+    sum_all(x).backward()
     assert np.array_equal(x.grad, np.ones((2, 3, 4)))
 
 
 def test_backward_square():
     x = nc.Parameter("x", np.random.default_rng(9).standard_normal(5))
-    nc.sum_all(nc.mul(x, x)).backward()
+    sum_all(mul(x, x)).backward()
     assert np.allclose(x.grad, 2 * x.data, atol=1e-14)
 
 
@@ -331,14 +331,14 @@ def test_backward_non_scalar_root():
 def test_backward_unused_param_zero_grad():
     x = nc.Parameter("x", np.ones(3))
     y = nc.Parameter("y", np.ones(3))
-    nc.sum_all(nc.mul(x, 2.0)).backward()
+    sum_all(mul(x, 2.0)).backward()
     assert np.array_equal(y.grad, np.zeros(3))
 
 
 def test_backward_accumulates_until_zeroed():
     x = nc.Parameter("x", np.ones(3))
-    nc.sum_all(x).backward()
-    nc.sum_all(x).backward()
+    sum_all(x).backward()
+    sum_all(x).backward()
     assert np.array_equal(x.grad, 2 * np.ones(3))
     nc.zero_grads([x])
     assert np.array_equal(x.grad, np.zeros(3))
@@ -354,9 +354,9 @@ def test_self_add_of_non_leaf_fd():
     def run():
         return float((2.0 * x.data * w0).sum())
 
-    y = nc.mul(x, w0)
-    s = nc.add(y, y)
-    nc.sum_all(s).backward()
+    y = mul(x, w0)
+    s = add(y, y)
+    sum_all(s).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data))
     assert np.array_equal(x.grad, 2.0 * w0)
 
@@ -377,8 +377,8 @@ def test_diamond_through_non_leaf_fd():
 
     y = nc.matmul(x, m)
     r = nc.Tensor(np.zeros((2, 3, 2)))
-    nc.add(nc.sum_all(nc.mul(swiglu_residual(r, y, m2), w)),
-           nc.sum_all(nc.mul(nc.mul(y, y), v))).backward()
+    add(sum_all(mul(swiglu_residual(r, y, m2), w)),
+        sum_all(mul(mul(y, y), v))).backward()
     for p in (x, m, m2):
         assert_grads_close(p.grad, fd_grad(run, p.data))
 
@@ -392,13 +392,13 @@ def test_read_back_non_leaf_grads_stay_exact(rotate):
     x = nc.Parameter("x", rng.standard_normal((3, 4)))
     w1, w2 = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     w3 = rng.standard_normal((4, 3))
-    y = nc.mul(x, 3.0)
-    a = nc.add(y, 1.0)
+    y = mul(x, 3.0)
+    a = add(y, 1.0)
     r = nc.reshape(y, (4, 3))
-    terms = [nc.sum_all(nc.mul(a, w1)), nc.sum_all(nc.mul(y, w2)),
-             nc.sum_all(nc.mul(r, w3))]
+    terms = [sum_all(mul(a, w1)), sum_all(mul(y, w2)),
+             sum_all(mul(r, w3))]
     terms = terms[rotate:] + terms[:rotate]
-    nc.add(nc.add(terms[0], terms[1]), terms[2]).backward()
+    add(add(terms[0], terms[1]), terms[2]).backward()
     total = w1 + w2 + w3.reshape(3, 4)
     assert np.allclose(x.grad, 3.0 * total, rtol=0.0, atol=1e-13)
 
@@ -406,9 +406,9 @@ def test_read_back_non_leaf_grads_stay_exact(rotate):
     # adopt it, h2 must copy it, or h1's later w1 term leaks into x2
     x1 = nc.Parameter("x1", x.data.copy())
     x2 = nc.Parameter("x2", x.data.copy())
-    h1, h2 = nc.mul(x1, 1.0), nc.mul(x2, 1.0)
+    h1, h2 = mul(x1, 1.0), mul(x2, 1.0)
     pair = nc.from_op(h1.data + h2.data, (h1, h2), lambda g: (2.0 * g,) * 2)
-    nc.sum_all(nc.add(pair, nc.mul(h1, w1))).backward()
+    sum_all(add(pair, mul(h1, w1))).backward()
     assert np.array_equal(x2.grad, np.full((3, 4), 2.0))
     assert np.allclose(x1.grad, 2.0 + w1, rtol=0.0, atol=1e-15)
 
@@ -416,8 +416,8 @@ def test_read_back_non_leaf_grads_stay_exact(rotate):
     # its second hand into it, so h4 must hold a copy
     x3 = nc.Parameter("x3", x.data.copy())
     x4 = nc.Parameter("x4", x.data.copy())
-    h3, h4 = nc.mul(x3, 1.0), nc.mul(x4, 1.0)
-    nc.sum_all(nc.from_op(h3.data, (h3, h4, h3), lambda g: (2.0 * g,) * 3)).backward()
+    h3, h4 = mul(x3, 1.0), mul(x4, 1.0)
+    sum_all(nc.from_op(h3.data, (h3, h4, h3), lambda g: (2.0 * g,) * 3)).backward()
     assert np.array_equal(x3.grad, np.full((3, 4), 4.0))
     assert np.array_equal(x4.grad, np.full((3, 4), 2.0))
 
@@ -443,8 +443,8 @@ def test_backward_releases_graph():
     probe = weakref.ref(y.data)  # Tensor has __slots__; its array is the activation
     h = swiglu_residual(x, y, m2)
     n = nc.matmul(h, m3, gain)
-    out = nc.mul(n, w)
-    loss = nc.sum_all(out)
+    out = mul(n, w)
+    loss = sum_all(out)
     del y  # from here on only the graph holds y
     loss.backward()
     assert probe() is None
@@ -456,7 +456,7 @@ def test_backward_releases_graph():
 def test_no_grad_blocks_recording():
     x = nc.Parameter("x", np.ones(3))
     with nc.no_grad():
-        y = nc.mul(x, 3.0)
+        y = mul(x, 3.0)
     assert not y.requires_grad and y._backward is None
 
 

@@ -29,6 +29,7 @@ from . import numcore as nc
 from .numcore import Tensor
 
 NEG_BIAS = -1e9  # large negative bias standing in for -inf pre-softmax
+ROWS_BLOCK = 1 << 14  # score entries attention_rows holds at once
 
 
 # ---------------------------------------------------------------- rotary table
@@ -42,6 +43,8 @@ class RopeTable:
     base: float
     cos: np.ndarray = field(repr=False)  # [max_positions, head_dim//2] float64
     sin: np.ndarray = field(repr=False)
+    # dtype -> interleaved (c, c) and (-s, s) tables, filled by rows()
+    _interleaved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, max_positions: int, head_dim: int, base: float = 10000.0) -> "RopeTable":
@@ -54,26 +57,49 @@ class RopeTable:
         theta = np.arange(max_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
         return cls(max_positions, head_dim, base, np.cos(theta), np.sin(theta))
 
-    def gather(self, positions: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin rows for integer positions of any shape, cast to dtype."""
+    def _checked(self, positions: np.ndarray) -> np.ndarray:
         p = np.asarray(positions)
         if p.size and (p.min() < 0 or p.max() >= self.max_positions):
             raise IndexError(
                 "position out of rotary table range [0, %d)" % self.max_positions)
+        return p
+
+    def gather(self, positions: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+        """cos/sin rows for integer positions of any shape, cast to dtype."""
+        p = self._checked(positions)
         return self.cos[p].astype(dtype), self.sin[p].astype(dtype)
 
+    def rows(self, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Interleaved rows (c, c) and (-s, s) [..., head_dim] for integer positions.
 
-def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate even/odd feature pairs of x [..., T, H, hd] by cos/sin [..., T, hd//2].
+        Gathered from whole-table copies cast to dtype on its first use, so
+        repeated calls cast nothing; rotate_pairs reads them.
+        """
+        p = self._checked(positions)
+        tables = self._interleaved.get(np.dtype(dtype))
+        if tables is None:
+            cc = np.repeat(self.cos, 2, axis=-1).astype(dtype)
+            ss = np.empty_like(cc)
+            ss[:, 0::2] = -self.sin
+            ss[:, 1::2] = self.sin
+            tables = self._interleaved[np.dtype(dtype)] = (cc, ss)
+        return tables[0][p], tables[1][p]
 
-    The result is a fresh array that owns its buffer.
+
+def rotate_pairs(x: np.ndarray, cc: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Rotate even/odd feature pairs of x [..., T, H, hd] by RopeTable.rows [..., T, hd].
+
+    x * (c, c) plus the pair-swapped x * (-s, s): bit for bit
+    (x0*c - x1*s, x0*s + x1*c), since x1*(-s) is -(x1*s) and IEEE addition
+    commutes. Passing -ss turns the other way. The result is a fresh array
+    that owns its buffer.
     """
-    c = cos[..., None, :]  # broadcast over the head axis
-    s = sin[..., None, :]
-    x0, x1 = x[..., 0::2], x[..., 1::2]
-    out = np.empty(x.shape, dtype=x.dtype)
-    out[..., 0::2] = x0 * c - x1 * s
-    out[..., 1::2] = x0 * s + x1 * c
+    out = x * cc[..., None, :]  # broadcast over the head axis
+    sw = np.empty(x.shape, dtype=x.dtype)  # after out: the product takes ufunc buffers
+    sw[..., 0::2] = x[..., 1::2]
+    sw[..., 1::2] = x[..., 0::2]
+    sw *= ss[..., None, :]
+    out += sw
     return out
 
 
@@ -91,12 +117,12 @@ def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
     if not joined and p.shape != x.shape[:-2]:
         raise ValueError("positions shape %r does not match x %r" % (p.shape, x.shape))
     heads = x.shape[:-1] + (x.shape[-1] // hd, hd) if joined else x.shape
-    cos, sin = table.gather(p, dtype=x.dtype)
-    out = rotate_pairs(x.data.reshape(heads), cos, sin).reshape(x.shape)
+    cc, ss = table.rows(p, x.dtype)
+    out = rotate_pairs(x.data.reshape(heads), cc, ss).reshape(x.shape)
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block)
-        return (rotate_pairs(g.reshape(heads), cos, -sin).reshape(x.shape),)
+        return (rotate_pairs(g.reshape(heads), cc, -ss).reshape(x.shape),)
     return nc.from_op(out, (x,), bwd)
 
 
@@ -363,32 +389,38 @@ def cross_attention_residual(q: Tensor, kv: Tensor, stream: int, wo: Tensor,
 
 # ---------------------------------------------------------------- row kernel
 
-def attention_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   lens: np.ndarray) -> np.ndarray:
-    """Per-query attention: q [m, H, hd], k/v [H, L, hd], lens[i] = allowed prefix.
+def attention_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray, lens: np.ndarray,
+                   masked: np.ndarray | None = None) -> np.ndarray:
+    """Per-query attention: q [m, H, hd], k/v [H, C, hd], lens[i] = allowed prefix.
 
-    Every query row is its own gufunc stack entry, and scores, softmax, and
-    the value mix each reduce inside one row only, so results are
-    bit-identical however queries are batched, and identical to a
-    from-scratch recompute that sees the same key prefix. Rows sharing one
-    prefix length run as a single stacked call; mixed lengths fall back to a
-    per-row loop over the same cores. lens must be >= 1.
+    Every row reduces over all C keys: scores of keys at or past its prefix
+    are set to -inf, so their weights are exactly +0 whatever finite k and v
+    those rows hold. A row's bits therefore depend only on its own q, its
+    prefix and C, never on the other rows of the call or their prefixes:
+    every query row (per head) is its own gufunc stack entry, and the
+    softmax and value mix each reduce inside one row only. Calls of any mix
+    of prefix lengths run as stacked calls over blocks of at most
+    ROWS_BLOCK // (H * C) rows, which bounds the scores buffer; the blocking
+    changes no bit. lens must lie in [1, C]. masked is
+    np.arange(C) >= lens[:, None, None] when the caller already holds it
+    (one content pass builds it once for all its layers); otherwise it is
+    built here, and not at all when every prefix covers all C keys.
     """
     m, num_heads, hd = q.shape
-    qs = q * np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)  # pre-scale once
-    n0 = int(lens[0])
-    if m == 1 or (np.asarray(lens) == n0).all():
-        s = np.matmul(k[None, :, :n0, :], qs[:, :, :, None])[..., 0]  # [m, H, n0]
-        s -= s.max(axis=-1, keepdims=True)
-        p = np.exp(s)
-        p /= p.sum(axis=-1, keepdims=True)
-        return np.matmul(p[:, :, None, :], v[None, :, :n0, :])[:, :, 0]
+    width = k.shape[1]
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
+    if masked is None:
+        lens = np.asarray(lens)[:, None, None]
+        if np.minimum.reduce(lens, axis=None) < width:
+            masked = np.arange(width) >= lens
+    step = max(1, ROWS_BLOCK // (num_heads * width))
     out = np.empty_like(q)
-    for i in range(m):
-        n = int(lens[i])
-        s = np.matmul(k[:, :n, :], qs[i][:, :, None])[..., 0]  # [H, n]
-        s -= s.max(axis=-1, keepdims=True)
-        p = np.exp(s)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[i] = np.matmul(p[:, None, :], v[:, :n, :])[:, 0, :]
+    for a in range(0, m, step):
+        s = np.matmul(k, q[a:a + step, :, :, None] * scale)[..., 0]  # [rows, H, C]
+        if masked is not None:
+            np.copyto(s, -np.inf, where=masked[a:a + step])
+        s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        s /= np.add.reduce(s, axis=-1, keepdims=True)
+        np.matmul(s[:, :, None, :], v, out=out[a:a + step, :, None, :])
     return out

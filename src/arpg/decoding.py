@@ -69,6 +69,9 @@ class KvCache:
     shared, else one per query layer). Rows are written once and never moved,
     so views handed out earlier stay valid; `length` counts condition plus
     decoded tokens and is advanced by the content pass appending a chunk.
+    The content pass attends over every row of the per-layer buffers, so
+    `capacity` enters the bits of each content row (see
+    model.forward_pass1), and those buffers start zero-filled.
 
     A cache may hold several decode streams (the conditional and the
     unconditional one of CFG) that feed the same ids at the same positions.
@@ -92,8 +95,9 @@ class KvCache:
         self.streams = streams
         self.joint = None  # the multi-stream cache this one is a stream view of
         shape = (capacity, streams * config.heads, config.head_dim)
-        self._layer_k = [np.empty(shape, dtype) for _ in range(config.pass1_layers)]
-        self._layer_v = [np.empty(shape, dtype) for _ in range(config.pass1_layers)]
+        # masked weights are +0, and +0 times np.empty garbage could be NaN
+        self._layer_k = [np.zeros(shape, dtype) for _ in range(config.pass1_layers)]
+        self._layer_v = [np.zeros(shape, dtype) for _ in range(config.pass1_layers)]
         self._layer_fill = [0] * config.pass1_layers
         n_out = 1 if config.shared_kv else config.pass2_layers
         self._out_k = [np.empty(shape, dtype) for _ in range(n_out)]
@@ -135,9 +139,9 @@ class KvCache:
     def layer_append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
         self._append(self._layer_k, self._layer_v, self._layer_fill, layer, k, v)
 
-    def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        fill = self._layer_fill[layer]
-        return self._layer_k[layer][:fill], self._layer_v[layer][:fill]
+    def layer_rows(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """A layer's whole (k, v) buffers [capacity, ...]; rows past the fill are zero."""
+        return self._layer_k[layer], self._layer_v[layer]
 
     def out_append(self, stream: int, k: np.ndarray, v: np.ndarray) -> None:
         self._append(self._out_k, self._out_v, self._out_fill, stream, k, v)

@@ -16,7 +16,11 @@ outputs, the attention probs and the joined heads. The
 single-sample inference route (forward_pass1 / forward_pass2) computes every
 matmul row by row and attention per query, so its bits are invariant to how
 tokens are chunked into calls; the decoding engine's cache-equality
-guarantees rest on that.
+guarantees rest on that. A content row attends over every row of the cache
+it writes to, keys past its prefix at exactly zero weight, so the cache's
+capacity is part of its bits: a pass without a cache runs through a fresh
+one of 1 + seq_len rows (more for a longer chunk), the capacity generate
+gives its cache.
 """
 
 from __future__ import annotations
@@ -303,8 +307,15 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
 # ---------------------------------------------------------------- inference route
 
 def _rms_np(x: np.ndarray, gain: Parameter, eps: float = 1e-6) -> np.ndarray:
-    s = 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps)
-    return x * s * gain.data
+    # the ops of x * (1 / sqrt(mean(x * x) + eps)) * gain, without mean's overhead
+    s = np.add.reduce(x * x, axis=-1, keepdims=True)
+    s /= x.shape[-1]
+    s += eps
+    np.sqrt(s, out=s)
+    np.divide(1.0, s, out=s)
+    out = x * s
+    out *= gain.data
+    return out
 
 
 def _ffn_np(x: np.ndarray, layer: Pass1Layer | Pass2Layer) -> np.ndarray:
@@ -317,6 +328,7 @@ def _ffn_np(x: np.ndarray, layer: Pass1Layer | Pass2Layer) -> np.ndarray:
     h += 1.0
     np.divide(gate, h, out=h)
     h *= h13[:, f:]
+    del gate, h13  # not held under the w2 product
     return rowwise_matmul(h, layer.w2.data)
 
 
@@ -324,35 +336,42 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
                   cache=None, pattern: str = "causal") -> list[tuple[np.ndarray, np.ndarray]]:
     """Content pass over one token chunk; returns (k, v) [m, S * H, hd] per kv stream.
 
-    Without a cache this is a from-scratch forward over the whole chunk (the
-    condition token must sit first at position 0). With a cache, the chunk
-    extends it: per-layer self-attention keys and the outgoing kv stream are
-    appended, and the chunk attends to everything cached plus the intra-chunk
-    pattern (causal, or bidirectional under block_causal).
+    The chunk extends the cache: per-layer self-attention keys and the
+    outgoing kv stream are appended, and the chunk attends to everything
+    cached plus the intra-chunk pattern (causal, or bidirectional under
+    block_causal). Every row attends over all `capacity` rows of the layer
+    buffers with a boolean mask built once for the pass; masked keys weigh
+    exactly +0 (see attention_rows). Without a cache this is a from-scratch
+    forward over the whole chunk (the condition token must sit first at
+    position 0) through a fresh one-stream KvCache of max(1 + seq_len, m)
+    rows, bit for bit a pass into such a cache.
 
     A cache holding S decode streams (see KvCache) is extended for all of
     them in this one pass: ids [m] feed every stream, ids [S, m] give each
     stream its own (the CFG condition rows); positions [m] are shared. Rows
     run position-major, [m * S, d], and attention folds the streams into the
     head axis, so every stream's bits equal those of a one-stream pass.
-    Without a cache, S = 1.
     """
+    from .decoding import KvCache  # decoding imports this module
+
     cfg = params.config
     ids = np.asarray(input_ids)
     pos = np.asarray(positions)
-    streams = 1 if cache is None else cache.streams
     m = pos.size
+    if cache is None:
+        cache = KvCache(cfg, max(1 + cfg.seq_len, m), params.dtype)
+    streams = cache.streams
     if pos.ndim != 1 or m == 0 or ids.shape not in ((m,), (streams, m)):
         raise ValueError("ids must be [m] or [%d, m] for 1-d positions [m], got %r/%r"
                          % (streams, ids.shape, pos.shape))
     if ids.min() < 0 or ids.max() >= cfg.embed_rows:
         raise IndexError("token id outside embedding table [0, %d)" % cfg.embed_rows)
-    past = 0 if cache is None else cache.length
+    past = cache.length
     if past == 0 and pos[0] != 0:
         raise ValueError("first fed token must be the condition at position 0")
     table = params.rope_table(int(pos.max()) + 1)
     # rows run position-major: row i * S + s is position i of stream s
-    cos, sin = table.gather(np.repeat(pos, streams), dtype=params.dtype)
+    cc, ss = table.rows(np.repeat(pos, streams), params.dtype)
     if pattern == "causal":
         lens = past + np.arange(1, m + 1)
     elif pattern == "block_causal":
@@ -360,6 +379,7 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     else:
         raise ValueError("unknown attention pattern %r" % pattern)
 
+    masked = np.arange(cache.capacity) >= lens[:, None, None]
     heads, hd = cfg.heads, cfg.head_dim
     rows, fold = m * streams, streams * heads
     x = params.token_embedding.data[np.repeat(ids, streams) if ids.ndim == 1
@@ -367,26 +387,24 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     for li, layer in enumerate(params.pass1):
         qkv = rowwise_matmul(_rms_np(x, layer.attn_norm), layer.wqkv.data)
         qkv = qkv.reshape(rows, 3 * heads, hd)
-        qk = rotate_pairs(qkv[:, :2 * heads], cos, sin)
-        q = qk[:, :heads].reshape(m, fold, hd)
-        k = qk[:, heads:].reshape(m, fold, hd)
-        v = qkv[:, 2 * heads:].reshape(m, fold, hd)
-        if cache is not None:
-            cache.layer_append(li, k, v)
-            k, v = cache.layer_view(li)
-        a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
+        qk = rotate_pairs(qkv[:, :2 * heads], cc, ss)
+        cache.layer_append(li, qk[:, heads:].reshape(m, fold, hd),
+                           qkv[:, 2 * heads:].reshape(m, fold, hd))
+        del qkv  # the cache holds k and v now; free it before the scores
+        k, v = cache.layer_rows(li)
+        a = attention_rows(qk[:, :heads].reshape(m, fold, hd), k.transpose(1, 0, 2),
+                           v.transpose(1, 0, 2), lens, masked)
         x += rowwise_matmul(a.reshape(rows, cfg.hidden), layer.wo.data)
-        del qkv, qk, q, k, v, a  # free the attention block before the FFN's
+        del qk, a  # free the attention block before the FFN's
         x += _ffn_np(x, layer)
 
     hn = _rms_np(x, params.kv_norm)
     pairs = []
     for si, w in enumerate(params.kv_proj):
         kv = rowwise_matmul(hn, w.data).reshape(rows, 2 * heads, hd)
-        k = rotate_pairs(kv[:, :heads], cos, sin).reshape(m, fold, hd)
+        k = rotate_pairs(kv[:, :heads], cc, ss).reshape(m, fold, hd)
         v = np.ascontiguousarray(kv[:, heads:]).reshape(m, fold, hd)
-        if cache is not None:
-            cache.out_append(si, k, v)
+        cache.out_append(si, k, v)
         pairs.append((k, v))
     return pairs
 
@@ -411,14 +429,14 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
     q_len = tgt.size
     length = kv[0][0].shape[0]
     table = params.rope_table(int(tgt.max()) + 1)
-    cos, sin = table.gather(tgt, dtype=params.dtype)
+    cc, ss = table.rows(tgt, params.dtype)
     lens = np.full(q_len, length)
 
     o = params.token_embedding.data[np.full(q_len, cfg.mask_token)]
     for li, layer in enumerate(params.pass2):
         on = _rms_np(o, layer.q_norm)
         q = rotate_pairs(rowwise_matmul(on, layer.wq.data).reshape(q_len, cfg.heads, -1),
-                         cos, sin)
+                         cc, ss)
         k, v = kv[0] if cfg.shared_kv else kv[li]
         a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
         o = q.reshape(q_len, cfg.hidden) + rowwise_matmul(a.reshape(q_len, cfg.hidden),

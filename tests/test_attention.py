@@ -1,7 +1,11 @@
 """Rotary embedding properties, attention kernels and tape ops vs oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arpg import attention as at
 from arpg import numcore as nc
@@ -65,8 +69,7 @@ def test_rope_gradient_fd():
     w = rng.standard_normal((4, 2, 8))
 
     def run():
-        cos, sin = table.gather(pos)
-        return float((at.rotate_pairs(x.data, cos, sin) * w).sum())
+        return float((at.rotate_pairs(x.data, *table.rows(pos, np.float64)) * w).sum())
 
     sum_all(mul(at.apply_rope(x, pos, table), w)).backward()
     assert_grads_close(x.grad, fd_grad(run, x.data), rel_tol=1e-6)
@@ -84,8 +87,8 @@ def test_rope_joined_layout_matches_heads_fd():
     assert np.array_equal(joined.data, heads.data.reshape(2, 3, 8))
 
     def run():
-        cos, sin = table.gather(pos)
-        return float((at.rotate_pairs(x.data.reshape(2, 3, 2, 4), cos, sin).reshape(2, 3, 8)
+        cc, ss = table.rows(pos, np.float64)
+        return float((at.rotate_pairs(x.data.reshape(2, 3, 2, 4), cc, ss).reshape(2, 3, 8)
                       * w).sum())
 
     sum_all(mul(joined, w)).backward()
@@ -103,12 +106,13 @@ def test_rotary_matmul_fd(rotated):
     m = nc.Parameter("m", rng.standard_normal((6, 24)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     cos, sin = table.gather(pos)
+    cc, ss = table.rows(pos, np.float64)
     w = rng.standard_normal((2, 5, 24))
 
     def run():
         y = a.data @ m.data
         heads = y[..., :rotated].reshape(2, 5, -1, 4)
-        y[..., :rotated] = at.rotate_pairs(heads, cos, sin).reshape(2, 5, rotated)
+        y[..., :rotated] = at.rotate_pairs(heads, cc, ss).reshape(2, 5, rotated)
         return float((y * w).sum())
 
     sum_all(mul(at.rotary_matmul(a, m, rotated, cos, sin), w)).backward()
@@ -149,6 +153,7 @@ def test_rotary_matmul_norm_fd(streams):
     ms = [nc.Parameter("m%d" % i, rng.standard_normal((6, 8))) for i in range(streams)]
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     cos, sin = table.gather(pos)
+    cc, ss = table.rows(pos, np.float64)
     w = rng.standard_normal((streams, 2, 5, 8))
 
     def run():
@@ -156,7 +161,7 @@ def test_rotary_matmul_norm_fd(streams):
         total = 0.0
         for m, wi in zip(ms, w):
             y = xn @ m.data
-            y[..., :4] = at.rotate_pairs(y[..., :4].reshape(2, 5, 1, 4), cos, sin).reshape(2, 5, 4)
+            y[..., :4] = at.rotate_pairs(y[..., :4].reshape(2, 5, 1, 4), cc, ss).reshape(2, 5, 4)
             total += float((y * wi).sum())
         return total
 
@@ -367,9 +372,9 @@ def _self_attention_ref(qkv, pos, table, mask, heads):
     # split, rotate per head, attend, join: the unfused composition
     b, t, d3 = qkv.shape
     d = d3 // 3
-    cos, sin = table.gather(pos)
+    cc, ss = table.rows(pos, np.float64)
     q, k, v = (qkv[..., i * d:(i + 1) * d].reshape(b, t, heads, -1) for i in range(3))
-    q, k = at.rotate_pairs(q, cos, sin), at.rotate_pairs(k, cos, sin)
+    q, k = at.rotate_pairs(q, cc, ss), at.rotate_pairs(k, cc, ss)
     out, _ = at.attention_forward(*(x.transpose(0, 2, 1, 3) for x in (q, k, v)), mask)
     return _unjoined(out)
 
@@ -502,14 +507,16 @@ def test_rotate_leading_bit_equals_rotate_pairs(dtype, sign):
     # both directions the tape turns: forward by sin, backward by -sin
     rng = np.random.default_rng(31)
     table = at.RopeTable.build(32, 8)
-    cos, sin = table.gather(np.stack([rng.permutation(32)[:7] for _ in range(3)]), dtype=dtype)
+    pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
+    cos, sin = table.gather(pos, dtype=dtype)
+    cc, ss = table.rows(pos, dtype)
     x0 = rng.standard_normal((3, 7, 40)).astype(dtype)
     x0[0, 0, :4] = [0.0, -0.0, -0.0, 0.0]
     x = x0.copy()
     at._rotate_leading(x, 24, cos, sign * sin)
     ref = x0.copy()
-    ref[..., :24] = at.rotate_pairs(x0[..., :24].reshape(3, 7, 3, 8), cos,
-                                    sign * sin).reshape(3, 7, 24)
+    ref[..., :24] = at.rotate_pairs(x0[..., :24].reshape(3, 7, 3, 8), cc,
+                                    sign * ss).reshape(3, 7, 24)
     assert _same_bits(x, ref)
 
 
@@ -531,14 +538,32 @@ def test_attention_rows_matches_batched():
     assert np.abs(out - ref.transpose(1, 0, 2)).max() < 1e-12
 
 
-def test_attention_rows_grouping_invariant():
-    rng = np.random.default_rng(13)
-    H, L, hd, m = 2, 6, 4, 4
-    k = rng.standard_normal((H, L, hd))
-    v = rng.standard_normal((H, L, hd))
-    q = rng.standard_normal((m, H, hd))
-    lens = np.array([2, 6, 4, 5])
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(lens=st.lists(st.integers(1, 12), min_size=1, max_size=8), width=st.integers(1, 12),
+       heads=st.integers(1, 3), hd=st.sampled_from([2, 4, 8]), block=st.integers(1, 64),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_attention_rows_grouping_invariant(lens, width, heads, hd, block, dtype, seed):
+    # rows of mixed prefix lengths over one C-key buffer: a mask built by the
+    # caller gives the same bits, each row equals its solo call, huge finite
+    # k/v at or past its prefix (q.k may overflow to inf there) leave it
+    # unchanged, and row blocking changes no bit
+    rng = np.random.default_rng(seed)
+    lens = np.minimum(lens, width)
+    m = lens.size
+    q = rng.standard_normal((m, heads, hd)).astype(dtype)
+    k, v = rng.standard_normal((2, heads, width, hd)).astype(dtype)
     joint = at.attention_rows(q, k, v, lens)
-    for i in range(m):
-        solo = at.attention_rows(q[i:i + 1], k, v, lens[i:i + 1])
-        assert np.array_equal(joint[i], solo[0])
+    assert _same_bits(at.attention_rows(q, k, v, lens, np.arange(width) >= lens[:, None, None]),
+                      joint)
+    big = np.finfo(dtype)
+    for i, n in enumerate(lens):
+        assert _same_bits(at.attention_rows(q[i:i + 1], k, v, lens[i:i + 1])[0], joint[i])
+        k2, v2 = k.copy(), v.copy()
+        for x in (k2, v2):
+            shape = x[:, n:].shape
+            x[:, n:] = rng.uniform(-1, 1, shape) * big.max / 10.0 ** rng.integers(
+                0, big.maxexp // 4, shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _same_bits(at.attention_rows(q[i:i + 1], k2, v2, lens[i:i + 1])[0], joint[i])
+    with mock.patch.object(at, "ROWS_BLOCK", block):
+        assert _same_bits(at.attention_rows(q, k, v, lens), joint)

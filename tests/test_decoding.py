@@ -1,10 +1,13 @@
 """Cache mechanics, sampling filters, CFG, the step loop, and the editing ops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arpg import attention as at
 from arpg import decoding as dec
 from arpg import model as md
 
@@ -59,6 +62,70 @@ def test_cache_stream_count_and_index_are_checked():
             cache.stream(s)
     for s in (0, 1):
         assert cache.stream(s)._out_k[0].shape == (5, cfg.heads, cfg.head_dim)
+
+
+def test_unfilled_layer_rows_are_zero():
+    # the content pass attends over whole layer buffers; their rows past the
+    # fill must hold zeros, not np.empty garbage
+    params = tiny_params(seed=12, dtype=np.float32)
+    cfg = params.config
+    cache = dec.KvCache(cfg, 17, params.dtype, streams=2)
+    assert not any(b.any() for li in range(cfg.pass1_layers) for b in cache.layer_rows(li))
+    md.forward_pass1(params, np.array([[cfg.class_token(0)], [cfg.null_class_token]]), [0],
+                     cache=cache)
+    md.forward_pass1(params, [3, 7, 1], [2, 9, 5], cache=cache)
+    for li in range(cfg.pass1_layers):
+        for buf in cache.layer_rows(li):
+            assert buf.shape == (17, 2 * cfg.heads, cfg.head_dim)
+            assert buf[:4].all(axis=(1, 2)).all() and not buf[4:].any()
+
+
+def test_cacheless_pass_is_a_fresh_cache_pass():
+    # without a cache the content pass runs through a fresh KvCache of
+    # max(1 + seq_len, m) rows: the width a generation's cache has, which
+    # every content row reduces over
+    for dtype in (np.float32, np.float64):
+        params = tiny_params(seed=11, dtype=dtype)
+        cfg = params.config
+        rng = np.random.default_rng(12)
+        for m in (1, 6, 1 + cfg.seq_len, 23):
+            ids = np.concatenate([[cfg.class_token(1)], rng.integers(0, cfg.vocab_size, m - 1)])
+            pos = np.concatenate([[0], rng.integers(1, 30, m - 1)])
+            cache = dec.KvCache(cfg, max(1 + cfg.seq_len, m), params.dtype)
+            want = md.forward_pass1(params, ids, pos, cache=cache)
+            for got, ref in zip(md.forward_pass1(params, ids, pos), want, strict=True):
+                for a, b in zip(got, ref, strict=True):
+                    assert_bits_equal(a, b)
+
+
+def test_wide_prefill_scores_stay_within_the_block_bound(monkeypatch):
+    # expanding an 8 x 8 grid to 24 x 24 prefills 64 known rows against a
+    # 577-row cache, then decodes the other 512 cells in two chunks;
+    # attention_rows scores at most ROWS_BLOCK entries at once, so besides
+    # its result it holds about two blocks (the scores and numpy's
+    # broadcasting buffers), not the [m, H, C] scores of the whole call
+    params = tiny_params(seed=13, dtype=np.float32)
+    cfg = params.config
+    assert cfg.heads * 577 <= at.ROWS_BLOCK  # a block holds at least one whole row
+    calls = []
+    rows = md.attention_rows
+
+    def traced(q, k, *args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = rows(q, k, *args)
+        calls.append((q.shape[0] * k.shape[0] * k.shape[1],
+                      tracemalloc.get_traced_memory()[1] - base - out.nbytes))
+        return out
+    monkeypatch.setattr(md, "attention_rows", traced)
+    base = dec.TokenGrid(np.random.default_rng(14).integers(0, 16, (8, 8)), 1)
+    tracemalloc.start()
+    try:
+        dec.expand(params, base, 24, 24, "outpaint", dec.DecodeConfig(steps=2, seed=3))
+    finally:
+        tracemalloc.stop()
+    assert max(scores for scores, _ in calls) >= 40 * at.ROWS_BLOCK
+    assert max(held for _, held in calls) <= 3 * at.ROWS_BLOCK * 4
 
 
 def test_cache_scalar_count_closed_form():
@@ -120,7 +187,7 @@ def test_block_causal_chunk_kv_differs_but_s_equals_t_invariant():
 
 def cache_arrays(cache, config):
     """Every filled buffer of a one-stream cache: per-layer k, v, then out k, v."""
-    out = [a for li in range(config.pass1_layers) for a in cache.layer_view(li)]
+    out = [a[:cache.length] for li in range(config.pass1_layers) for a in cache.layer_rows(li)]
     return out + [a for kv in cache.out_kv() for a in kv]
 
 

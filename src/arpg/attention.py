@@ -13,10 +13,11 @@ the probs nor the joined heads, only the inputs it keeps anyway and each
 query row's softmax max and divisor; backward rebuilds the rest bit for bit
 and writes one fresh joined gradient per input. Rotary embedding rotates
 each head_dim group of the last axis, in either layout, at per-token
-positions; on the training route `rotary_matmul` does it inside the
-projection's own buffer, so q and k are held once, rotated. The decoding
-engine uses the per-query-row kernel at the bottom, whose bits never depend
-on how queries are grouped into calls.
+positions by the interleaved rows of RopeTable.rows, the one table format
+of both routes; on the training route `rotary_matmul` does it inside the
+projection's own buffer, so q and k are held once, rotated, and the tape
+keeps positions, not rows. The decoding engine uses the per-query-row
+kernel at the bottom, whose bits never depend on how queries are grouped.
 """
 
 from __future__ import annotations
@@ -64,16 +65,12 @@ class RopeTable:
                 "position out of rotary table range [0, %d)" % self.max_positions)
         return p
 
-    def gather(self, positions: np.ndarray, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin rows for integer positions of any shape, cast to dtype."""
-        p = self._checked(positions)
-        return self.cos[p].astype(dtype), self.sin[p].astype(dtype)
-
     def rows(self, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
         """Interleaved rows (c, c) and (-s, s) [..., head_dim] for integer positions.
 
         Gathered from whole-table copies cast to dtype on its first use, so
-        repeated calls cast nothing; rotate_pairs reads them.
+        repeated calls cast nothing. The one table format: rotate_pairs and
+        rotary_matmul both read these rows.
         """
         p = self._checked(positions)
         tables = self._interleaved.get(np.dtype(dtype))
@@ -95,12 +92,17 @@ def rotate_pairs(x: np.ndarray, cc: np.ndarray, ss: np.ndarray) -> np.ndarray:
     that owns its buffer.
     """
     out = x * cc[..., None, :]  # broadcast over the head axis
-    sw = np.empty(x.shape, dtype=x.dtype)  # after out: the product takes ufunc buffers
+    out += _swapped(x, ss[..., None, :])  # after the product, which takes ufunc buffers
+    return out
+
+
+def _swapped(x: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """Fresh x with each even/odd feature pair swapped, times ss."""
+    sw = np.empty(x.shape, dtype=x.dtype)
     sw[..., 0::2] = x[..., 1::2]
     sw[..., 1::2] = x[..., 0::2]
-    sw *= ss[..., None, :]
-    out += sw
-    return out
+    sw *= ss
+    return sw
 
 
 def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
@@ -126,53 +128,47 @@ def apply_rope(x: Tensor, positions: np.ndarray, table: RopeTable) -> Tensor:
     return nc.from_op(out, (x,), bwd)
 
 
-def _rotate_leading(x: np.ndarray, width: int, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Rotate the first `width` columns of x [..., T, f] in place, per head_dim group.
+def _rotate_leading(x: np.ndarray, width: int, cc: np.ndarray, ss: np.ndarray) -> None:
+    """Rotate the first `width` columns of x [..., T, f] in place by rows cc/ss [..., T, hd].
 
-    Three full-width ops on interleaved tables: sw = the pair-swapped columns
-    times (-s, s), x *= (c, c), x += sw. Bit for bit rotate_pairs, since
-    x0*c + x1*(-s) is x0*c - x1*s and IEEE addition commutes.
+    Three full-width ops: sw = the pair-swapped columns times (-s, s),
+    x *= (c, c), x += sw. Bit for bit rotate_pairs.
     """
-    hd = 2 * cos.shape[-1]
-    lead = x[..., :width].reshape(x.shape[:-1] + (width // hd, hd))
-    cc = np.repeat(cos, 2, axis=-1)[..., None, :]  # broadcast over the head axis
-    ss = np.empty_like(cc)
-    ss[..., 0::2] = -sin[..., None, :]
-    ss[..., 1::2] = sin[..., None, :]
-    sw = np.empty_like(lead)
-    sw[..., 0::2] = lead[..., 1::2]
-    sw[..., 1::2] = lead[..., 0::2]
-    sw *= ss
-    lead *= cc
+    lead = x[..., :width].reshape(x.shape[:-1] + (width // cc.shape[-1], cc.shape[-1]))
+    sw = _swapped(lead, ss[..., None, :])  # broadcast over the head axis
+    lead *= cc[..., None, :]
     lead += sw
 
 
-def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int,
-                  cos: np.ndarray, sin: np.ndarray, gain: Tensor | None = None) -> Tensor:
+def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int, table: RopeTable,
+                  positions: np.ndarray, gain: Tensor | None = None) -> Tensor:
     """Tape op: a @ w [..., T, f] with its first `rotated` columns rotated in place.
 
-    Those columns turn per head_dim group (head_dim = 2 * cos.shape[-1]) by
-    cos/sin [..., T, head_dim//2] from RopeTable.gather, so the tape holds
-    one buffer for the projection and its rotation. Bit for bit apply_rope
-    of the matmul over those columns. With gain the gemm reads RMSNorm(a) *
-    gain, rebuilt in backward (see nc.gemm_rows). A list of L weights gives
-    the products stacked [L, ..., T, f]; their gradients into a are summed
-    before the one RMSNorm backward.
+    Those columns turn per head_dim group by table.rows at positions [..., T],
+    so the tape holds one buffer for the projection and its rotation, and the
+    positions: backward gathers the rows again to turn back. Bit for bit
+    apply_rope of the matmul over those columns. With gain the gemm reads
+    RMSNorm(a) * gain, rebuilt in backward (see nc.gemm_rows). A list of L
+    weights gives the products stacked [L, ..., T, f]; their gradients into
+    a are summed before the one RMSNorm backward.
     """
     single = isinstance(w, Tensor)
     ws = [w] if single else list(w)
     saved, out = nc.gemm_rows(a, ws, gain)
-    if rotated % (2 * cos.shape[-1]) or not 0 <= rotated <= out.shape[-1]:
+    hd = table.head_dim
+    if rotated % hd or not 0 <= rotated <= out.shape[-1]:
         raise ValueError("cannot rotate %d of %d columns in whole heads of %d"
-                         % (rotated, out.shape[-1], 2 * cos.shape[-1]))
+                         % (rotated, out.shape[-1], hd))
+    cc, ss = table.rows(positions, out.dtype)
     for o in out:
-        _rotate_leading(o, rotated, cos, sin)
+        _rotate_leading(o, rotated, cc, ss)
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block), then the gemm grads
         g = g.reshape(out.shape)
+        cc, ss = table.rows(positions, g.dtype)
         for gi in g:
-            _rotate_leading(gi, rotated, cos, -sin)
+            _rotate_leading(gi, rotated, cc, -ss)
         return nc.gemm_rows_grads(a, saved, ws, g, gain)
     return nc.from_op(out[0] if single else out, nc.gemm_parents(a, gain, ws), bwd)
 

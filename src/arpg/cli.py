@@ -488,8 +488,6 @@ def cmd_grad_demo(cfg: dict) -> int:
     for i, (m, dq) in enumerate(zip(report["masked"], report["dq_norms"])):
         print("  row %2d  %s  |dq| = %s"
               % (i, "masked  " if m else "unmasked", _fmt_norm(dq)))
-    for m, dq in zip(report["masked"], report["dq_norms"]):
-        assert m or dq == 0.0, "unmasked row leaked query gradient"
 
     mc = md.ModelConfig(vocab_size=16, num_classes=4, hidden=32, heads=4,
                         pass1_layers=2, pass2_layers=2, seq_len=16)

@@ -257,8 +257,9 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
 
     Filters apply in order: temperature scaling, top-k truncation, nucleus
     truncation keeping the smallest prefix of descending probabilities whose
-    mass reaches top_p, renormalize, then one inverse-cdf draw per row.
-    A row holding a NaN or infinite logit raises NonFiniteLogits.
+    mass reaches top_p, renormalize, then one inverse-cdf draw per row from
+    rng (ValueError without one). A row holding a NaN or infinite logit
+    raises NonFiniteLogits.
     """
     lg = np.asarray(logits, dtype=np.float64)
     if lg.ndim != 2:
@@ -269,6 +270,8 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
         raise NonFiniteLogits(row, "non-finite logits in row %d" % row)
     if temperature == 0.0:
         return np.argmax(lg, axis=-1)
+    if rng is None:
+        raise ValueError("a draw at temperature %r > 0 needs an rng" % temperature)
     z = lg / temperature
     z = z - z.max(axis=-1, keepdims=True)
     probs = np.exp(z)

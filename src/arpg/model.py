@@ -235,9 +235,9 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     d = params.config.hidden
     rate = params.config.dropout
     x = nc.embedding(params.token_embedding, input_ids)
-    cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=x.dtype)
+    table = params.rope_table(int(positions.max()) + 1)
     for layer in params.pass1:
-        qkv = rotary_matmul(x, layer.wqkv, 2 * d, cos, sin, layer.attn_norm)
+        qkv = rotary_matmul(x, layer.wqkv, 2 * d, table, positions, layer.attn_norm)
         x = self_attention_residual(x, qkv, layer.wo, mask, params.config.heads,
                                     _keep_mask(x, rate, dropout_rng), probs_sink)
         x = _ffn_residual(x, layer, rate, dropout_rng)
@@ -250,9 +250,9 @@ def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> Tensor:
     One stream per fused k|v weight in params.kv_proj, all reading one
     RMSNorm of h; k (the first d columns) is rotated at its position.
     """
-    d = params.config.hidden
-    cos, sin = params.rope_table(int(positions.max()) + 1).gather(positions, dtype=h.dtype)
-    return rotary_matmul(h, params.kv_proj, d, cos, sin, params.kv_norm)
+    table = params.rope_table(int(positions.max()) + 1)
+    return rotary_matmul(h, params.kv_proj, params.config.hidden, table, positions,
+                         params.kv_norm)
 
 
 def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
@@ -268,10 +268,9 @@ def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
     rate = cfg.dropout
     o = nc.embedding(params.token_embedding,
                      np.full((b, q_len), cfg.mask_token, dtype=np.int64))
-    cos, sin = params.rope_table(int(target_positions.max()) + 1).gather(
-        target_positions, dtype=o.dtype)
+    table = params.rope_table(int(target_positions.max()) + 1)
     for li, layer in enumerate(params.pass2):
-        q = rotary_matmul(o, layer.wq, cfg.hidden, cos, sin, layer.q_norm)
+        q = rotary_matmul(o, layer.wq, cfg.hidden, table, target_positions, layer.q_norm)
         # the rotated query itself is the residual carrier
         o = cross_attention_residual(q, kv, 0 if cfg.shared_kv else li, layer.wo, mask,
                                      cfg.heads, _keep_mask(q, rate, dropout_rng), probs_sink)
@@ -306,11 +305,11 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
 
 # ---------------------------------------------------------------- inference route
 
-def _rms_np(x: np.ndarray, gain: Parameter, eps: float = 1e-6) -> np.ndarray:
+def _rms_np(x: np.ndarray, gain: Parameter) -> np.ndarray:
     # the ops of x * (1 / sqrt(mean(x * x) + eps)) * gain, without mean's overhead
     s = np.add.reduce(x * x, axis=-1, keepdims=True)
     s /= x.shape[-1]
-    s += eps
+    s += nc.RMS_EPS
     np.sqrt(s, out=s)
     np.divide(1.0, s, out=s)
     out = x * s

@@ -105,7 +105,6 @@ def test_rotary_matmul_fd(rotated):
     a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
     m = nc.Parameter("m", rng.standard_normal((6, 24)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
-    cos, sin = table.gather(pos)
     cc, ss = table.rows(pos, np.float64)
     w = rng.standard_normal((2, 5, 24))
 
@@ -115,12 +114,12 @@ def test_rotary_matmul_fd(rotated):
         y[..., :rotated] = at.rotate_pairs(heads, cc, ss).reshape(2, 5, rotated)
         return float((y * w).sum())
 
-    sum_all(mul(at.rotary_matmul(a, m, rotated, cos, sin), w)).backward()
+    sum_all(mul(at.rotary_matmul(a, m, rotated, table, pos), w)).backward()
     assert_grads_close(a.grad, fd_grad(run, a.data), rel_tol=1e-6)
     assert_grads_close(m.grad, fd_grad(run, m.data), rel_tol=1e-6)
     for bad in (6, 28):  # not whole heads; more columns than the product has
         with pytest.raises(ValueError):
-            at.rotary_matmul(a, m, bad, cos, sin)
+            at.rotary_matmul(a, m, bad, table, pos)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -133,7 +132,7 @@ def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
     def run(fused):
         a, m = nc.Parameter("a", a0.copy()), nc.Parameter("m", m0.copy())
         if fused:
-            out = at.rotary_matmul(a, m, 16, *table.gather(pos, dtype=dtype))
+            out = at.rotary_matmul(a, m, 16, table, pos)
         else:
             out = at.apply_rope(nc.matmul(a, m), pos, table)
         sum_all(mul(out, w)).backward()
@@ -152,7 +151,6 @@ def test_rotary_matmul_norm_fd(streams):
     g = nc.Parameter("g", rng.standard_normal(6))
     ms = [nc.Parameter("m%d" % i, rng.standard_normal((6, 8))) for i in range(streams)]
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
-    cos, sin = table.gather(pos)
     cc, ss = table.rows(pos, np.float64)
     w = rng.standard_normal((streams, 2, 5, 8))
 
@@ -165,7 +163,7 @@ def test_rotary_matmul_norm_fd(streams):
             total += float((y * wi).sum())
         return total
 
-    out = at.rotary_matmul(a, ms[0] if streams == 1 else ms, 4, cos, sin, g)
+    out = at.rotary_matmul(a, ms[0] if streams == 1 else ms, 4, table, pos, g)
     assert out.shape == ((2, 5, 8) if streams == 1 else (streams, 2, 5, 8))
     sum_all(mul(out, w.reshape(out.shape))).backward()
     for p in [a, g] + ms:
@@ -178,7 +176,6 @@ def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
     rng = np.random.default_rng(20)
     table = at.RopeTable.build(32, 8)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
-    cos, sin = table.gather(pos, dtype=dtype)
     x0 = rng.standard_normal((3, 7, 12)).astype(dtype)
     g0 = rng.standard_normal(12).astype(dtype)
     m0 = rng.standard_normal((3, 12, 16)).astype(dtype)
@@ -189,12 +186,12 @@ def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
             ms = [nc.Parameter("m%d" % i, m0[i].copy()) for i in range(streams)]
             x = mul(p, 1.5)
             if fused:
-                out = at.rotary_matmul(x, ms[0] if streams == 1 else ms, 8, cos, sin, g)
+                out = at.rotary_matmul(x, ms[0] if streams == 1 else ms, 8, table, pos, g)
                 loss = sum_all(mul(out, w[:streams].reshape(out.shape)))
                 outs = out.data.reshape(w[:streams].shape)
             else:
                 xn = rms_norm_node(x, g)
-                parts = [at.rotary_matmul(xn, m, 8, cos, sin) for m in ms]
+                parts = [at.rotary_matmul(xn, m, 8, table, pos) for m in ms]
                 loss = sum_all(mul(parts[0], w[0]))
                 for part, wi in zip(parts[1:], w[1:]):
                     loss = add(loss, sum_all(mul(part, wi)))
@@ -391,7 +388,6 @@ def test_self_attention_op_fd():
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     mask = at.causal_mask(5)
     w = rng.standard_normal((2, 5, 8))
-    cos, sin = table.gather(pos)
     for keep in (None, (rng.random((2, 5, 8)) >= 0.3) / 0.7):
         def ref():
             y = _self_attention_ref(qkv.data, pos, table, mask, 2) @ wo.data
@@ -402,7 +398,7 @@ def test_self_attention_op_fd():
 
         nc.zero_grads([x, qkv, wo])
         sink = []
-        rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, cos, sin)
+        rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, table, pos)
         out = at.self_attention_residual(x, rotated, wo, mask, 2, keep, probs_sink=sink)
         assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
         assert np.abs(out.data - ref()).max() < 1e-12
@@ -458,7 +454,7 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
     rng = np.random.default_rng(30)
     b, t, d, heads, layers = 2, 5, 8, 2, 2 if streams == 1 else 3
     table = at.RopeTable.build(16, d // heads)
-    cos, sin = table.gather(np.stack([rng.permutation(16)[:t] for _ in range(b)]), dtype=dtype)
+    pos = np.stack([rng.permutation(16)[:t] for _ in range(b)])
     mask = at.causal_mask(t)
 
     def draw(*shape):
@@ -479,17 +475,17 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
         px, pr = nc.Parameter("x", x0.copy()), nc.Parameter("r", r0.copy())
         x = mul(px, 1.5)
         if streams:
-            kv = at.rotary_matmul(x, [p["kv%d" % si] for si in range(streams)], d, cos, sin,
+            kv = at.rotary_matmul(x, [p["kv%d" % si] for si in range(streams)], d, table, pos,
                                   p["gain"])
             x = mul(pr, 0.5)
         for li, keep in enumerate(keeps):
             wo = p["wo%d" % li]
             if streams == 0:
-                qkv = at.rotary_matmul(x, p["in%d" % li], 2 * d, cos, sin, p["gain%d" % li])
+                qkv = at.rotary_matmul(x, p["in%d" % li], 2 * d, table, pos, p["gain%d" % li])
                 x = (at.self_attention_residual(x, qkv, wo, mask, heads, keep) if fused else
                      residual_matmul_node(x, self_attention_node(qkv, mask, heads), wo, keep))
             else:
-                q = at.rotary_matmul(x, p["in%d" % li], d, cos, sin, p["gain%d" % li])
+                q = at.rotary_matmul(x, p["in%d" % li], d, table, pos, p["gain%d" % li])
                 stream = 0 if streams == 1 else li
                 x = (at.cross_attention_residual(q, kv, stream, wo, mask, heads, keep) if fused
                      else residual_matmul_node(q, cross_attention_node(q, kv, stream, mask, heads),
@@ -504,16 +500,15 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_rotate_leading_bit_equals_rotate_pairs(dtype, sign):
-    # both directions the tape turns: forward by sin, backward by -sin
+    # both directions the tape turns: forward by ss, backward by -ss
     rng = np.random.default_rng(31)
     table = at.RopeTable.build(32, 8)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
-    cos, sin = table.gather(pos, dtype=dtype)
     cc, ss = table.rows(pos, dtype)
     x0 = rng.standard_normal((3, 7, 40)).astype(dtype)
     x0[0, 0, :4] = [0.0, -0.0, -0.0, 0.0]
     x = x0.copy()
-    at._rotate_leading(x, 24, cos, sign * sin)
+    at._rotate_leading(x, 24, cc, sign * ss)
     ref = x0.copy()
     ref[..., :24] = at.rotate_pairs(x0[..., :24].reshape(3, 7, 3, 8), cc,
                                     sign * ss).reshape(3, 7, 24)

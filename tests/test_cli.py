@@ -3,6 +3,8 @@
 import json
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,3 +383,14 @@ def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, set
                  "expand.new_w=6", setting]) == 2
     assert text in capsys.readouterr().err
     assert not (out / "config.json").exists()
+
+
+def test_bit_hashes_tool_is_deterministic():
+    # the tool a bit-keeping change is checked with prints the same digests twice
+    tool = Path(__file__).resolve().parents[1] / "tools" / "bit_hashes.py"
+    cmd = [sys.executable, str(tool), "--steps", "1", "--requests", "1", "--threads", "1"]
+    runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+            for _ in range(2)]
+    lines = runs[0].splitlines()
+    assert runs[0] == runs[1] and len(lines) == 6
+    assert all(len(ln.rsplit(": ", 1)[1]) == 64 for ln in lines)

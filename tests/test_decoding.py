@@ -320,6 +320,16 @@ def test_sample_tokens_rejects_non_finite_rows():
         dec.sample_tokens(one, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("kw", [{}, {"top_k": 4}, {"top_p": 0.9}, {"temperature": 0.5}])
+def test_sample_tokens_without_rng_draws_only_at_temperature_zero(kw):
+    # the unfiltered and the filtered branch both need an rng to draw
+    logits = np.random.default_rng(2).standard_normal((3, 8))
+    with pytest.raises(ValueError, match="needs an rng"):
+        dec.sample_tokens(logits, **kw)
+    greedy = dec.sample_tokens(logits, **dict(kw, temperature=0.0))
+    assert np.array_equal(greedy, logits.argmax(axis=-1))
+
+
 def test_non_finite_logits_name_step_and_grid_position(monkeypatch):
     # raster order, 4 uniform steps of 4: position 7 (grid cell (1, 2)) is row
     # 2 of step 2

@@ -416,6 +416,22 @@ def test_train_graph_holds_no_ffn_products(shared_kv):
     assert ffn_nodes == cfg.pass1_layers + cfg.pass2_layers
 
 
+@pytest.mark.parametrize("shared_kv", [True, False])
+def test_train_graph_holds_no_rotary_tables(shared_kv):
+    # the rotary nodes keep their positions and gather the table rows again in
+    # backward: no [B, T, hd/2] cos/sin or [B, T, hd] interleaved rows wait on the tape
+    params = make_params(seed=32, pass2_layers=3, shared_kv=shared_kv)
+    cfg = params.config
+    tables = {(2, 16, cfg.head_dim // 2), (2, 16, cfg.head_dim)}
+    rotary_nodes = 0
+    for t in _train_graph(params, 33):
+        if t._backward is not None and t._backward.__qualname__.startswith("rotary_matmul"):
+            rotary_nodes += 1
+            for a in _closure_arrays(t._backward):
+                assert not (a.dtype.kind == "f" and a.shape in tables), a.shape
+    assert rotary_nodes == cfg.pass1_layers + 1 + cfg.pass2_layers
+
+
 def test_dropout_is_seeded_and_active():
     params = make_params(seed=20, dropout=0.2, dtype=np.float64)
     rng = np.random.default_rng(21)
@@ -443,3 +459,24 @@ def test_forward_train_golden():
     assert abs(np.abs(logits.data).sum() - 18.198731908786836) < 1e-9
     assert abs(logits.data[0, 3, 7] - 0.1330232930417202) < 1e-12
 
+
+
+def test_train_backward_golden():
+    # frozen loss and per-parameter gradient norms of one float64 step, in
+    # params.parameters() order; drift in the backward pass shows up here
+    params = make_params(seed=0, dtype=np.float64)
+    loss = _train_graph(params, 1)[0]
+    loss.backward()
+    norms = [np.sqrt((p.grad ** 2).sum()) for p in params.parameters()]
+    golden = [1.251275835379591, 0.06512802666067632, 0.07811046947866927,
+              0.0011412721531233515, 0.00010997143594616721, 0.006725684197923139,
+              0.004954107951498025, 0.059436068443145404, 0.059484686859052414,
+              0.0010201517858917607, 0.00010417174192685684, 0.006394058582110485,
+              0.004127977321527565, 0.0018357332522289666, 0.10807676822202268,
+              0.020659762757011008, 1.1382145478372756, 0.07383135569677866,
+              0.0002635914015716433, 0.011486323661661357, 0.008890466974729706,
+              0.022295518687374595, 1.1020899316895867, 0.08825729600878933,
+              0.00018390304192098485, 0.01158769800567325, 0.009023497002675577,
+              0.016182547346320707, 1.040127890734875]
+    assert abs(float(loss.data) - 2.784013506952557) < 1e-12
+    np.testing.assert_allclose(norms, golden, rtol=1e-9, atol=0)

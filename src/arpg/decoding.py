@@ -2,7 +2,8 @@
 
 The engine decodes a permutation of the grid in S chunks. Each chunk's logits
 are read by [MASK] queries against the cache built so far, tokens are sampled,
-and the sampled chunk is fed through the content pass to extend the cache.
+and the sampled chunk is fed through the content pass to extend the cache;
+the last chunk is never fed, since no query reads its rows.
 Everything runs on the row-stable inference kernels, so a chunked run and the
 from-scratch sequential rebuild agree bit for bit at S = T, and query chunking
 never changes logits. One core, _decode_region, runs every decode: generate
@@ -68,7 +69,9 @@ class KvCache:
     the outgoing content kv that [MASK] queries read (one kv stream when
     shared, else one per query layer). Rows are written once and never moved,
     so views handed out earlier stay valid; `length` counts condition plus
-    decoded tokens and is advanced by the content pass appending a chunk.
+    fed tokens and is advanced by the content pass appending a chunk. A
+    generation never feeds its last chunk, so its cache ends that many rows
+    short of its capacity (1 + T) and those rows stay unwritten.
     The content pass attends over every row of the per-layer buffers, so
     `capacity` enters the bits of each content row (see
     model.forward_pass1), and those buffers start zero-filled.
@@ -201,7 +204,11 @@ class DecodeConfig:
 
 @dataclass
 class GenerationState:
-    """One in-flight generation: order, tokens in decode order, caches."""
+    """One generation: order, tokens in decode order, caches.
+
+    The caches hold the condition row, the prefill and every decoded chunk
+    but the last, which no query reads and so is never fed.
+    """
 
     permutation: np.ndarray
     tokens: np.ndarray
@@ -285,21 +292,26 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
         u = rng.random(lg.shape[0]) * cum[:, -1]
         j = (cum <= u[:, None]).sum(axis=-1)
         return np.minimum(j, lg.shape[1] - 1)
-    out = np.empty(lg.shape[0], dtype=np.int64)
-    for i in range(lg.shape[0]):
-        order = np.argsort(-probs[i], kind="stable")
-        if top_k is not None:
-            order = order[:top_k]
-        kept = probs[i][order]
-        if top_p < 1.0:
-            cum = np.cumsum(kept)
-            cut = int(np.searchsorted(cum, top_p - 1e-9, side="left")) + 1
-            order = order[:cut]
-            kept = kept[:cut]
-        kept = kept / kept.sum()
-        j = int(np.searchsorted(np.cumsum(kept), rng.random(), side="right"))
-        out[i] = order[min(j, len(order) - 1)]
-    return out
+    # Filtered: whole-array steps with the arithmetic of a per-row loop. A
+    # row keeps its first `cut` ids by descending probability. Its cumsum is
+    # a non-decreasing in-order scan, so counting the entries below a bound
+    # is a 1-d searchsorted (entries past the cut only add to a count that
+    # is capped at cut - 1), and each kept prefix is summed as one
+    # contiguous row, pairwise like a 1-d sum.
+    order = np.argsort(-probs, axis=-1, kind="stable")[:, :top_k]
+    kept = np.take_along_axis(probs, order, axis=-1)
+    width = kept.shape[1]
+    cut = np.full(kept.shape[0], width)
+    if top_p < 1.0:
+        below = np.cumsum(kept, axis=-1) < top_p - 1e-9
+        cut = np.minimum(below.sum(axis=-1) + 1, width)
+    mass = np.empty(kept.shape[0])
+    for c in np.unique(cut):
+        rows = np.flatnonzero(cut == c)
+        mass[rows] = kept[rows, :c].sum(axis=-1)
+    cum = np.cumsum(kept / mass[:, None], axis=-1)
+    j = (cum <= rng.random(kept.shape[0])[:, None]).sum(axis=-1)
+    return np.take_along_axis(order, np.minimum(j, cut - 1)[:, None], axis=-1)[:, 0]
 
 
 # ---------------------------------------------------------------- step loop
@@ -336,7 +348,11 @@ def _prefill(params, caches, ids, positions):
 
 
 def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w):
-    """Run the chunked step loop over order_pos; returns ids in decode order."""
+    """Run the chunked step loop over order_pos; returns ids in decode order.
+
+    Each step's sampled chunk is fed to the cache for the steps after it; the
+    last step's chunk is not fed.
+    """
     cond, uncond = caches
     fed = _fed(caches)
     sampled = np.empty(order_pos.size, dtype=np.int64)
@@ -357,7 +373,8 @@ def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w
                 "(%d, %d) (row %d of the step)" % (step + 1, len(counts), r, c, e.row)
             ) from None
         sampled[cursor:cursor + n] = ids
-        md.forward_pass1(params, ids, chunk, cache=fed, pattern=dc.attention_pattern)
+        if step + 1 < len(counts):  # no query reads the last chunk's rows
+            md.forward_pass1(params, ids, chunk, cache=fed, pattern=dc.attention_pattern)
         cursor += n
     return sampled
 

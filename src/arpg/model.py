@@ -436,9 +436,12 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
         on = _rms_np(o, layer.q_norm)
         q = rotate_pairs(rowwise_matmul(on, layer.wq.data).reshape(q_len, cfg.heads, -1),
                          cc, ss)
+        del on, o  # not held under the scores
         k, v = kv[0] if cfg.shared_kv else kv[li]
         a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)
-        o = q.reshape(q_len, cfg.hidden) + rowwise_matmul(a.reshape(q_len, cfg.hidden),
-                                                          layer.wo.data)
+        o = rowwise_matmul(a.reshape(q_len, cfg.hidden), layer.wo.data)
+        del a
+        o += q.reshape(q_len, cfg.hidden)  # IEEE addition commutes: q + wo(a) bit for bit
+        del q  # not held under the FFN
         o += _ffn_np(o, layer)
     return rowwise_matmul(_rms_np(o, params.final_norm), params.head.data)

@@ -225,3 +225,34 @@ def residual_matmul_node(x, a, w, keep=None):
         np.matmul(gk, w.data.T, out=da.reshape(-1, d))
         return g, da, dw
     return nc.from_op(out, (x, a, w), bwd)
+
+
+# ---------------------------------------------------------------- sampling reference
+
+def filtered_sample_loop(logits, temperature, top_k, top_p, rng):
+    """decoding.sample_tokens' filtered draw as a loop over finite logit rows.
+
+    The reference the whole-array sampler must match id for id and draw for
+    draw: per row a stable sort by descending probability, the top-k slice,
+    the shortest prefix whose mass reaches top_p, renormalization and one
+    inverse-cdf draw.
+    """
+    z = np.asarray(logits, dtype=np.float64) / temperature
+    z = z - z.max(axis=-1, keepdims=True)
+    probs = np.exp(z)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    out = np.empty(probs.shape[0], dtype=np.int64)
+    for i in range(probs.shape[0]):
+        order = np.argsort(-probs[i], kind="stable")
+        if top_k is not None:
+            order = order[:top_k]
+        kept = probs[i][order]
+        if top_p < 1.0:
+            cum = np.cumsum(kept)
+            cut = int(np.searchsorted(cum, top_p - 1e-9, side="left")) + 1
+            order = order[:cut]
+            kept = kept[:cut]
+        kept = kept / kept.sum()
+        j = int(np.searchsorted(np.cumsum(kept), rng.random(), side="right"))
+        out[i] = order[min(j, len(order) - 1)]
+    return out

@@ -1,17 +1,19 @@
 """Command-line surface: train, generate, edit, bench, demo, export.
 
 One command is one process. Config is a flat JSON object with dotted keys
-("model.hidden": 256) merged with key=value overrides from the command line;
-the fully resolved dict is copied into the output directory before any work
-starts. Exit codes: 0 success, 2 bad usage, config or input (a ConfigError or
-OSError, or a failed check while a command reads its inputs), 1 any other
-failure of the run.
+("model.hidden": 256) merged with key=value overrides from the command line.
+Every command runs in one frame, which main alone keeps: check all input,
+then write, then run. The command first reads its keys, loads and checks
+every input and writes nothing; main then rejects unknown keys, creates the
+output directory and copies the resolved config into it as config.json;
+only then does the command's work run. Exit codes: 0 success, 2 bad usage,
+config or input (any error raised before the work starts), 1 any failure of
+the run.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -93,34 +95,10 @@ def take(cfg: dict, key: str, used: set[str], default=_MISSING):
     return default
 
 
-@contextlib.contextmanager
-def _input_checks():
-    """Reading and checking what a command was given: the ValueError, TypeError,
-    KeyError or IndexError of a library check in here is bad input (exit 2).
-
-    Outside such a block the same errors are failures of the run (exit 1).
-    """
-    try:
-        yield
-    except (ValueError, TypeError, KeyError, IndexError) as e:
-        raise ConfigError(str(e)) from e
-
-
 def check_used(cfg: dict, used: set[str]) -> None:
     unknown = sorted(set(cfg) - used)
     if unknown:
         raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
-
-
-def _out_dir(cfg: dict, used: set[str]) -> Path:
-    out = Path(take(cfg, "out_dir", used))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_resolved(out: Path, cfg: dict) -> None:
-    text = json.dumps(cfg, indent=2, sort_keys=True)
-    (out / "config.json").write_text(text + "\n")
 
 
 # ---------------------------------------------------------------- images
@@ -189,46 +167,43 @@ def _write_sample(stem: Path, grid: TokenGrid, order: np.ndarray,
 
 # ---------------------------------------------------------------- train
 
-def cmd_train(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        mc = build(md.ModelConfig, cfg, "model", used)
-        spec = build(ToyDatasetSpec, cfg, "data", used)
-        tc = build(TrainConfig, cfg, "train", used)
-        data_n = int(take(cfg, "data.n", used, 512))
-        data_seed = int(take(cfg, "data.seed", used, 0))
-        snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
-        log_every = int(take(cfg, "train.log_every", used, 50))
-        resume = take(cfg, "train.resume", used, None)
-        check_used(cfg, used)
-        if spec.grid_h * spec.grid_w != mc.seq_len:
-            raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
-                              "is %d" % (spec.grid_h, spec.grid_w,
-                                         spec.grid_h * spec.grid_w, mc.seq_len))
-        if spec.vocab_size != mc.vocab_size or spec.num_classes != mc.num_classes:
-            raise ConfigError("data vocab/classes (%d, %d) do not match model "
-                              "(%d, %d)" % (spec.vocab_size, spec.num_classes,
-                                            mc.vocab_size, mc.num_classes))
-    _write_resolved(out, cfg)
-    dataset = make_dataset(spec, data_n, np.random.default_rng(data_seed))
+def cmd_train(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    mc = build(md.ModelConfig, cfg, "model", used)
+    spec = build(ToyDatasetSpec, cfg, "data", used)
+    tc = build(TrainConfig, cfg, "train", used)
+    data_n = int(take(cfg, "data.n", used, 512))
+    data_seed = int(take(cfg, "data.seed", used, 0))
+    snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
+    log_every = int(take(cfg, "train.log_every", used, 50))
+    resume = take(cfg, "train.resume", used, None)
+    if spec.grid_h * spec.grid_w != mc.seq_len:
+        raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
+                          "is %d" % (spec.grid_h, spec.grid_w,
+                                     spec.grid_h * spec.grid_w, mc.seq_len))
+    if spec.vocab_size != mc.vocab_size or spec.num_classes != mc.num_classes:
+        raise ConfigError("data vocab/classes (%d, %d) do not match model "
+                          "(%d, %d)" % (spec.vocab_size, spec.num_classes,
+                                        mc.vocab_size, mc.num_classes))
     data_id = {"n": data_n, "seed": data_seed, "spec": asdict(spec)}
 
     if resume is not None:
-        with _input_checks():
-            ck = load_checkpoint(resume)
-            if ck.meta.get("model") != asdict(mc):
-                raise ConfigError("checkpoint model config does not match the "
-                                  "requested one: %s" % resume)
-            extra = ck.meta.get("extra") or {}
-            if extra.get("data") != data_id:
-                raise ConfigError("checkpoint was trained on a different "
-                                  "dataset: %s" % resume)
-            if ck.optim is None:
-                raise ConfigError("checkpoint holds no optimizer state, cannot "
-                                  "resume: %s" % resume)
-            start_step = int(extra["loop_step"])
-            rng = restore_rng(extra["rng_state"])
+        ck = load_checkpoint(resume)
+        if ck.meta.get("model") != asdict(mc):
+            raise ConfigError("checkpoint model config does not match the "
+                              "requested one: %s" % resume)
+        extra = ck.meta.get("extra") or {}
+        if extra.get("data") != data_id:
+            raise ConfigError("checkpoint was trained on a different "
+                              "dataset: %s" % resume)
+        if ck.optim is None:
+            raise ConfigError("checkpoint holds no optimizer state, cannot "
+                              "resume: %s" % resume)
+        start_step = int(extra["loop_step"])
+        if start_step > tc.steps:
+            raise ConfigError("checkpoint was saved at step %d, past "
+                              "train.steps %d: %s" % (start_step, tc.steps, resume))
+        rng = restore_rng(extra["rng_state"])
         params, optim = ck.params, ck.optim
         metrics_mode = "a"
     else:
@@ -239,121 +214,110 @@ def cmd_train(cfg: dict) -> int:
         rng = np.random.default_rng(tc.seed + 1)
         metrics_mode = "w"
 
-    t_start = time.perf_counter()
-    with open(out / "metrics.jsonl", metrics_mode) as mf:
-        def on_step(rec):
-            mf.write(json.dumps(rec) + "\n")
-            mf.flush()
-            done = rec["step"] + 1
-            if log_every and done % log_every == 0:
-                print("step %5d  loss %.4f  lr %.2e  %.0f ms"
-                      % (rec["step"], rec["loss"], rec["lr"], rec["wall_ms"]))
-            if snapshot_every and done % snapshot_every == 0 and done < tc.steps:
-                save_checkpoint(out / ("snapshot_%06d.ckpt" % done), params,
-                                optim, extra={"loop_step": done,
-                                              "rng_state": rng_state(rng),
-                                              "data": data_id})
-        optim, history = train_loop(params, dataset, tc, optim=optim, rng=rng,
+    def run():
+        dataset = make_dataset(spec, data_n, np.random.default_rng(data_seed))
+        t_start = time.perf_counter()
+        with open(out / "metrics.jsonl", metrics_mode) as mf:
+            def on_step(rec):
+                mf.write(json.dumps(rec) + "\n")
+                mf.flush()
+                done = rec["step"] + 1
+                if log_every and done % log_every == 0:
+                    print("step %5d  loss %.4f  lr %.2e  %.0f ms"
+                          % (rec["step"], rec["loss"], rec["lr"], rec["wall_ms"]))
+                if snapshot_every and done % snapshot_every == 0 and done < tc.steps:
+                    save_checkpoint(out / ("snapshot_%06d.ckpt" % done), params,
+                                    optim, extra={"loop_step": done,
+                                                  "rng_state": rng_state(rng),
+                                                  "data": data_id})
+            _, history = train_loop(params, dataset, tc, optim=optim, rng=rng,
                                     start_step=start_step, on_step=on_step)
 
-    final = out / "model.ckpt"
-    save_checkpoint(final, params, optim,
-                    extra={"loop_step": tc.steps, "rng_state": rng_state(rng),
-                           "data": data_id})
-    last = history[-1]["loss"] if history else float("nan")
-    print("trained steps [%d, %d) in %.1f s, final loss %.4f -> %s"
-          % (start_step, tc.steps, time.perf_counter() - t_start, last, final))
-    return 0
+        final = out / "model.ckpt"
+        save_checkpoint(final, params, optim,
+                        extra={"loop_step": tc.steps, "rng_state": rng_state(rng),
+                               "data": data_id})
+        last = history[-1]["loss"] if history else float("nan")
+        print("trained steps [%d, %d) in %.1f s, final loss %.4f -> %s"
+              % (start_step, tc.steps, time.perf_counter() - t_start, last, final))
+    return out, run
 
 
 # ---------------------------------------------------------------- decode commands
 
-def cmd_generate(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        ck_path = take(cfg, "checkpoint", used)
-        dc = build(DecodeConfig, cfg, "decode", used)
-        n = int(take(cfg, "generate.n", used, 1))
-        class_id = int(take(cfg, "generate.class_id", used, 0))
-        cell_px = int(take(cfg, "image.cell_px", used, 16))
-        check_used(cfg, used)
-        params = load_checkpoint(ck_path).params
-        params.config.class_token(class_id)  # raises for an unknown class
-        _grid_shape(params.config, dc)
-    _write_resolved(out, cfg)
-    for i in range(n):
-        dci = replace(dc, seed=dc.seed + i)
+def _decode_inputs(cfg: dict, used: set[str], command: str):
+    """Load and check what generate, inpaint and expand share; returns
+    (params, dc, class_id, cell_px, the sidecar fields of every sample)."""
+    ck_path = take(cfg, "checkpoint", used)
+    dc = build(DecodeConfig, cfg, "decode", used)
+    class_id = int(take(cfg, "%s.class_id" % command, used, 0))
+    cell_px = int(take(cfg, "image.cell_px", used, 16))
+    params = load_checkpoint(ck_path).params
+    params.config.class_token(class_id)  # raises for an unknown class
+    sidecar = {"command": command, "seed": dc.seed, "class_id": class_id,
+               "checkpoint": str(ck_path), "decode": asdict(dc)}
+    return params, dc, class_id, cell_px, sidecar
+
+
+def cmd_generate(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    n = int(take(cfg, "generate.n", used, 1))
+    params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "generate")
+    _grid_shape(params.config, dc)
+
+    def run():
+        for i in range(n):
+            dci = replace(dc, seed=dc.seed + i)
+            sink: list = []
+            grid = generate(params, class_id, dci, state_sink=sink)
+            _write_sample(out / ("sample_%03d" % i), grid, sink[0].permutation,
+                          dict(sidecar, seed=dci.seed, decode=asdict(dci)), cell_px)
+        print("wrote %d sample(s) to %s" % (n, out))
+    return out, run
+
+
+def cmd_inpaint(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    input_path = take(cfg, "inpaint.input", used)
+    mask_path = take(cfg, "inpaint.mask", used)
+    params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "inpaint")
+    partial = TokenGrid(load_tokens_txt(input_path), class_id).validate(
+        params.config.vocab_size)
+    known = load_tokens_txt(mask_path).astype(bool)
+    inpaint_layout(partial.tokens.shape, known, *_grid_shape(params.config, dc))
+
+    def run():
         sink: list = []
-        grid = generate(params, class_id, dci, state_sink=sink)
-        _write_sample(out / ("sample_%03d" % i), grid, sink[0].permutation,
-                      {"command": "generate", "seed": dci.seed,
-                       "class_id": class_id, "checkpoint": str(ck_path),
-                       "decode": asdict(dci)}, cell_px)
-    print("wrote %d sample(s) to %s" % (n, out))
-    return 0
+        grid = inpaint(params, partial, known, class_id, dc, state_sink=sink)
+        order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
+        _write_sample(out / "inpaint", grid, order,
+                      dict(sidecar, input=str(input_path), mask=str(mask_path)),
+                      cell_px)
+        print("inpainted %d position(s) -> %s" % (len(order), out / "inpaint.ppm"))
+    return out, run
 
 
-def cmd_inpaint(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        ck_path = take(cfg, "checkpoint", used)
-        dc = build(DecodeConfig, cfg, "decode", used)
-        input_path = take(cfg, "inpaint.input", used)
-        mask_path = take(cfg, "inpaint.mask", used)
-        class_id = int(take(cfg, "inpaint.class_id", used, 0))
-        cell_px = int(take(cfg, "image.cell_px", used, 16))
-        check_used(cfg, used)
-        params = load_checkpoint(ck_path).params
-        params.config.class_token(class_id)  # raises for an unknown class
-        partial = TokenGrid(load_tokens_txt(input_path), class_id).validate(
-            params.config.vocab_size)
-        known = load_tokens_txt(mask_path).astype(bool)
-        inpaint_layout(partial.tokens.shape, known, *_grid_shape(params.config, dc))
-    _write_resolved(out, cfg)
-    sink: list = []
-    grid = inpaint(params, partial, known, class_id, dc, state_sink=sink)
-    order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
-    _write_sample(out / "inpaint", grid, order,
-                  {"command": "inpaint", "seed": dc.seed,
-                   "class_id": class_id, "checkpoint": str(ck_path),
-                   "input": str(input_path), "mask": str(mask_path),
-                   "decode": asdict(dc)}, cell_px)
-    print("inpainted %d position(s) -> %s" % (len(order), out / "inpaint.ppm"))
-    return 0
+def cmd_expand(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    input_path = take(cfg, "expand.input", used)
+    new_h = int(take(cfg, "expand.new_h", used))
+    new_w = int(take(cfg, "expand.new_w", used))
+    mode = take(cfg, "expand.mode", used, "outpaint")
+    params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "expand")
+    base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
+        params.config.vocab_size)
+    expand_layout(base.tokens.shape, new_h, new_w, mode)
 
-
-def cmd_expand(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        ck_path = take(cfg, "checkpoint", used)
-        dc = build(DecodeConfig, cfg, "decode", used)
-        input_path = take(cfg, "expand.input", used)
-        new_h = int(take(cfg, "expand.new_h", used))
-        new_w = int(take(cfg, "expand.new_w", used))
-        mode = take(cfg, "expand.mode", used, "outpaint")
-        class_id = int(take(cfg, "expand.class_id", used, 0))
-        cell_px = int(take(cfg, "image.cell_px", used, 16))
-        check_used(cfg, used)
-        params = load_checkpoint(ck_path).params
-        params.config.class_token(class_id)  # raises for an unknown class
-        base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
-            params.config.vocab_size)
-        expand_layout(base.tokens.shape, new_h, new_w, mode)
-    _write_resolved(out, cfg)
-    sink: list = []
-    grid = expand(params, base, new_h, new_w, mode, dc, state_sink=sink)
-    order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
-    _write_sample(out / "expand", grid, order,
-                  {"command": "expand", "seed": dc.seed, "mode": mode,
-                   "class_id": class_id, "checkpoint": str(ck_path),
-                   "input": str(input_path), "new_h": new_h, "new_w": new_w,
-                   "decode": asdict(dc)}, cell_px)
-    print("expanded to %dx%d (%s) -> %s"
-          % (new_h, new_w, mode, out / "expand.ppm"))
-    return 0
+    def run():
+        sink: list = []
+        grid = expand(params, base, new_h, new_w, mode, dc, state_sink=sink)
+        order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
+        _write_sample(out / "expand", grid, order,
+                      dict(sidecar, mode=mode, input=str(input_path),
+                           new_h=new_h, new_w=new_w), cell_px)
+        print("expanded to %dx%d (%s) -> %s"
+              % (new_h, new_w, mode, out / "expand.ppm"))
+    return out, run
 
 
 # ---------------------------------------------------------------- bench
@@ -440,33 +404,30 @@ def _default_steps(total: int) -> list[int]:
     return steps + [total]
 
 
-def cmd_bench(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        ck_path = take(cfg, "checkpoint", used, None)
-        dc = build(DecodeConfig, cfg, "decode", used)
-        if ck_path is not None:
-            params = load_checkpoint(ck_path).params
-            used.update(k for k in cfg if k.startswith("model."))
-        else:
-            mc = build(md.ModelConfig, cfg, "model", used)
-            params = md.ArpgParams.init(mc, np.random.default_rng(0))
-        steps_list = take(cfg, "bench.steps", used,
-                          _default_steps(params.config.seq_len))
-        patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
-        batch = int(take(cfg, "bench.batch", used, 16))
-        repeats = int(take(cfg, "bench.repeats", used, 3))
-        seed = int(take(cfg, "bench.seed", used, 0))
-        check_used(cfg, used)
-    _write_resolved(out, cfg)
-    report = run_bench(params, steps_list, patterns, batch, repeats, dc, seed)
-    (out / "bench.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    table = format_bench_table(report)
-    (out / "bench.txt").write_text(table + "\n")
-    print(table)
-    return 0
+def cmd_bench(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    ck_path = take(cfg, "checkpoint", used, None)
+    dc = build(DecodeConfig, cfg, "decode", used)
+    if ck_path is not None:
+        params = load_checkpoint(ck_path).params
+    else:
+        mc = build(md.ModelConfig, cfg, "model", used)
+        params = md.ArpgParams.init(mc, np.random.default_rng(0))
+    steps_list = take(cfg, "bench.steps", used,
+                      _default_steps(params.config.seq_len))
+    patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
+    batch = int(take(cfg, "bench.batch", used, 16))
+    repeats = int(take(cfg, "bench.repeats", used, 3))
+    seed = int(take(cfg, "bench.seed", used, 0))
+
+    def run():
+        report = run_bench(params, steps_list, patterns, batch, repeats, dc, seed)
+        (out / "bench.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n")
+        table = format_bench_table(report)
+        (out / "bench.txt").write_text(table + "\n")
+        print(table)
+    return out, run
 
 
 # ---------------------------------------------------------------- grad demo
@@ -475,113 +436,109 @@ def _fmt_norm(v: float) -> str:
     return "0" if v == 0.0 else "%.6e" % v
 
 
-def cmd_grad_demo(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out_path = take(cfg, "out_dir", used, None)
-        seed = int(take(cfg, "demo.seed", used, 0))
-        rows = int(take(cfg, "demo.rows", used, 8))
-        check_used(cfg, used)
+def cmd_grad_demo(cfg: dict, used: set[str]):
+    out_path = take(cfg, "out_dir", used, None)
+    out = None if out_path is None else Path(out_path)
+    seed = int(take(cfg, "demo.seed", used, 0))
+    rows = int(take(cfg, "demo.rows", used, 8))
 
-    report = masked_baseline_grad_demo(seed, rows=rows)
-    print("one-layer masked baseline, seed %d: per-row query-grad norms" % seed)
-    for i, (m, dq) in enumerate(zip(report["masked"], report["dq_norms"])):
-        print("  row %2d  %s  |dq| = %s"
-              % (i, "masked  " if m else "unmasked", _fmt_norm(dq)))
+    def run():
+        report = masked_baseline_grad_demo(seed, rows=rows)
+        print("one-layer masked baseline, seed %d: per-row query-grad norms" % seed)
+        for i, (m, dq) in enumerate(zip(report["masked"], report["dq_norms"])):
+            print("  row %2d  %s  |dq| = %s"
+                  % (i, "masked  " if m else "unmasked", _fmt_norm(dq)))
 
-    mc = md.ModelConfig(vocab_size=16, num_classes=4, hidden=32, heads=4,
-                        pass1_layers=2, pass2_layers=2, seq_len=16)
-    params = md.ArpgParams.init(mc, np.random.default_rng(seed),
-                                dtype=np.float64)
-    spec = ToyDatasetSpec(grid_h=4, grid_w=4, vocab_size=16, num_classes=4)
-    batch = make_dataset(spec, 8, np.random.default_rng(seed))
-    optim = OptimState.init(params, 1e-3)
-    loss = train_step(params, optim, batch, np.random.default_rng(seed + 1))
-    print("two-pass model, one train step (loss %.4f): query-projection "
-          "grad norms" % loss)
-    wq_norms = {}
-    for layer in params.pass2:
-        wq_norms[layer.wq.name] = float(np.linalg.norm(layer.wq.grad))
-        print("  %s  |grad| = %s" % (layer.wq.name,
-                                     _fmt_norm(wq_norms[layer.wq.name])))
-    assert all(v > 0.0 for v in wq_norms.values()), \
-        "a query projection received zero gradient"
+        mc = md.ModelConfig(vocab_size=16, num_classes=4, hidden=32, heads=4,
+                            pass1_layers=2, pass2_layers=2, seq_len=16)
+        params = md.ArpgParams.init(mc, np.random.default_rng(seed),
+                                    dtype=np.float64)
+        spec = ToyDatasetSpec(grid_h=4, grid_w=4, vocab_size=16, num_classes=4)
+        batch = make_dataset(spec, 8, np.random.default_rng(seed))
+        optim = OptimState.init(params, 1e-3)
+        loss = train_step(params, optim, batch, np.random.default_rng(seed + 1))
+        print("two-pass model, one train step (loss %.4f): query-projection "
+              "grad norms" % loss)
+        wq_norms = {}
+        for layer in params.pass2:
+            wq_norms[layer.wq.name] = float(np.linalg.norm(layer.wq.grad))
+            print("  %s  |grad| = %s" % (layer.wq.name,
+                                         _fmt_norm(wq_norms[layer.wq.name])))
+        assert all(v > 0.0 for v in wq_norms.values()), \
+            "a query projection received zero gradient"
 
-    if out_path is not None:
-        out = Path(out_path)
-        out.mkdir(parents=True, exist_ok=True)
-        payload = {"seed": seed, "baseline": {k: np.asarray(v).tolist()
-                                              for k, v in report.items()},
-                   "model_wq_grad_norms": wq_norms}
-        (out / "grad_demo.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return 0
+        if out is not None:
+            payload = {"seed": seed, "baseline": {k: np.asarray(v).tolist()
+                                                  for k, v in report.items()},
+                       "model_wq_grad_norms": wq_norms}
+            (out / "grad_demo.json").write_text(
+                json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return out, run
 
 
 # ---------------------------------------------------------------- attention export
 
-def cmd_attn_export(cfg: dict) -> int:
-    with _input_checks():
-        used: set[str] = set()
-        out = _out_dir(cfg, used)
-        ck_path = take(cfg, "checkpoint", used)
-        input_path = take(cfg, "attn.input", used, None)
-        class_id = int(take(cfg, "attn.class_id", used, 0))
-        seed = int(take(cfg, "attn.seed", used, 0))
-        check_used(cfg, used)
-        ck = load_checkpoint(ck_path)
-        params = ck.params
-        mc = params.config
-        total = mc.seq_len
-        mc.class_token(class_id)  # raises for an unknown class
-        if input_path is None:
-            toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
-        else:
-            grid = load_tokens_txt(input_path)
-            # the grid the checkpoint was trained on, else the square one
-            spec = ck.meta["extra"].get("data", {}).get("spec")
-            model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
-                          else _grid_shape(mc, DecodeConfig()))
-            if grid.shape != model_grid:
-                raise ConfigError("attn.input grid has shape %s, model grid is %s"
-                                  % (grid.shape, model_grid))
-            toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
-    _write_resolved(out, cfg)
+def cmd_attn_export(cfg: dict, used: set[str]):
+    out = Path(take(cfg, "out_dir", used))
+    ck_path = take(cfg, "checkpoint", used)
+    input_path = take(cfg, "attn.input", used, None)
+    class_id = int(take(cfg, "attn.class_id", used, 0))
+    seed = int(take(cfg, "attn.seed", used, 0))
+    ck = load_checkpoint(ck_path)
+    params = ck.params
+    mc = params.config
+    total = mc.seq_len
+    mc.class_token(class_id)  # raises for an unknown class
+    if input_path is None:
+        toks = np.random.default_rng(seed).integers(0, mc.vocab_size, total)
+    else:
+        grid = load_tokens_txt(input_path)
+        # the grid the checkpoint was trained on, else the square one
+        spec = ck.meta["extra"].get("data", {}).get("spec")
+        model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
+                      else _grid_shape(mc, DecodeConfig()))
+        if grid.shape != model_grid:
+            raise ConfigError("attn.input grid has shape %s, model grid is %s"
+                              % (grid.shape, model_grid))
+        toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
 
-    # Raster teacher forcing: content row i sees [cond, x_1..x_i], query row
-    # t asks for position t over the full content length.
-    ids = np.concatenate([[mc.class_token(class_id)],
-                          toks[:-1]]).astype(np.int64)
-    positions = np.arange(total, dtype=np.int64)
-    targets = np.arange(1, total + 1, dtype=np.int64)
-    pass1_probs, pass2_probs = [], []
-    with nc.no_grad():
-        h = md.pass1_hidden(params, ids[None], positions[None],
-                            causal_mask(total), probs_sink=pass1_probs)
-        kv = md.project_kv(params, h, positions[None])
-        md.pass2_logits(params, kv, targets[None],
-                        cross_full_mask(total, total), probs_sink=pass2_probs)
+    def run():
+        # Raster teacher forcing: content row i sees [cond, x_1..x_i], query
+        # row t asks for position t over the full content length.
+        ids = np.concatenate([[mc.class_token(class_id)],
+                              toks[:-1]]).astype(np.int64)
+        positions = np.arange(total, dtype=np.int64)
+        targets = np.arange(1, total + 1, dtype=np.int64)
+        pass1_probs, pass2_probs = [], []
+        with nc.no_grad():
+            h = md.pass1_hidden(params, ids[None], positions[None],
+                                causal_mask(total), probs_sink=pass1_probs)
+            kv = md.project_kv(params, h, positions[None])
+            md.pass2_logits(params, kv, targets[None],
+                            cross_full_mask(total, total), probs_sink=pass2_probs)
 
-    written = []
-    for stack, probs in (("pass1", pass1_probs), ("pass2", pass2_probs)):
-        if not probs:  # a model without content layers has no pass-1 scores
-            continue
-        for head in range(mc.heads):  # final layer of the stack
-            name = "%s_head%d.csv" % (stack, head)
-            np.savetxt(out / name, probs[-1][0, head], delimiter=",", fmt="%.8e")
-            written.append(name)
-    meta = {"checkpoint": str(ck_path), "class_id": class_id, "seed": seed,
-            "input": None if input_path is None else str(input_path),
-            "t_in": int(total), "queries": int(total), "heads": mc.heads,
-            "files": written}
-    (out / "attn_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    print("wrote %d score matrices to %s" % (len(written), out))
-    return 0
+        written = []
+        for stack, probs in (("pass1", pass1_probs), ("pass2", pass2_probs)):
+            if not probs:  # a model without content layers has no pass-1 scores
+                continue
+            for head in range(mc.heads):  # final layer of the stack
+                name = "%s_head%d.csv" % (stack, head)
+                np.savetxt(out / name, probs[-1][0, head], delimiter=",", fmt="%.8e")
+                written.append(name)
+        meta = {"checkpoint": str(ck_path), "class_id": class_id, "seed": seed,
+                "input": None if input_path is None else str(input_path),
+                "t_in": int(total), "queries": int(total), "heads": mc.heads,
+                "files": written}
+        (out / "attn_meta.json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        print("wrote %d score matrices to %s" % (len(written), out))
+    return out, run
 
 
 # ---------------------------------------------------------------- entry
 
+# Each command reads its keys from cfg, adding them to used, loads and checks
+# its inputs, and returns (output directory or None, run); run does the work.
 COMMANDS = {
     "train": cmd_train,
     "generate": cmd_generate,
@@ -603,10 +560,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="flat JSON config with dotted keys")
     args, overrides = parser.parse_known_args(argv)
     try:
-        with _input_checks():
+        try:  # check all input, then write: a failure here is the input's
             cfg = load_config(args.config, overrides)
-        return COMMANDS[args.command](cfg)
-    except (ConfigError, OSError) as e:
+            used: set[str] = set()
+            out, run = COMMANDS[args.command](cfg, used)
+            check_used(cfg, used)
+            if out is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "config.json").write_text(
+                    json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        except (OSError, ValueError, TypeError, KeyError, IndexError) as e:
+            raise ConfigError(str(e)) from e
+        run()
+        return 0
+    except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2
     except Exception as e:  # any other failure is the run's, not the input's

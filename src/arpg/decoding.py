@@ -21,8 +21,7 @@ import numpy as np
 
 from . import model as md
 from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, CfgSchedule,
-                       DecodeSchedule, cfg_scale_at, fixed_order, sample_permutation,
-                       schedule_counts)
+                       DecodeSchedule, cfg_scale_at, fixed_order, schedule_counts)
 
 # Largest position count the rotary table will be rebuilt for during expansion.
 EXPAND_POSITION_LIMIT = 4096
@@ -379,13 +378,6 @@ def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w
     return sampled
 
 
-def _decode_order(dc: DecodeConfig, grid_h: int, grid_w: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    if dc.order == "random":
-        return sample_permutation(grid_h * grid_w, rng)
-    return fixed_order(dc.order, grid_h, grid_w)
-
-
 def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
                        flat_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Decode order restricted to a subset of raster indices, as positions."""
@@ -455,7 +447,7 @@ def sequential_reference_generate(params: md.ArpgParams, class_id: int,
     grid_h, grid_w = _grid_shape(cfg, dc)
     total = cfg.seq_len
     rng = np.random.default_rng(dc.seed)
-    perm = _decode_order(dc, grid_h, grid_w, rng)
+    perm = _rank_of_positions(dc, grid_h, grid_w, np.arange(total), rng)
     sched = CfgSchedule(dc.cfg_schedule, dc.cfg_scale)
     scales = [cfg_scale_at(sched, i / total) for i in range(total)]
     use_cfg = any(s != 1.0 for s in scales)

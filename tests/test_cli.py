@@ -102,6 +102,18 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(pa.data, pb.data)
 
 
+@pytest.mark.parametrize("setting, text", [("data.seed=1", "different dataset"),
+                                           ("train.steps=3", "past train.steps 3")])
+def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
+    # the shared checkpoint was saved at loop_step 6 of seed-0 data
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    tiny_cfg(out, **{"train.resume": str(trained / "model.ckpt")}))
+    assert main(["train", "--config", cfg, setting]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_outputs_and_determinism(trained, tmp_path):
     outs = []
     for name in ("g1", "g2"):
@@ -173,6 +185,7 @@ def test_bad_class_exits_2_before_writing(trained, tmp_path, capsys, command):
                  "%s.class_id=9" % prefix] + args) == 2
     assert "class_id 9 outside" in capsys.readouterr().err
     assert not (out / "config.json").exists()
+    assert not out.exists()
 
 
 def test_inpaint_input_of_wrong_shape_exits_2_before_writing(trained, tmp_path, capsys):
@@ -245,6 +258,19 @@ def test_expand_outpaint_preserves_base(trained, tmp_path):
     assert np.array_equal(got[:, :4], toks)
 
 
+def test_expand_runs_on_a_non_square_model(tmp_path):
+    # expand decodes on its target grid, so the model grid need not be square
+    mc = ModelConfig(vocab_size=16, num_classes=4, hidden=16, heads=2,
+                     pass1_layers=1, pass2_layers=1, seq_len=12)
+    ck.save_checkpoint(tmp_path / "m.ckpt", ArpgParams.init(mc, np.random.default_rng(0)))
+    np.savetxt(tmp_path / "in.txt", np.zeros((3, 4), dtype=np.int64), fmt="%d")
+    out = tmp_path / "out"
+    assert main(["expand", "out_dir=%s" % out, "checkpoint=%s" % (tmp_path / "m.ckpt"),
+                 "expand.input=%s" % (tmp_path / "in.txt"), "expand.new_h=4",
+                 "expand.new_w=6", "decode.steps=2"]) == 0
+    assert np.loadtxt(out / "expand.tokens.txt", ndmin=2).shape == (4, 6)
+
+
 def test_bench_reports_closed_form_cache_size(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path / "cfg.json", {
@@ -267,6 +293,15 @@ def test_bench_reports_closed_form_cache_size(tmp_path):
         assert row["cache_scalars"] == want
         assert row["wall_ms_mean"] > 0
     assert (out / "bench.txt").read_text().strip()
+
+
+def test_bench_with_checkpoint_rejects_model_keys(trained, tmp_path, capsys):
+    # the checkpoint fixes the model, so a model.* key would be ignored
+    out = tmp_path / "out"
+    assert main(["bench", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "model.hidden=999"]) == 2
+    assert "unknown config keys: model.hidden" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_measures_open_caches_and_dtype_bytes():
@@ -364,6 +399,22 @@ def test_value_error_mid_run_exits_1(trained, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error: ValueError: q/k/v head shapes disagree" in err
     assert "config error" not in err
+
+
+def test_os_error_mid_run_exits_1(tmp_path, capsys, monkeypatch):
+    # a full disk while saving the checkpoint is a failure of the run
+    import arpg.cli as cli
+
+    def full(*args, **kwargs):
+        raise OSError("no space left on device")
+    monkeypatch.setattr(cli, "save_checkpoint", full)
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "cfg.json", tiny_cfg(out, **{"train.steps": 1}))
+    assert main(["train", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "error: OSError: no space left on device" in err
+    assert "config error" not in err
+    assert (out / "config.json").exists()
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):

@@ -5,13 +5,13 @@ Layouts: the batched kernels (attention_forward/attention_backward) work on
 [B, T, H * head_dim], and its attention tape ops read them in place:
 `self_attention_residual` takes the rows of the fused q|k|v projection
 [B, T, 3d] (the model stores wq|wk|wv as one weight),
-`cross_attention_residual` takes q [B, Q, d] and one stream of stacked k|v
-rows [L, B, S, 2d]. Both hand the kernels per-head strided views (reshape +
-transpose, no copy) and feed the joined heads [B, T, d] to their wo gemm,
-whose product goes straight into the residual sum. The tape holds neither
-the probs nor the joined heads, only the inputs it keeps anyway and each
-query row's softmax max and divisor; backward rebuilds the rest bit for bit
-and writes one fresh joined gradient per input. Rotary embedding rotates
+`cross_attention_residual` takes q [B, Q, d] and k|v rows [B, S, 2d]. Both
+hand the kernels per-head strided views (reshape + transpose, no copy) and
+feed the joined heads [B, T, d] to their wo gemm, whose product goes
+straight into the residual sum. The tape holds neither the probs nor the
+joined heads, only the inputs it keeps anyway and each query row's softmax
+max and divisor; backward rebuilds the rest bit for bit and writes one
+fresh joined gradient per input. Rotary embedding rotates
 each head_dim group of the last axis, in either layout, at per-token
 positions by the interleaved rows of RopeTable.rows, the one table format
 of both routes; on the training route `rotary_matmul` does it inside the
@@ -140,7 +140,7 @@ def _rotate_leading(x: np.ndarray, width: int, cc: np.ndarray, ss: np.ndarray) -
     lead += sw
 
 
-def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int, table: RopeTable,
+def rotary_matmul(a: Tensor, w: Tensor, rotated: int, table: RopeTable,
                   positions: np.ndarray, gain: Tensor | None = None) -> Tensor:
     """Tape op: a @ w [..., T, f] with its first `rotated` columns rotated in place.
 
@@ -148,29 +148,22 @@ def rotary_matmul(a: Tensor, w: Tensor | list[Tensor], rotated: int, table: Rope
     so the tape holds one buffer for the projection and its rotation, and the
     positions: backward gathers the rows again to turn back. Bit for bit
     apply_rope of the matmul over those columns. With gain the gemm reads
-    RMSNorm(a) * gain, rebuilt in backward (see nc.gemm_rows). A list of L
-    weights gives the products stacked [L, ..., T, f]; their gradients into
-    a are summed before the one RMSNorm backward.
+    RMSNorm(a) * gain, rebuilt in backward (see nc.gemm_rows).
     """
-    single = isinstance(w, Tensor)
-    ws = [w] if single else list(w)
-    saved, out = nc.gemm_rows(a, ws, gain)
     hd = table.head_dim
-    if rotated % hd or not 0 <= rotated <= out.shape[-1]:
+    if rotated % hd or not 0 <= rotated <= w.shape[-1]:
         raise ValueError("cannot rotate %d of %d columns in whole heads of %d"
-                         % (rotated, out.shape[-1], hd))
+                         % (rotated, w.shape[-1], hd))
+    saved, out = nc.gemm_rows(a, w, gain)
     cc, ss = table.rows(positions, out.dtype)
-    for o in out:
-        _rotate_leading(o, rotated, cc, ss)
+    _rotate_leading(out, rotated, cc, ss)
 
     def bwd(g):
         # inverse rotation (transpose of each 2x2 block), then the gemm grads
-        g = g.reshape(out.shape)
         cc, ss = table.rows(positions, g.dtype)
-        for gi in g:
-            _rotate_leading(gi, rotated, cc, -ss)
-        return nc.gemm_rows_grads(a, saved, ws, g, gain)
-    return nc.from_op(out[0] if single else out, nc.gemm_parents(a, gain, ws), bwd)
+        _rotate_leading(g, rotated, cc, -ss)
+        return nc.gemm_rows_grads(a, saved, w, g, gain)
+    return nc.from_op(out, (a, w) if gain is None else (a, gain, w), bwd)
 
 
 # ---------------------------------------------------------------- masks
@@ -283,11 +276,10 @@ def _heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _joined(*parts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-head [B, H, T, hd] arrays side by side in out or a fresh joined [B, T, n * H * hd]."""
+def _joined(*parts: np.ndarray) -> np.ndarray:
+    """Per-head [B, H, T, hd] arrays side by side in a fresh joined [B, T, n * H * hd]."""
     b, h, t, hd = parts[0].shape
-    if out is None:
-        out = np.empty((b, t, len(parts) * h * hd), dtype=parts[0].dtype)
+    out = np.empty((b, t, len(parts) * h * hd), dtype=parts[0].dtype)
     joined = out.reshape(b, t, len(parts) * h, hd)
     for i, x in enumerate(parts):
         joined[:, :, i * h:(i + 1) * h] = x.transpose(0, 2, 1, 3)
@@ -313,16 +305,15 @@ def _attention_residual(x: Tensor, q: np.ndarray, k: np.ndarray, v: np.ndarray,
     del probs
     a = Tensor(_joined(o))
     del o
-    _, out = nc.gemm_rows(a, (wo,))
-    out = nc.residual_sum(x, out[0], keep)
+    out = nc.residual_sum(x, nc.gemm_rows(a, wo)[1], keep)
     del a
 
     def bwd(g):
         o, probs = attention_forward(q, k, v, mask, stats)
         a = Tensor(_joined(o))
         del o
-        da, dwo = nc.gemm_rows_grads(a, a.data.reshape(-1, a.shape[-1]), (wo,),
-                                     (g if keep is None else g * keep)[None])
+        da, dwo = nc.gemm_rows_grads(a, a.data.reshape(-1, a.shape[-1]), wo,
+                                     g if keep is None else g * keep)
         dq, dk, dv = attention_backward(q, k, v, probs, _heads(a.data, heads),
                                         _heads(da, heads))
         del probs, a, da
@@ -350,36 +341,26 @@ def self_attention_residual(x: Tensor, qkv: Tensor, wo: Tensor, mask: AttentionM
                                lambda g, dq, dk, dv: (g, _joined(dq, dk, dv)))
 
 
-def cross_attention_residual(q: Tensor, kv: Tensor, stream: int, wo: Tensor,
-                             mask: AttentionMask, heads: int, keep: np.ndarray | None = None,
+def cross_attention_residual(q: Tensor, kv: Tensor, wo: Tensor, mask: AttentionMask,
+                             heads: int, keep: np.ndarray | None = None,
                              probs_sink: list | None = None) -> Tensor:
-    """Tape op: q + (attention of q [B, Q, d] over kv[stream]) @ wo * keep.
+    """Tape op: q + (attention of q [B, Q, d] over k|v rows kv [B, S, 2d]) @ wo * keep.
 
-    kv stacks the k|v rows of L streams [L, B, S, 2d], as rotary_matmul makes
-    them from a list of weights; the query itself is the residual carrier.
-    Rotation, if any, is the caller's: a shared k is rotated once for every
-    layer that reads it. The node holds q, kv and two [B, H, Q, 1] softmax
-    statistics. The backward returns g + dq for q; for kv it returns a fresh
-    [1, B, S, 2d] gradient when L = 1, and otherwise adds its block into kv's
-    gradient (zero elsewhere) itself. Bit for bit a cross-attention node whose
-    joined heads feed a residual gemm node.
+    The query itself is the residual carrier. Rotation, if any, is the
+    caller's: a shared k is rotated once for every layer that reads it. The
+    node holds q, kv and two [B, H, Q, 1] softmax statistics. The backward
+    returns g + dq for q and a fresh [B, S, 2d] gradient for kv. Bit for bit
+    a cross-attention node whose joined heads feed a residual gemm node.
     """
     d = q.shape[-1]
-    rows = kv.data[stream]
-    if rows.shape[-1] != 2 * d:
-        raise ValueError("k|v width %d is not twice the query width %d" % (rows.shape[-1], d))
+    if kv.shape[-1] != 2 * d:
+        raise ValueError("k|v width %d is not twice the query width %d" % (kv.shape[-1], d))
 
     def input_grads(g, dq, dk, dv):
         g += _joined(dq)
-        if kv.shape[0] > 1:
-            if kv.requires_grad:
-                kv._accumulate_at(stream, _joined(dk, dv))
-            return g, None
-        dkv = np.empty(kv.shape, dtype=kv.dtype)
-        _joined(dk, dv, out=dkv[0])
-        return g, dkv
-    return _attention_residual(q, _heads(q.data, heads), _heads(rows[..., :d], heads),
-                               _heads(rows[..., d:], heads), mask, wo, keep, probs_sink,
+        return g, _joined(dk, dv)
+    return _attention_residual(q, _heads(q.data, heads), _heads(kv.data[..., :d], heads),
+                               _heads(kv.data[..., d:], heads), mask, wo, keep, probs_sink,
                                (q, kv, wo), input_grads)
 
 

@@ -30,6 +30,7 @@ from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
                        inpaint, inpaint_layout)
+from .ordering import DecodeSchedule, schedule_counts
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -252,6 +253,8 @@ def _decode_inputs(cfg: dict, used: set[str], command: str):
     dc = build(DecodeConfig, cfg, "decode", used)
     class_id = int(take(cfg, "%s.class_id" % command, used, 0))
     cell_px = int(take(cfg, "image.cell_px", used, 16))
+    if cell_px < 1:
+        raise ConfigError("image.cell_px must be >= 1, got %d" % cell_px)
     params = load_checkpoint(ck_path).params
     params.config.class_token(class_id)  # raises for an unknown class
     sidecar = {"command": command, "seed": dc.seed, "class_id": class_id,
@@ -306,7 +309,7 @@ def cmd_expand(cfg: dict, used: set[str]):
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "expand")
     base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
         params.config.vocab_size)
-    expand_layout(base.tokens.shape, new_h, new_w, mode)
+    expand_layout(base.tokens.shape, new_h, new_w, mode, dc)
 
     def run():
         sink: list = []
@@ -419,6 +422,13 @@ def cmd_bench(cfg: dict, used: set[str]):
     batch = int(take(cfg, "bench.batch", used, 16))
     repeats = int(take(cfg, "bench.repeats", used, 3))
     seed = int(take(cfg, "bench.seed", used, 0))
+    if batch < 1 or repeats < 1:
+        raise ConfigError("bench.batch and bench.repeats must be >= 1")
+    _grid_shape(params.config, dc)
+    for steps in steps_list:  # every cell's decode settings and schedule
+        for pattern in patterns:
+            cell = replace(dc, steps=int(steps), attention_pattern=pattern)
+            schedule_counts(DecodeSchedule(cell.schedule, cell.steps, params.config.seq_len))
 
     def run():
         report = run_bench(params, steps_list, patterns, batch, repeats, dc, seed)

@@ -79,11 +79,11 @@ class KvCache:
     unconditional one of CFG) that feed the same ids at the same positions.
     Every buffer is then one array [capacity, streams * H, hd]: row r holds
     position r of each stream, stream-major along the folded head axis, so
-    one content pass appends and attends for all streams at once.
-    `stream(s)` gives a read-only one-stream cache whose buffers are views of
-    stream s's slice [capacity, H, hd] and whose fill counts are shared, so
-    it reads and measures exactly that stream; appends go through the joint
-    cache.
+    one content pass appends and attends for all streams at once. The decode
+    loop appends to this joint cache and hands pass 2 `stream(s)`: a
+    read-only one-stream cache whose buffers are views of stream s's slice
+    [capacity, H, hd] and whose fill counts are shared, so it reads and
+    measures exactly that stream.
     """
 
     def __init__(self, config: md.ModelConfig, capacity: int, dtype=np.float32,
@@ -321,39 +321,18 @@ def _step_scales(dc: DecodeConfig, counts: list[int], total: int) -> list[float]
     return [cfg_scale_at(sched, d / total) for d in done]
 
 
-def _open_caches(params: md.ArpgParams, class_id: int, capacity: int,
-                 use_cfg: bool, pattern: str) -> tuple[KvCache, KvCache | None]:
-    """Caches fed with their condition row: (cond, uncond) under CFG, else (cond, None).
-
-    Under CFG both streams live in one two-stream KvCache and the returned
-    caches are its stream views; _fed gives back the joint cache.
-    """
-    cfg = params.config
-    conds = [cfg.class_token(class_id)] + ([cfg.null_class_token] if use_cfg else [])
-    cache = KvCache(cfg, capacity, params.dtype, streams=len(conds))
-    md.forward_pass1(params, np.array(conds)[:, None], [0], cache=cache, pattern=pattern)
-    if not use_cfg:
-        return cache, None
-    return cache.stream(0), cache.stream(1)
+def _prefill(params, cache, ids, positions):
+    md.forward_pass1(params, ids, positions, cache=cache, pattern="causal")
 
 
-def _fed(caches) -> KvCache:
-    """The cache a content pass appends to, for every stream of caches at once."""
-    return caches[0].joint or caches[0]
-
-
-def _prefill(params, caches, ids, positions):
-    md.forward_pass1(params, ids, positions, cache=_fed(caches), pattern="causal")
-
-
-def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w):
+def _decode_positions(params, cache, views, order_pos, counts, scales, dc, rng, grid_w):
     """Run the chunked step loop over order_pos; returns ids in decode order.
 
-    Each step's sampled chunk is fed to the cache for the steps after it; the
+    Pass 2 reads the (cond, uncond) views of cache, uncond None without CFG.
+    Each step's sampled chunk is fed to cache for the steps after it; the
     last step's chunk is not fed.
     """
-    cond, uncond = caches
-    fed = _fed(caches)
+    cond, uncond = views
     sampled = np.empty(order_pos.size, dtype=np.int64)
     cursor = 0
     for step, (n, scale) in enumerate(zip(counts, scales)):
@@ -373,7 +352,7 @@ def _decode_positions(params, caches, order_pos, counts, scales, dc, rng, grid_w
             ) from None
         sampled[cursor:cursor + n] = ids
         if step + 1 < len(counts):  # no query reads the last chunk's rows
-            md.forward_pass1(params, ids, chunk, cache=fed, pattern=dc.attention_pattern)
+            md.forward_pass1(params, ids, chunk, cache=cache, pattern=dc.attention_pattern)
         cursor += n
     return sampled
 
@@ -407,11 +386,15 @@ def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
         counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
         scales = _step_scales(dc, counts, todo_idx.size)
         use_cfg = any(s != 1.0 for s in scales)
-        caches = _open_caches(params, class_id, 1 + out.size, use_cfg,
-                              dc.attention_pattern)
+        cfg = params.config
+        conds = [cfg.class_token(class_id)] + ([cfg.null_class_token] if use_cfg else [])
+        cache = KvCache(cfg, 1 + out.size, params.dtype, streams=len(conds))
+        md.forward_pass1(params, np.array(conds)[:, None], [0], cache=cache)
+        del conds  # not held through the decode
         if prefix_ids.size:
-            _prefill(params, caches, prefix_ids, prefix_pos)
-        sampled = _decode_positions(params, caches, order_pos, counts, scales,
+            _prefill(params, cache, prefix_ids, prefix_pos)
+        caches = (cache.stream(0), cache.stream(1)) if use_cfg else (cache, None)
+        sampled = _decode_positions(params, cache, caches, order_pos, counts, scales,
                                     dc, rng, grid_w)
         if state_sink is not None:
             state_sink.append(GenerationState(order_pos, sampled, caches))
@@ -527,10 +510,11 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
 
     mode "outpaint" anchors the base at the top-left corner; "resolution"
     centers it. Positions are re-indexed on the target raster and the rotary
-    table is rebuilt for the longer sequence, never extrapolated.
+    table is rebuilt for the longer sequence, never extrapolated. dc.grid_h
+    and dc.grid_w, when set, must name the target grid.
     """
     base.validate(params.config.vocab_size)
-    base_idx = expand_layout(base.tokens.shape, new_h, new_w, mode)
+    base_idx = expand_layout(base.tokens.shape, new_h, new_w, mode, dc)
     todo = np.setdiff1d(np.arange(new_h * new_w), base_idx)
     return _decode_region(params, base.class_id, base.flat, base_idx + 1, todo,
                           new_h, new_w, min(dc.steps, todo.size), dc,
@@ -538,12 +522,15 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
 
 
 def expand_layout(base_shape: tuple[int, int], new_h: int, new_w: int,
-                  mode: str) -> np.ndarray:
+                  mode: str, dc: DecodeConfig) -> np.ndarray:
     """Raster indices of the base cells on the new_h x new_w target (see expand).
 
     Raises ValueError for a target smaller than the base, past the rotary
-    rebuild limit, or an unknown mode.
+    rebuild limit, other than dc's grid when one is set, or an unknown mode.
     """
+    if (dc.grid_h, dc.grid_w) not in ((None, None), (new_h, new_w)):
+        raise ValueError("decode grid %sx%s is not the expand target %dx%d"
+                         % (dc.grid_h, dc.grid_w, new_h, new_w))
     old_h, old_w = base_shape
     if new_h < old_h or new_w < old_w:
         raise ValueError("target %dx%d smaller than base %dx%d"

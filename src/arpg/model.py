@@ -244,24 +244,23 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     return x
 
 
-def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> Tensor:
-    """Normalized content states -> k|v rows stacked [L, B, S, 2d] over the streams.
+def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> list[Tensor]:
+    """RMSNorm(h) * kv_norm @ each weight in params.kv_proj: k|v tensors [B, S, 2d].
 
-    One stream per fused k|v weight in params.kv_proj, all reading one
-    RMSNorm of h; k (the first d columns) is rotated at its position.
+    k, the first d columns, is rotated at its position.
     """
     table = params.rope_table(int(positions.max()) + 1)
-    return rotary_matmul(h, params.kv_proj, params.config.hidden, table, positions,
-                         params.kv_norm)
+    return [rotary_matmul(h, w, params.config.hidden, table, positions, params.kv_norm)
+            for w in params.kv_proj]
 
 
-def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
+def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndarray,
                  mask: AttentionMask, probs_sink: list | None = None,
                  dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Query stack: [MASK] embedding rotated to each target, cross-attending kv.
 
-    kv holds project_kv's stacked k|v rows. probs_sink, when given, receives each
-    layer's attention probabilities [B, H, Q, S], first layer first.
+    kv holds project_kv's k|v tensors: one shared, or one per layer. probs_sink,
+    when given, receives each layer's attention probs [B, H, Q, S], first layer first.
     """
     cfg = params.config
     b, q_len = target_positions.shape
@@ -272,7 +271,7 @@ def pass2_logits(params: ArpgParams, kv: Tensor, target_positions: np.ndarray,
     for li, layer in enumerate(params.pass2):
         q = rotary_matmul(o, layer.wq, cfg.hidden, table, target_positions, layer.q_norm)
         # the rotated query itself is the residual carrier
-        o = cross_attention_residual(q, kv, 0 if cfg.shared_kv else li, layer.wo, mask,
+        o = cross_attention_residual(q, kv[0 if cfg.shared_kv else li], layer.wo, mask,
                                      cfg.heads, _keep_mask(q, rate, dropout_rng), probs_sink)
         o = _ffn_residual(o, layer, rate, dropout_rng)
     return nc.matmul(o, params.head, params.final_norm)

@@ -133,12 +133,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def _accumulate_at(self, idx, g: np.ndarray) -> None:
-        """Add g into the region idx of .grad, zero elsewhere on first touch."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad[idx] += g
-
     def __repr__(self):
         return "Tensor(shape=%r, dtype=%s, requires_grad=%r)" % (
             self.shape, self.dtype, self.requires_grad)
@@ -196,53 +190,41 @@ def _rms_scale(x: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(_rowdot(x, x) / x.shape[-1] + RMS_EPS)
 
 
-def gemm_rows(a: Tensor, ws: Sequence[Tensor],
+def gemm_rows(a: Tensor, w: Tensor,
               gain: Tensor | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of a [..., d] times each w [d, f] in ws, one [N, d] gemm per weight.
+    """The rows of a [..., d] times w [d, f] as one [N, d] gemm.
 
-    Returns (saved, out): out [len(ws), ..., f] holds the products, each block
-    written by its own gemm. With gain the gemms read RMSNorm(a) * gain, that
-    is a * s * gain for a's per-row scale s; saved is s, so the tape keeps a
-    and s and gemm_rows_grads rebuilds the rows bit for bit. Without gain,
-    saved is a as [N, d].
+    Returns (saved, out [..., f]). With gain the gemm reads RMSNorm(a) * gain,
+    that is a * s * gain for a's per-row scale s; saved is s, so the tape
+    keeps a and s and gemm_rows_grads rebuilds the rows bit for bit. Without
+    gain, saved is a as [N, d].
     """
     d = a.shape[-1]
-    if any(w.ndim != 2 or w.shape != ws[0].shape or w.shape[0] != d for w in ws):
-        raise ValueError("gemm takes [..., d] @ [d, f], got %r @ %r"
-                         % (a.shape, [w.shape for w in ws]))
+    if w.ndim != 2 or w.shape[0] != d:
+        raise ValueError("gemm takes [..., d] @ [d, f], got %r @ %r" % (a.shape, w.shape))
     if gain is None:
         saved = rows = a.data.reshape(-1, d)
     else:
         saved = _rms_scale(a.data)
         rows = (a.data * saved * gain.data).reshape(-1, d)
-    f = ws[0].shape[1]
-    out = np.empty((len(ws),) + a.shape[:-1] + (f,), dtype=np.result_type(rows, ws[0].data))
-    for w, o in zip(ws, out):
-        np.matmul(rows, w.data, out=o.reshape(-1, f))
-    return saved, out
+    return saved, _gemm_into(a.shape[:-1] + w.shape[1:], rows, w.data)
 
 
-def gemm_rows_grads(a: Tensor, saved: np.ndarray, ws: Sequence[Tensor], g: np.ndarray,
+def gemm_rows_grads(a: Tensor, saved: np.ndarray, w: Tensor, g: np.ndarray,
                     gain: Tensor | None = None) -> tuple[np.ndarray, ...]:
-    """Gradients of gemm_rows at g [len(ws), ..., f]: (da, dgain, *dws), dgain only with gain.
-
-    Each dw is one rows^T @ g gemm, not a stack. da sums the weights'
-    products in ws order, then takes one RMSNorm backward when gain is given.
-    """
-    f = g.shape[-1]
+    """Gradients of gemm_rows at g [..., f]: (da, dgain, dw), dgain only with gain."""
+    g2 = g.reshape(-1, g.shape[-1])
     if gain is None:
         rows = saved
     else:
         xs = a.data * saved
         rows = (xs * gain.data).reshape(-1, a.shape[-1])
-    dws = [rows.T @ gi.reshape(-1, f) for gi in g]
+    dw = rows.T @ g2
     del rows
-    da = _gemm_into(a.shape, g[0].reshape(-1, f), ws[0].data.T)
-    for w, gi in zip(ws[1:], g[1:]):
-        da += _gemm_into(a.shape, gi.reshape(-1, f), w.data.T)
+    da = _gemm_into(a.shape, g2, w.data.T)
     if gain is None:
-        return (da, *dws)
-    return (*_rms_grads(da, xs, saved, gain), *dws)
+        return da, dw
+    return (*_rms_grads(da, xs, saved, gain), dw)
 
 
 def _rms_grads(g: np.ndarray, xs: np.ndarray, s: np.ndarray,
@@ -260,16 +242,11 @@ def _rms_grads(g: np.ndarray, xs: np.ndarray, s: np.ndarray,
     return g, dgain
 
 
-def gemm_parents(a: Tensor, gain: Tensor | None, ws: Sequence[Tensor]) -> tuple[Tensor, ...]:
-    """A gemm node's parents in the order gemm_rows_grads returns their gradients."""
-    return (a, *ws) if gain is None else (a, gain, *ws)
-
-
 def matmul(a: Tensor, b: Tensor, gain: Tensor | None = None) -> Tensor:
     """[..., d] @ [d, f]; with gain, RMSNorm(a) * gain @ b as one node (see gemm_rows)."""
-    saved, out = gemm_rows(a, (b,), gain)
-    return from_op(out[0], gemm_parents(a, gain, (b,)),
-                   lambda g: gemm_rows_grads(a, saved, (b,), g[None], gain))
+    saved, out = gemm_rows(a, b, gain)
+    return from_op(out, (a, b) if gain is None else (a, gain, b),
+                   lambda g: gemm_rows_grads(a, saved, b, g, gain))
 
 
 def residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
@@ -296,8 +273,8 @@ def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
         raise ValueError("a %r gate|up weight cannot feed a %r down weight"
                          % (w13.shape, w2.shape))
     f = w2.shape[0]
-    saved, h = gemm_rows(x, (w13,), gain)
-    a, b = h[0, ..., :f], h[0, ..., f:]
+    saved, h = gemm_rows(x, w13, gain)
+    a, b = h[..., :f], h[..., f:]
     u = a * _sigmoid(a)
     u *= b
     del h, a, b
@@ -309,7 +286,7 @@ def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
         # scratch besides the rebuilt h and its gradient d is one [..., f]
         # buffer: it holds sig (computed contiguous, as in the forward), then u,
         # then du = gk @ w2^T; db keeps a copy of sig until the end
-        h = gemm_rows(x, (w13,), gain)[1][0]
+        h = gemm_rows(x, w13, gain)[1]
         a, b = h[..., :f], h[..., f:]
         g2 = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
         d = np.empty(h.shape, dtype=h.dtype)
@@ -332,7 +309,7 @@ def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
         du *= b
         da *= du
         del h, a, b, u, u2, du, g2  # free the rebuilt product before the gemm grads
-        dx, dgain, dw13 = gemm_rows_grads(x, saved, (w13,), d[None], gain)
+        dx, dgain, dw13 = gemm_rows_grads(x, saved, w13, d, gain)
         dx += g  # the residual's gradient; da + g has the bits of the unfused g + da
         return dx, dgain, dw13, dw2
     return from_op(out, (x, gain, w13, w2), bwd)
@@ -399,7 +376,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         rows = flat[order]
         starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
         sums = np.add.reduceat(g.reshape(-1, table.shape[-1])[order], starts, axis=0)
-        table._accumulate_at(rows[starts], sums)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[rows[starts]] += sums
         return (None,)
     return from_op(out, (table,), bwd)
 

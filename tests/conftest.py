@@ -189,24 +189,17 @@ def self_attention_node(qkv, mask, heads):
     return nc.from_op(out, (qkv,), bwd)
 
 
-def cross_attention_node(q, kv, stream, mask, heads):
-    """Joined heads [B, Q, d] of q [B, Q, d] attending to stacked k|v rows kv[stream].
-
-    The kv gradient is a zero-filled [L, B, S, 2d] array (unfilled when
-    L = 1) holding the block at stream.
-    """
+def cross_attention_node(q, kv, mask, heads):
+    """Joined heads [B, Q, d] of q [B, Q, d] attending to k|v rows kv [B, S, 2d]."""
     d = q.shape[-1]
-    rows = kv.data[stream]
     qh = _heads(q.data, heads)
-    kh, vh = _heads(rows[..., :d], heads), _heads(rows[..., d:], heads)
+    kh, vh = _heads(kv.data[..., :d], heads), _heads(kv.data[..., d:], heads)
     out, probs = attention_forward(qh, kh, vh, mask)
     out = _joined(out)
 
     def bwd(g):
         dq, dk, dv = attention_backward(qh, kh, vh, probs, _heads(out, heads), _heads(g, heads))
-        dkv = (np.empty if kv.shape[0] == 1 else np.zeros)(kv.shape, dtype=kv.dtype)
-        _joined(dk, dv, out=dkv[stream])
-        return _joined(dq), dkv
+        return _joined(dq), _joined(dk, dv)
     return nc.from_op(out, (q, kv), bwd)
 
 

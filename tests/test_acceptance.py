@@ -158,7 +158,9 @@ def test_later_blocks_cannot_touch_earlier_block_logits():
         ids_pert[j] = (ids_pert[j] + 1 + rng.integers(0, 15, ids_pert[j].size)) % 16
 
         def run(chunk_ids):
-            cond, _ = dec._open_caches(params, 1, 17, False, "block_causal")
+            cond = dec.KvCache(params.config, 17, params.dtype)
+            md.forward_pass1(params, [params.config.class_token(1)], [0], cache=cond,
+                             pattern="block_causal")
             logits, cursor = [], 0
             for n, cids in zip(counts, chunk_ids):
                 chunk = perm[cursor:cursor + n]
@@ -228,7 +230,8 @@ def test_cached_logits_match_rebuilt(desk_params):
                 ("arccos", "cosine", "uniform")[trial % 3],
                 int(rng.integers(2, 12)), 64))
             perm = sample_permutation(64, rng)
-            cond, _ = dec._open_caches(params, trial % 4, 65, False, "causal")
+            cond = dec.KvCache(cfg, 65, params.dtype)
+            md.forward_pass1(params, [cfg.class_token(trial % 4)], [0], cache=cond)
             decoded_ids: list[int] = []
             decoded_pos: list[int] = []
             cursor = 0

@@ -142,65 +142,52 @@ def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
         assert x.dtype == dtype and np.array_equal(x, y)
 
 
-@pytest.mark.parametrize("streams", [1, 3])
-def test_rotary_matmul_norm_fd(streams):
-    # RMSNorm folded in; several weights stack their products and share a's norm
+def test_rotary_matmul_norm_fd():
+    # RMSNorm folded in
     rng = np.random.default_rng(19)
     table = at.RopeTable.build(16, 4)
     a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
     g = nc.Parameter("g", rng.standard_normal(6))
-    ms = [nc.Parameter("m%d" % i, rng.standard_normal((6, 8))) for i in range(streams)]
+    m = nc.Parameter("m", rng.standard_normal((6, 8)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     cc, ss = table.rows(pos, np.float64)
-    w = rng.standard_normal((streams, 2, 5, 8))
+    w = rng.standard_normal((2, 5, 8))
 
     def run():
         xn = a.data / np.sqrt((a.data ** 2).mean(axis=-1, keepdims=True) + 1e-6) * g.data
-        total = 0.0
-        for m, wi in zip(ms, w):
-            y = xn @ m.data
-            y[..., :4] = at.rotate_pairs(y[..., :4].reshape(2, 5, 1, 4), cc, ss).reshape(2, 5, 4)
-            total += float((y * wi).sum())
-        return total
+        y = xn @ m.data
+        y[..., :4] = at.rotate_pairs(y[..., :4].reshape(2, 5, 1, 4), cc, ss).reshape(2, 5, 4)
+        return float((y * w).sum())
 
-    out = at.rotary_matmul(a, ms[0] if streams == 1 else ms, 4, table, pos, g)
-    assert out.shape == ((2, 5, 8) if streams == 1 else (streams, 2, 5, 8))
-    sum_all(mul(out, w.reshape(out.shape))).backward()
-    for p in [a, g] + ms:
+    out = at.rotary_matmul(a, m, 4, table, pos, g)
+    assert out.shape == (2, 5, 8)
+    sum_all(mul(out, w)).backward()
+    for p in (a, g, m):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
-    # one weight, and three whose gradients into the one norm sum in list order
     rng = np.random.default_rng(20)
     table = at.RopeTable.build(32, 8)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
     x0 = rng.standard_normal((3, 7, 12)).astype(dtype)
     g0 = rng.standard_normal(12).astype(dtype)
-    m0 = rng.standard_normal((3, 12, 16)).astype(dtype)
-    w = rng.standard_normal((3, 3, 7, 16)).astype(dtype)
-    for streams in (1, 3):
-        def run(fused):
-            p, g = nc.Parameter("p", x0.copy()), nc.Parameter("g", g0.copy())
-            ms = [nc.Parameter("m%d" % i, m0[i].copy()) for i in range(streams)]
-            x = mul(p, 1.5)
-            if fused:
-                out = at.rotary_matmul(x, ms[0] if streams == 1 else ms, 8, table, pos, g)
-                loss = sum_all(mul(out, w[:streams].reshape(out.shape)))
-                outs = out.data.reshape(w[:streams].shape)
-            else:
-                xn = rms_norm_node(x, g)
-                parts = [at.rotary_matmul(xn, m, 8, table, pos) for m in ms]
-                loss = sum_all(mul(parts[0], w[0]))
-                for part, wi in zip(parts[1:], w[1:]):
-                    loss = add(loss, sum_all(mul(part, wi)))
-                outs = np.stack([part.data for part in parts])
-            loss.backward()
-            return [outs, p.grad, g.grad] + [m.grad for m in ms]
+    m0 = rng.standard_normal((12, 16)).astype(dtype)
+    w = rng.standard_normal((3, 7, 16)).astype(dtype)
 
-        for u, v in zip(run(True), run(False)):
-            assert u.dtype == dtype and np.array_equal(u, v)
+    def run(fused):
+        p, g, m = (nc.Parameter(n, v.copy()) for n, v in (("p", x0), ("g", g0), ("m", m0)))
+        x = mul(p, 1.5)
+        if fused:
+            out = at.rotary_matmul(x, m, 8, table, pos, g)
+        else:
+            out = at.rotary_matmul(rms_norm_node(x, g), m, 8, table, pos)
+        sum_all(mul(out, w)).backward()
+        return out.data, p.grad, g.grad, m.grad
+
+    for u, v in zip(run(True), run(False)):
+        assert u.dtype == dtype and np.array_equal(u, v)
 
 
 # ---------------------------------------------------------------- forward kernel
@@ -308,51 +295,24 @@ def test_attention_backward_unmasked_query_sparsity():
 
 
 def test_attention_fd_two_heads():
-    # the pass-2 node: q + (attention of q over kv[0]) @ wo, q the residual carrier
+    # the pass-2 node: q + (attention of q over kv) @ wo, q the residual carrier
     rng = np.random.default_rng(10)
     q = nc.Parameter("q", rng.standard_normal((2, 4, 6)))
-    kv = nc.Parameter("kv", rng.standard_normal((1, 2, 4, 12)))  # one k|v stream
+    kv = nc.Parameter("kv", rng.standard_normal((2, 4, 12)))  # k|v
     wo = nc.Parameter("wo", rng.standard_normal((6, 6)))
     mask = at.causal_mask(4)
     w = rng.standard_normal((2, 4, 6))
 
     def run():
-        rows = kv.data[0]
         out, _ = at.attention_forward(*(_joined_heads(x, 2) for x in
-                                        (q.data, rows[..., :6], rows[..., 6:])), mask)
+                                        (q.data, kv.data[..., :6], kv.data[..., 6:])), mask)
         return float(((q.data + _unjoined(out) @ wo.data) * w).sum())
 
-    sum_all(mul(at.cross_attention_residual(q, kv, 0, wo, mask, 2), w)).backward()
+    sum_all(mul(at.cross_attention_residual(q, kv, wo, mask, 2), w)).backward()
     for p in (q, kv, wo):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.cross_attention_residual(q, nc.Tensor(kv.data[..., :6]), 0, wo, mask, 2)
-
-
-def test_cross_attention_reads_one_stream():
-    # stacked k|v rows [L, B, S, 2d]: the node reads kv[stream], and its kv
-    # gradient is a one-stream stack's inside that block, zero elsewhere
-    rng = np.random.default_rng(11)
-    q0 = rng.standard_normal((2, 4, 6))
-    kv0 = rng.standard_normal((3, 2, 4, 12))
-    wo0 = rng.standard_normal((6, 6))
-    mask = at.causal_mask(4)
-    w = rng.standard_normal((2, 4, 6))
-
-    def run(rows, stream):
-        q, kv, wo = (nc.Parameter(n, x.copy()) for n, x in (("q", q0), ("kv", rows), ("wo", wo0)))
-        out = at.cross_attention_residual(q, kv, stream, wo, mask, 2)
-        sum_all(mul(out, w)).backward()
-        return out.data, q.grad, kv.grad, wo.grad
-
-    ref = run(kv0[1:2], 0)
-    for stream in range(3):
-        out, dq, dkv, dwo = run(kv0, stream)
-        if stream == 1:
-            for x, y in zip((out, dq, dkv[1], dwo), (ref[0], ref[1], ref[2][0], ref[3])):
-                assert np.array_equal(x, y)
-        assert not np.delete(dkv, stream, axis=0).any()
-        assert np.abs(dkv[stream]).max(axis=-1).min() > 0
+        at.cross_attention_residual(q, nc.Tensor(kv.data[..., :6]), wo, mask, 2)
 
 
 def _joined_heads(x, heads):
@@ -416,7 +376,7 @@ def test_cross_attention_op_shared_kv_fd():
     rng = np.random.default_rng(16)
     q1, q2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("q1", "q2"))
     wo1, wo2 = (nc.Parameter(n, rng.standard_normal((8, 8))) for n in ("wo1", "wo2"))
-    kv = nc.Parameter("kv", rng.standard_normal((1, 2, 5, 16)))  # k|v
+    kv = nc.Parameter("kv", rng.standard_normal((2, 5, 16)))  # k|v
     allowed = np.zeros((3, 5), dtype=bool)
     for i, n in enumerate([2, 5, 3]):
         allowed[i, :n] = True
@@ -424,16 +384,15 @@ def test_cross_attention_op_shared_kv_fd():
     w1, w2 = rng.standard_normal((2, 2, 3, 8))
 
     def one(q, wo, w):
-        rows = kv.data[0]
-        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(rows[..., :8], 2),
-                                      _joined_heads(rows[..., 8:], 2), mask)
+        out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(kv.data[..., :8], 2),
+                                      _joined_heads(kv.data[..., 8:], 2), mask)
         return ((q + _unjoined(out) @ wo) * w).sum()
 
     def run():
         return float(one(q1.data, wo1.data, w1) + one(q2.data, wo2.data, w2))
 
-    o1 = at.cross_attention_residual(q1, kv, 0, wo1, mask, 2)
-    o2 = at.cross_attention_residual(q2, kv, 0, wo2, mask, 2)
+    o1 = at.cross_attention_residual(q1, kv, wo1, mask, 2)
+    o2 = at.cross_attention_residual(q2, kv, wo2, mask, 2)
     add(sum_all(mul(o1, w1)), sum_all(mul(o2, w2))).backward()
     for p in (q1, q2, wo1, wo2, kv):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
@@ -475,8 +434,8 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
         px, pr = nc.Parameter("x", x0.copy()), nc.Parameter("r", r0.copy())
         x = mul(px, 1.5)
         if streams:
-            kv = at.rotary_matmul(x, [p["kv%d" % si] for si in range(streams)], d, table, pos,
-                                  p["gain"])
+            kv = [at.rotary_matmul(x, p["kv%d" % si], d, table, pos, p["gain"])
+                  for si in range(streams)]
             x = mul(pr, 0.5)
         for li, keep in enumerate(keeps):
             wo = p["wo%d" % li]
@@ -486,9 +445,9 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
                      residual_matmul_node(x, self_attention_node(qkv, mask, heads), wo, keep))
             else:
                 q = at.rotary_matmul(x, p["in%d" % li], d, table, pos, p["gain%d" % li])
-                stream = 0 if streams == 1 else li
-                x = (at.cross_attention_residual(q, kv, stream, wo, mask, heads, keep) if fused
-                     else residual_matmul_node(q, cross_attention_node(q, kv, stream, mask, heads),
+                kvi = kv[0 if streams == 1 else li]
+                x = (at.cross_attention_residual(q, kvi, wo, mask, heads, keep) if fused
+                     else residual_matmul_node(q, cross_attention_node(q, kvi, mask, heads),
                                                wo, keep))
         sum_all(mul(x, w)).backward()
         return [x.data, px.grad, pr.grad] + [p[n].grad for n in sorted(p)]

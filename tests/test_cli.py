@@ -425,7 +425,8 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("setting, text", [("expand.new_h=3", "smaller than base"),
-                                           ("expand.mode=tile", "mode must be")])
+                                           ("expand.mode=tile", "mode must be"),
+                                           ("decode.grid_h=4", "not the expand target 4x6")])
 def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
     np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
     out = tmp_path / "out"
@@ -434,6 +435,34 @@ def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, set
                  "expand.new_w=6", setting]) == 2
     assert text in capsys.readouterr().err
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("cell_px", [-1, 0])
+def test_bad_cell_px_exits_2_before_writing(trained, tmp_path, capsys, cell_px):
+    out = tmp_path / "out"
+    assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "image.cell_px=%d" % cell_px]) == 2
+    assert "image.cell_px must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, text", [
+    ("bench.steps=[0]", "steps must be >= 1"),
+    ("bench.steps=[2, 100]", "got 100/16"),
+    ('bench.patterns=["causal", "diagonal"]', "diagonal"),
+    ("bench.batch=0", "bench.batch"),
+    ("bench.repeats=0", "bench.repeats")],
+    ids=["steps_0", "steps_past_total", "pattern", "batch_0", "repeats_0"])
+def test_bad_bench_cell_exits_2_before_writing(tmp_path, capsys, setting, text):
+    # every (steps, pattern) cell is checked before the sweep writes anything
+    out = tmp_path / "out"
+    model = ["model.%s=%d" % kv for kv in (("vocab_size", 16), ("num_classes", 4),
+                                           ("hidden", 16), ("heads", 2), ("pass1_layers", 1),
+                                           ("pass2_layers", 1), ("seq_len", 16))]
+    assert main(["bench", "out_dir=%s" % out, "bench.batch=1", "bench.repeats=1"]
+                + model + [setting]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bit_hashes_tool_is_deterministic():

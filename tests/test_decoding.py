@@ -647,6 +647,13 @@ def test_expand_limits_and_modes():
         dec.expand(params, base, 70, 70, "outpaint", dec.DecodeConfig(steps=4))
     with pytest.raises(ValueError):
         dec.expand(params, base, 4, 8, "mirror", dec.DecodeConfig(steps=4))
+    # a grid set on dc must name the target, as generate holds it to the model's
+    for grid_h, grid_w in ((1, 3), (6, None), (None, 6), (6, 4)):
+        with pytest.raises(ValueError, match="not the expand target 6x6"):
+            dec.expand(params, base, 6, 6, "outpaint",
+                       dec.DecodeConfig(steps=4, grid_h=grid_h, grid_w=grid_w))
+    dc = dec.DecodeConfig(steps=4, grid_h=6, grid_w=6)
+    assert dec.expand(params, base, 6, 6, "outpaint", dc).tokens.shape == (6, 6)
 
 
 def test_token_grid_validation():

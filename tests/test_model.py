@@ -256,10 +256,11 @@ def test_forward_train_leakage_exact():
         assert not np.array_equal(pert.data[0, t:], base.data[0, t:])
 
 
-def test_train_vs_inference_routes_agree():
+@pytest.mark.parametrize("shared_kv", [True, False])
+def test_train_vs_inference_routes_agree(shared_kv):
     # full teacher-forcing kv + Q=T queries: tape route vs row route, float64;
     # query i reads the key prefix k[:i+1], v[:i+1], as the causal mask allows
-    params = make_params(seed=16)
+    params = make_params(seed=16, shared_kv=shared_kv)
     rng = np.random.default_rng(17)
     toks = rng.integers(0, 16, 16)
     perm = rng.permutation(16) + 1
@@ -284,7 +285,7 @@ def test_mask_embedding_sole_grad_path_through_queries():
     with nc.no_grad():
         h = md.pass1_hidden(params, ids, pos, at.causal_mask(16))
         kv = md.project_kv(params, h, pos)
-    frozen = nc.Tensor(kv.data)
+    frozen = [nc.Tensor(t.data) for t in kv]
     nc.zero_grads(params.parameters())
     logits = md.pass2_logits(params, frozen, np.arange(1, 17)[None], at.causal_mask(16))
     nc.cross_entropy(nc.reshape(logits, (16, 16)), toks).backward()
@@ -403,7 +404,7 @@ def test_train_graph_holds_no_attention_scores(shared_kv):
 @pytest.mark.parametrize("shared_kv", [True, False])
 def test_train_graph_holds_no_ffn_products(shared_kv):
     # the FFN nodes rebuild their gate|up product in backward: no [..., B, T, 2f]
-    # array (gemm_rows stacks its products on a leading axis) waits on the tape
+    # array waits on the tape
     params = make_params(seed=30, pass2_layers=3, shared_kv=shared_kv)
     cfg = params.config
     gate_up = (2, 16, 2 * cfg.ffn_hidden)
@@ -429,7 +430,7 @@ def test_train_graph_holds_no_rotary_tables(shared_kv):
             rotary_nodes += 1
             for a in _closure_arrays(t._backward):
                 assert not (a.dtype.kind == "f" and a.shape in tables), a.shape
-    assert rotary_nodes == cfg.pass1_layers + 1 + cfg.pass2_layers
+    assert rotary_nodes == cfg.pass1_layers + len(params.kv_proj) + cfg.pass2_layers
 
 
 def test_dropout_is_seeded_and_active():
@@ -479,4 +480,21 @@ def test_train_backward_golden():
               0.00018390304192098485, 0.01158769800567325, 0.009023497002675577,
               0.016182547346320707, 1.040127890734875]
     assert abs(float(loss.data) - 2.784013506952557) < 1e-12
+    np.testing.assert_allclose(norms, golden, rtol=1e-9, atol=0)
+    # the same step with one k|v weight per query layer
+    params = make_params(seed=0, dtype=np.float64, shared_kv=False)
+    loss = _train_graph(params, 1)[0]
+    loss.backward()
+    norms = [np.sqrt((p.grad ** 2).sum()) for p in params.parameters()]
+    golden = [1.043456403483904, 0.0587311848678078, 0.06746757371536936,
+              0.0010960517516767777, 0.00010243778819594555, 0.00604558698779728,
+              0.004691113851832758, 0.05007289617191896, 0.054433112304554575,
+              0.001009927289006539, 8.418117649068361e-05, 0.0056856891226334735,
+              0.0037415079758216707, 0.0019314966664834795, 0.06364514200401686,
+              0.08605603753887255, 0.018231313016097733, 1.1186198227490547,
+              0.06919390505929689, 0.00023902159071244366, 0.01374984674434886,
+              0.00990382264397391, 0.020927170583959022, 1.3271852904424961,
+              0.07697422749031996, 0.0002150646962334816, 0.01610867034539223,
+              0.01146453695367689, 0.01441092154313225, 1.0547103579821406]
+    assert abs(float(loss.data) - 2.775318284418228) < 1e-12
     np.testing.assert_allclose(norms, golden, rtol=1e-9, atol=0)

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .model import ArpgParams, ModelConfig, param_count
 from .decoding import (DecodeConfig, KvCache, TokenGrid, cache_scalar_count,
-                       expand, generate, inpaint,
+                       expand, generate, inpaint, sequential_reference_decode,
                        sequential_reference_generate)
 from .ordering import DecodeSchedule, sample_permutation, schedule_counts
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, evaluate,
@@ -21,7 +21,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 __all__ = [
     "ArpgParams", "ModelConfig", "param_count",
     "DecodeConfig", "KvCache", "TokenGrid", "cache_scalar_count",
-    "generate", "inpaint", "expand", "sequential_reference_generate",
+    "generate", "inpaint", "expand", "sequential_reference_decode",
+    "sequential_reference_generate",
     "DecodeSchedule", "sample_permutation", "schedule_counts",
     "OptimState", "ToyDatasetSpec", "TrainConfig",
     "evaluate", "make_dataset", "train_loop", "train_step", "verify_grid",

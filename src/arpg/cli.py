@@ -265,6 +265,8 @@ def _decode_inputs(cfg: dict, used: set[str], command: str):
 def cmd_generate(cfg: dict, used: set[str]):
     out = Path(take(cfg, "out_dir", used))
     n = int(take(cfg, "generate.n", used, 1))
+    if n < 1:
+        raise ConfigError("generate.n must be >= 1, got %d" % n)
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "generate")
     _grid_shape(params.config, dc)
 
@@ -359,7 +361,7 @@ def run_bench(params: md.ArpgParams, steps_list, patterns, batch: int = 16,
     for (pattern, steps), times, sink in zip(cells, wall_ms, sinks):
         arr = np.asarray(times)
         # the caches one decode of this cell opened, as allocated
-        cache_scalars = sum(c.scalar_count() for c in sink[0].caches if c is not None)
+        cache_scalars = sum(c.scalar_count() for c in sink[0].caches)
         rows.append({
             "steps": steps, "pattern": pattern,
             "wall_ms_mean": float(arr.mean()),
@@ -424,6 +426,8 @@ def cmd_bench(cfg: dict, used: set[str]):
     seed = int(take(cfg, "bench.seed", used, 0))
     if batch < 1 or repeats < 1:
         raise ConfigError("bench.batch and bench.repeats must be >= 1")
+    if not steps_list or not patterns:
+        raise ConfigError("bench.steps and bench.patterns must each name at least one cell")
     _grid_shape(params.config, dc)
     for steps in steps_list:  # every cell's decode settings and schedule
         for pattern in patterns:
@@ -451,6 +455,8 @@ def cmd_grad_demo(cfg: dict, used: set[str]):
     out = None if out_path is None else Path(out_path)
     seed = int(take(cfg, "demo.seed", used, 0))
     rows = int(take(cfg, "demo.rows", used, 8))
+    if rows < 1:
+        raise ConfigError("demo.rows must be >= 1, got %d" % rows)
 
     def run():
         report = masked_baseline_grad_demo(seed, rows=rows)

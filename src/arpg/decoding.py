@@ -4,11 +4,13 @@ The engine decodes a permutation of the grid in S chunks. Each chunk's logits
 are read by [MASK] queries against the cache built so far, tokens are sampled,
 and the sampled chunk is fed through the content pass to extend the cache;
 the last chunk is never fed, since no query reads its rows.
-Everything runs on the row-stable inference kernels, so a chunked run and the
-from-scratch sequential rebuild agree bit for bit at S = T, and query chunking
-never changes logits. One core, _decode_region, runs every decode: generate
-is its empty-prefix case, while inpaint and expand prefill the known tokens
-into the cache first and decode only the positions left. Under CFG the
+Everything runs on the row-stable inference kernels, so query chunking never
+changes logits. One core, _decode_region, runs every decode: generate is its
+empty-prefix case, while inpaint and expand prefill the known tokens into the
+cache first and decode only the positions left. Its sequential reference
+(sequential_reference_decode) runs the same loop one token per step with the
+content rebuilt from scratch at every step, and any decode at S = |todo|
+equals it bit for bit. Under CFG the
 conditional and unconditional streams share one cache and one content pass
 per step; only their [MASK] queries run apart.
 """
@@ -68,12 +70,14 @@ class KvCache:
     the outgoing content kv that [MASK] queries read (one kv stream when
     shared, else one per query layer). Rows are written once and never moved,
     so views handed out earlier stay valid; `length` counts condition plus
-    fed tokens and is advanced by the content pass appending a chunk. A
-    generation never feeds its last chunk, so its cache ends that many rows
-    short of its capacity (1 + T) and those rows stay unwritten.
-    The content pass attends over every row of the per-layer buffers, so
-    `capacity` enters the bits of each content row (see
-    model.forward_pass1), and those buffers start zero-filled.
+    fed tokens and is advanced by the content pass appending a chunk.
+    Caches are opened here alone: the decode loop and its sequential
+    reference size each to 1 + the grid's cell count, and
+    model.forward_pass1 only extends the cache it is given. A generation
+    never feeds its last chunk, so its cache ends that many rows short of
+    its capacity and those rows stay unwritten. The content pass attends
+    over every row of the per-layer buffers, so `capacity` enters the bits
+    of each content row, and those buffers start zero-filled.
 
     A cache may hold several decode streams (the conditional and the
     unconditional one of CFG) that feed the same ids at the same positions.
@@ -148,12 +152,9 @@ class KvCache:
     def out_append(self, stream: int, k: np.ndarray, v: np.ndarray) -> None:
         self._append(self._out_k, self._out_v, self._out_fill, stream, k, v)
 
-    def out_view(self, stream: int) -> tuple[np.ndarray, np.ndarray]:
-        fill = self._out_fill[stream]
-        return self._out_k[stream][:fill], self._out_v[stream][:fill]
-
     def out_kv(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [self.out_view(s) for s in range(len(self._out_k))]
+        """The filled (k, v) rows of each outgoing kv stream, as views."""
+        return [(k[:n], v[:n]) for k, v, n in zip(self._out_k, self._out_v, self._out_fill)]
 
 
 def cache_scalar_count(config: md.ModelConfig, seq_len: int) -> int:
@@ -315,46 +316,8 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
 
 # ---------------------------------------------------------------- step loop
 
-def _step_scales(dc: DecodeConfig, counts: list[int], total: int) -> list[float]:
-    sched = CfgSchedule(dc.cfg_schedule, dc.cfg_scale)
-    done = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    return [cfg_scale_at(sched, d / total) for d in done]
-
-
 def _prefill(params, cache, ids, positions):
-    md.forward_pass1(params, ids, positions, cache=cache, pattern="causal")
-
-
-def _decode_positions(params, cache, views, order_pos, counts, scales, dc, rng, grid_w):
-    """Run the chunked step loop over order_pos; returns ids in decode order.
-
-    Pass 2 reads the (cond, uncond) views of cache, uncond None without CFG.
-    Each step's sampled chunk is fed to cache for the steps after it; the
-    last step's chunk is not fed.
-    """
-    cond, uncond = views
-    sampled = np.empty(order_pos.size, dtype=np.int64)
-    cursor = 0
-    for step, (n, scale) in enumerate(zip(counts, scales)):
-        chunk = order_pos[cursor:cursor + n]
-        logits = md.forward_pass2(params, chunk, cond.out_kv())
-        if uncond is not None:
-            logits = cfg_combine(logits,
-                                 md.forward_pass2(params, chunk, uncond.out_kv()),
-                                 scale)
-        try:
-            ids = sample_tokens(logits, dc.temperature, dc.top_k, dc.top_p, rng)
-        except NonFiniteLogits as e:
-            r, c = divmod(int(chunk[e.row]) - 1, grid_w)
-            raise NonFiniteLogits(
-                e.row, "non-finite logits at decode step %d of %d, grid position "
-                "(%d, %d) (row %d of the step)" % (step + 1, len(counts), r, c, e.row)
-            ) from None
-        sampled[cursor:cursor + n] = ids
-        if step + 1 < len(counts):  # no query reads the last chunk's rows
-            md.forward_pass1(params, ids, chunk, cache=cache, pattern=dc.attention_pattern)
-        cursor += n
-    return sampled
+    md.forward_pass1(params, ids, positions, cache, "causal")
 
 
 def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
@@ -369,36 +332,69 @@ def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
 
 
 def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
-                   grid_h, grid_w, steps, dc, state_sink):
+                   grid_h, grid_w, steps, dc, state_sink=None, rebuild=False):
     """Decode raster indices todo_idx of a grid_h x grid_w grid in steps chunks.
 
-    The known prefix_ids are fed into the cache behind the condition at
-    rotary positions prefix_pos (raster index + 1) before decoding starts;
-    together with todo_idx they cover the grid. state_sink, when given,
-    receives the GenerationState (decode order as positions, tokens in decode
-    order, caches).
+    The known prefix_ids sit behind the condition at rotary positions
+    prefix_pos (raster index + 1); together with todo_idx they cover the
+    grid. One cache of 1 + grid_h * grid_w rows holds every CFG stream: the
+    condition rows, then the prefill, then each step's sampled chunk but the
+    last, which no query reads. Under rebuild (the sequential reference)
+    every step instead reads fresh one-stream caches of that width, one per
+    condition, fed [condition, known cells, decoded so far] in one causal
+    pass. state_sink, when given, receives the GenerationState (decode order
+    as positions, tokens in decode order, caches).
     """
     out = np.empty(grid_h * grid_w, dtype=np.int64)
     out[prefix_pos - 1] = prefix_ids
-    if todo_idx.size:
-        rng = np.random.default_rng(dc.seed)
-        order_pos = _rank_of_positions(dc, grid_h, grid_w, todo_idx, rng)
-        counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
-        scales = _step_scales(dc, counts, todo_idx.size)
-        use_cfg = any(s != 1.0 for s in scales)
-        cfg = params.config
-        conds = [cfg.class_token(class_id)] + ([cfg.null_class_token] if use_cfg else [])
-        cache = KvCache(cfg, 1 + out.size, params.dtype, streams=len(conds))
-        md.forward_pass1(params, np.array(conds)[:, None], [0], cache=cache)
-        del conds  # not held through the decode
+    if todo_idx.size == 0:
+        return TokenGrid(out.reshape(grid_h, grid_w), class_id)
+    cfg = params.config
+    rng = np.random.default_rng(dc.seed)
+    order_pos = _rank_of_positions(dc, grid_h, grid_w, todo_idx, rng)
+    counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
+    sched = CfgSchedule(dc.cfg_schedule, dc.cfg_scale)
+    scales = [cfg_scale_at(sched, d / todo_idx.size) for d in np.cumsum([0] + counts[:-1])]
+    del sched  # not held through the decode
+    conds = [cfg.class_token(class_id)]
+    if any(s != 1.0 for s in scales):
+        conds.append(cfg.null_class_token)
+    width = 1 + out.size
+    if not rebuild:
+        cache = KvCache(cfg, width, params.dtype, streams=len(conds))
+        md.forward_pass1(params, np.array(conds)[:, None], [0], cache)
         if prefix_ids.size:
             _prefill(params, cache, prefix_ids, prefix_pos)
-        caches = (cache.stream(0), cache.stream(1)) if use_cfg else (cache, None)
-        sampled = _decode_positions(params, cache, caches, order_pos, counts, scales,
-                                    dc, rng, grid_w)
-        if state_sink is not None:
-            state_sink.append(GenerationState(order_pos, sampled, caches))
-        out[order_pos - 1] = sampled
+        caches = (cache.stream(0), cache.stream(1)) if len(conds) == 2 else (cache,)
+    sampled = np.empty(order_pos.size, dtype=np.int64)
+    start = 0
+    for step, (n, scale) in enumerate(zip(counts, scales)):
+        chunk = order_pos[start:start + n]
+        if rebuild:
+            fed = np.concatenate([prefix_ids, sampled[:start]])
+            pos = np.concatenate([[0], prefix_pos, order_pos[:start]])
+            caches = tuple(KvCache(cfg, width, params.dtype) for _ in conds)
+            for cond, fresh in zip(conds, caches):
+                md.forward_pass1(params, np.concatenate([[cond], fed]), pos, fresh)
+        logits = md.forward_pass2(params, chunk, caches[0].out_kv())
+        if len(caches) == 2:
+            logits = cfg_combine(logits, md.forward_pass2(params, chunk, caches[1].out_kv()),
+                                 scale)
+        try:
+            ids = sample_tokens(logits, dc.temperature, dc.top_k, dc.top_p, rng)
+        except NonFiniteLogits as e:
+            r, c = divmod(int(chunk[e.row]) - 1, grid_w)
+            raise NonFiniteLogits(
+                e.row, "non-finite logits at decode step %d of %d, grid position "
+                "(%d, %d) (row %d of the step)" % (step + 1, len(counts), r, c, e.row)
+            ) from None
+        sampled[start:start + n] = ids
+        if not rebuild and step + 1 < len(counts):  # no query reads the last chunk's rows
+            md.forward_pass1(params, ids, chunk, cache, dc.attention_pattern)
+        start += n
+    if state_sink is not None:
+        state_sink.append(GenerationState(order_pos, sampled, caches))
+    out[order_pos - 1] = sampled
     return TokenGrid(out.reshape(grid_h, grid_w), class_id)
 
 
@@ -418,41 +414,29 @@ def generate(params: md.ArpgParams, class_id: int, dc: DecodeConfig,
                           dc.steps, dc, state_sink)
 
 
+def sequential_reference_decode(params: md.ArpgParams, class_id: int,
+                                prefix_ids: np.ndarray, prefix_pos: np.ndarray,
+                                todo_idx: np.ndarray, grid_h: int, grid_w: int,
+                                dc: DecodeConfig) -> TokenGrid:
+    """Oracle for _decode_region: one token per step, no cache carried over.
+
+    Every step reads fresh caches fed [condition, known cells in the given
+    order, decoded so far]. It consumes the rng exactly like the cached route
+    at S = |todo_idx|, so generate, inpaint and expand at that step count
+    must equal it bit for bit, with any sampling. dc.steps is ignored.
+    """
+    todo_idx = np.asarray(todo_idx)
+    return _decode_region(params, class_id, np.asarray(prefix_ids), np.asarray(prefix_pos),
+                          todo_idx, grid_h, grid_w, todo_idx.size, dc, rebuild=True)
+
+
 def sequential_reference_generate(params: md.ArpgParams, class_id: int,
                                   dc: DecodeConfig) -> TokenGrid:
-    """Cacheless oracle: one token per step, content pass rebuilt from scratch.
-
-    Consumes the rng exactly like generate at S = T, so with greedy sampling
-    (and with stochastic sampling too) the outputs must match bit for bit.
-    dc.steps is ignored; this always takes T steps.
-    """
-    cfg = params.config
-    grid_h, grid_w = _grid_shape(cfg, dc)
-    total = cfg.seq_len
-    rng = np.random.default_rng(dc.seed)
-    perm = _rank_of_positions(dc, grid_h, grid_w, np.arange(total), rng)
-    sched = CfgSchedule(dc.cfg_schedule, dc.cfg_scale)
-    scales = [cfg_scale_at(sched, i / total) for i in range(total)]
-    use_cfg = any(s != 1.0 for s in scales)
-    cond_ids = [cfg.class_token(class_id)]
-    uncond_ids = [cfg.null_class_token]
-    sampled: list[int] = []
-    for i in range(total):
-        ids = np.asarray(cond_ids + sampled)
-        pos = np.concatenate([[0], perm[:i]])
-        kv = md.forward_pass1(params, ids, pos, pattern="causal")
-        logits = md.forward_pass2(params, perm[i:i + 1], kv)
-        if use_cfg:
-            kv_u = md.forward_pass1(params, np.asarray(uncond_ids + sampled),
-                                    pos, pattern="causal")
-            logits = cfg_combine(logits,
-                                 md.forward_pass2(params, perm[i:i + 1], kv_u),
-                                 scales[i])
-        ids_out = sample_tokens(logits, dc.temperature, dc.top_k, dc.top_p, rng)
-        sampled.append(int(ids_out[0]))
-    out = np.empty(total, dtype=np.int64)
-    out[perm - 1] = np.asarray(sampled)
-    return TokenGrid(out.reshape(grid_h, grid_w), class_id)
+    """sequential_reference_decode over the full grid: generate's oracle at S = T."""
+    grid_h, grid_w = _grid_shape(params.config, dc)
+    empty = np.empty(0, dtype=np.int64)
+    return sequential_reference_decode(params, class_id, empty, empty,
+                                       np.arange(grid_h * grid_w), grid_h, grid_w, dc)
 
 
 # ---------------------------------------------------------------- editing

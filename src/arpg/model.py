@@ -16,11 +16,10 @@ outputs, the attention probs and the joined heads. The
 single-sample inference route (forward_pass1 / forward_pass2) computes every
 matmul row by row and attention per query, so its bits are invariant to how
 tokens are chunked into calls; the decoding engine's cache-equality
-guarantees rest on that. A content row attends over every row of the cache
-it writes to, keys past its prefix at exactly zero weight, so the cache's
-capacity is part of its bits: a pass without a cache runs through a fresh
-one of 1 + seq_len rows (more for a longer chunk), the capacity generate
-gives its cache.
+guarantees rest on that. The content pass only extends a cache it is
+given; the decoding module opens every cache and picks its width. A content
+row attends over every row of that cache, keys past its prefix at exactly
+zero weight, so the cache's capacity is part of its bits.
 """
 
 from __future__ import annotations
@@ -331,18 +330,15 @@ def _ffn_np(x: np.ndarray, layer: Pass1Layer | Pass2Layer) -> np.ndarray:
 
 
 def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarray,
-                  cache=None, pattern: str = "causal") -> list[tuple[np.ndarray, np.ndarray]]:
-    """Content pass over one token chunk; returns (k, v) [m, S * H, hd] per kv stream.
+                  cache, pattern: str = "causal") -> None:
+    """Content pass over one token chunk, extending cache (a decoding.KvCache).
 
-    The chunk extends the cache: per-layer self-attention keys and the
-    outgoing kv stream are appended, and the chunk attends to everything
-    cached plus the intra-chunk pattern (causal, or bidirectional under
-    block_causal). Every row attends over all `capacity` rows of the layer
-    buffers with a boolean mask built once for the pass; masked keys weigh
-    exactly +0 (see attention_rows). Without a cache this is a from-scratch
-    forward over the whole chunk (the condition token must sit first at
-    position 0) through a fresh one-stream KvCache of max(1 + seq_len, m)
-    rows, bit for bit a pass into such a cache.
+    Per-layer self-attention keys and the outgoing kv streams are appended,
+    and the chunk attends to everything cached plus the intra-chunk pattern
+    (causal, or bidirectional under block_causal). The first chunk a cache
+    takes must be the condition at position 0. Every row attends over all
+    `capacity` rows of the layer buffers with a boolean mask built once for
+    the pass; masked keys weigh exactly +0 (see attention_rows).
 
     A cache holding S decode streams (see KvCache) is extended for all of
     them in this one pass: ids [m] feed every stream, ids [S, m] give each
@@ -350,14 +346,10 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     run position-major, [m * S, d], and attention folds the streams into the
     head axis, so every stream's bits equal those of a one-stream pass.
     """
-    from .decoding import KvCache  # decoding imports this module
-
     cfg = params.config
     ids = np.asarray(input_ids)
     pos = np.asarray(positions)
     m = pos.size
-    if cache is None:
-        cache = KvCache(cfg, max(1 + cfg.seq_len, m), params.dtype)
     streams = cache.streams
     if pos.ndim != 1 or m == 0 or ids.shape not in ((m,), (streams, m)):
         raise ValueError("ids must be [m] or [%d, m] for 1-d positions [m], got %r/%r"
@@ -397,14 +389,10 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
         x += _ffn_np(x, layer)
 
     hn = _rms_np(x, params.kv_norm)
-    pairs = []
     for si, w in enumerate(params.kv_proj):
         kv = rowwise_matmul(hn, w.data).reshape(rows, 2 * heads, hd)
-        k = rotate_pairs(kv[:, :heads], cc, ss).reshape(m, fold, hd)
-        v = np.ascontiguousarray(kv[:, heads:]).reshape(m, fold, hd)
-        cache.out_append(si, k, v)
-        pairs.append((k, v))
-    return pairs
+        cache.out_append(si, rotate_pairs(kv[:, :heads], cc, ss).reshape(m, fold, hd),
+                         np.ascontiguousarray(kv[:, heads:]).reshape(m, fold, hd))
 
 
 def forward_pass2(params: ArpgParams, target_positions: np.ndarray,

@@ -367,8 +367,11 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     a mask id. Content rows provably get exactly zero query gradient (their
     attention outputs never reach the loss), while their keys and values
     still receive gradient through the mask rows that attend to them. Raises
-    AssertionError if any unmasked row shows a nonzero dq norm.
+    ValueError for rows < 1, and AssertionError if any unmasked row shows a
+    nonzero dq norm.
     """
+    if rows < 1:
+        raise ValueError("rows must be >= 1, got %d" % rows)
     rng = np.random.default_rng(seed)
     vocab, dim = 11, 16
     mask_id = vocab

@@ -1,10 +1,13 @@
-"""Shared test helpers: finite-difference oracle, tolerance assertions, unfused references."""
+"""Shared test helpers: finite-difference oracle, tolerance assertions, unfused
+references, and a one-chunk content pass."""
 
 import numpy as np
 import pytest
 
+from arpg import model as md
 from arpg import numcore as nc
 from arpg.attention import _heads, _joined, attention_backward, attention_forward
+from arpg.decoding import KvCache
 
 
 def fd_grad(f, x: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -249,3 +252,13 @@ def filtered_sample_loop(logits, temperature, top_k, top_p, rng):
         j = int(np.searchsorted(np.cumsum(kept), rng.random(), side="right"))
         out[i] = order[min(j, len(order) - 1)]
     return out
+
+
+# ---------------------------------------------------------------- content pass
+
+def content_kv(params, ids, positions, pattern="causal"):
+    """Outgoing (k, v) per kv stream after one content pass over [condition, ...]
+    into a fresh cache of 1 + seq_len rows, the width a generation's has."""
+    cache = KvCache(params.config, 1 + params.config.seq_len, params.dtype)
+    md.forward_pass1(params, ids, positions, cache, pattern)
+    return cache.out_kv()

@@ -238,11 +238,10 @@ def test_cached_logits_match_rebuilt(desk_params):
             for n in counts:
                 chunk = perm[cursor:cursor + n]
                 cached = md.forward_pass2(params, chunk, cond.out_kv())
-                fresh_kv = md.forward_pass1(
-                    params,
-                    [cfg.class_token(trial % 4)] + decoded_ids,
-                    [0] + decoded_pos, cache=None, pattern="causal")
-                rebuilt = md.forward_pass2(params, chunk, fresh_kv)
+                fresh = dec.KvCache(cfg, 65, params.dtype)
+                md.forward_pass1(params, [cfg.class_token(trial % 4)] + decoded_ids,
+                                 [0] + decoded_pos, cache=fresh, pattern="causal")
+                rebuilt = md.forward_pass2(params, chunk, fresh.out_kv())
                 assert np.max(np.abs(cached - rebuilt)) <= 1e-5
                 ids = rng.integers(0, 16, n)
                 md.forward_pass1(params, ids, chunk, cache=cond,

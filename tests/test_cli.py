@@ -161,6 +161,23 @@ def test_readme_generate_runs(trained, tmp_path, monkeypatch):
     assert len(list((tmp_path / "runs" / "samples").glob("sample_*.tokens.txt"))) == 8
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_bad_sample_count_exits_2_before_writing(trained, tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "generate.n=%d" % n]) == 2
+    assert "generate.n must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", [0, -2])
+def test_bad_demo_rows_exit_2_before_writing(tmp_path, capsys, rows):
+    out = tmp_path / "out"
+    assert main(["grad-demo", "out_dir=%s" % out, "demo.rows=%d" % rows]) == 2
+    assert "demo.rows must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_class_out_of_range_exits_2(trained, tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {
         "out_dir": str(tmp_path / "out"),
@@ -451,8 +468,11 @@ def test_bad_cell_px_exits_2_before_writing(trained, tmp_path, capsys, cell_px):
     ("bench.steps=[2, 100]", "got 100/16"),
     ('bench.patterns=["causal", "diagonal"]', "diagonal"),
     ("bench.batch=0", "bench.batch"),
-    ("bench.repeats=0", "bench.repeats")],
-    ids=["steps_0", "steps_past_total", "pattern", "batch_0", "repeats_0"])
+    ("bench.repeats=0", "bench.repeats"),
+    ("bench.steps=[]", "at least one cell"),
+    ("bench.patterns=[]", "at least one cell")],
+    ids=["steps_0", "steps_past_total", "pattern", "batch_0", "repeats_0",
+         "no_steps", "no_patterns"])
 def test_bad_bench_cell_exits_2_before_writing(tmp_path, capsys, setting, text):
     # every (steps, pattern) cell is checked before the sweep writes anything
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Cache mechanics, sampling filters, CFG, the step loop, and the editing ops."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from arpg import attention as at
 from arpg import decoding as dec
 from arpg import model as md
-from conftest import filtered_sample_loop
+from arpg.ordering import FIXED_ORDER_KINDS
+from conftest import content_kv, filtered_sample_loop
 
 
 def tiny_params(seed=0, dtype=np.float64, **kw):
@@ -38,7 +40,7 @@ def test_cache_append_never_mutates():
     before = [tuple(np.array(b) for b in kv) for kv in cache.out_kv()]
     md.forward_pass1(params, [3, 7, 1], [2, 9, 5], cache=cache)
     for s, (k0, v0) in enumerate(before):
-        k1, v1 = cache.out_view(s)
+        k1, v1 = cache.out_kv()[s]
         assert np.array_equal(k1[:1], k0)
         assert np.array_equal(v1[:1], v0)
 
@@ -79,24 +81,6 @@ def test_unfilled_layer_rows_are_zero():
         for buf in cache.layer_rows(li):
             assert buf.shape == (17, 2 * cfg.heads, cfg.head_dim)
             assert buf[:4].all(axis=(1, 2)).all() and not buf[4:].any()
-
-
-def test_cacheless_pass_is_a_fresh_cache_pass():
-    # without a cache the content pass runs through a fresh KvCache of
-    # max(1 + seq_len, m) rows: the width a generation's cache has, which
-    # every content row reduces over
-    for dtype in (np.float32, np.float64):
-        params = tiny_params(seed=11, dtype=dtype)
-        cfg = params.config
-        rng = np.random.default_rng(12)
-        for m in (1, 6, 1 + cfg.seq_len, 23):
-            ids = np.concatenate([[cfg.class_token(1)], rng.integers(0, cfg.vocab_size, m - 1)])
-            pos = np.concatenate([[0], rng.integers(1, 30, m - 1)])
-            cache = dec.KvCache(cfg, max(1 + cfg.seq_len, m), params.dtype)
-            want = md.forward_pass1(params, ids, pos, cache=cache)
-            for got, ref in zip(md.forward_pass1(params, ids, pos), want, strict=True):
-                for a, b in zip(got, ref, strict=True):
-                    assert_bits_equal(a, b)
 
 
 def test_wide_prefill_scores_stay_within_the_block_bound(monkeypatch):
@@ -160,8 +144,7 @@ def test_cache_vs_rebuild_logits_on_trajectory():
         fed_ids += list(ids)
         fed_pos += list(chunk)
         cached = md.forward_pass2(params, queries, cache.out_kv())
-        rebuilt = md.forward_pass2(
-            params, queries, md.forward_pass1(params, fed_ids, fed_pos))
+        rebuilt = md.forward_pass2(params, queries, content_kv(params, fed_ids, fed_pos))
         assert np.array_equal(cached, rebuilt)
 
 
@@ -176,7 +159,7 @@ def test_block_causal_chunk_kv_differs_but_s_equals_t_invariant():
     md.forward_pass1(params, [cond], [0], cache=cache_b)
     md.forward_pass1(params, ids, pos, cache=cache_c, pattern="causal")
     md.forward_pass1(params, ids, pos, cache=cache_b, pattern="block_causal")
-    assert not np.array_equal(cache_c.out_view(0)[0], cache_b.out_view(0)[0])
+    assert not np.array_equal(cache_c.out_kv()[0][0], cache_b.out_kv()[0][0])
 
     dc_c = dec.DecodeConfig(steps=16, temperature=0.0, seed=11)
     dc_b = dec.DecodeConfig(steps=16, temperature=0.0, seed=11,
@@ -654,6 +637,46 @@ def test_expand_limits_and_modes():
                        dec.DecodeConfig(steps=4, grid_h=grid_h, grid_w=grid_w))
     dc = dec.DecodeConfig(steps=4, grid_h=6, grid_w=6)
     assert dec.expand(params, base, 6, 6, "outpaint", dc).tokens.shape == (6, 6)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["inpaint", "outpaint", "resolution"]),
+       shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       grow=st.tuples(st.integers(0, 2), st.integers(0, 2)), bits=st.integers(0, 2**16 - 1),
+       pattern=st.sampled_from(dec.ATTENTION_PATTERNS),
+       order=st.sampled_from(("random",) + FIXED_ORDER_KINDS), cfg=st.booleans(),
+       greedy=st.booleans(), shared=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+def test_edits_at_one_token_per_step_equal_the_sequential_reference(
+        kind, shape, grow, bits, pattern, order, cfg, greedy, shared, dtype, seed):
+    # inpaint and expand at S = |todo| against a reference that rebuilds
+    # [condition, known cells, decoded so far] at every step; the large init
+    # spreads the logits, so a prefill fed at wrong positions, in another
+    # order or under another pattern moves sampled tokens, not only low bits
+    h, w = shape
+    mc = md.ModelConfig(vocab_size=16, num_classes=4, hidden=16, heads=2, pass1_layers=2,
+                        pass2_layers=2, seq_len=h * w, shared_kv=shared)
+    params = md.ArpgParams.init(mc, np.random.default_rng(seed), dtype, init_std=0.5)
+    base = dec.TokenGrid(np.random.default_rng(seed + 1).integers(0, 16, shape), 1)
+    grid_h, grid_w = (h, w) if kind == "inpaint" else (h + grow[0], w + grow[1])
+    guide = dict(cfg_scale=3.0, top_k=8, top_p=0.9) if cfg else {}
+    dc = dec.DecodeConfig(steps=grid_h * grid_w, attention_pattern=pattern, order=order,
+                          temperature=0.0 if greedy else 1.0, seed=seed, **guide)
+    if kind == "inpaint":
+        known = ((bits >> np.arange(h * w)) & 1).astype(bool)
+        known[bits % (h * w)] = True
+        dc = replace(dc, grid_h=h, grid_w=w)
+        got = dec.inpaint(params, base, known.reshape(shape), 1, dc)
+        idx = np.flatnonzero(known)
+        prefix = base.flat[idx]
+    else:
+        got = dec.expand(params, base, grid_h, grid_w, kind, dc)
+        idx = dec.expand_layout(shape, grid_h, grid_w, kind, dc)
+        prefix = base.flat
+    todo = np.setdiff1d(np.arange(grid_h * grid_w), idx)
+    want = dec.sequential_reference_decode(params, 1, prefix, idx + 1, todo,
+                                           grid_h, grid_w, dc)
+    assert np.array_equal(got.tokens, want.tokens)
 
 
 def test_token_grid_validation():

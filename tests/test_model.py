@@ -8,6 +8,8 @@ import pytest
 from arpg import attention as at
 from arpg import model as md
 from arpg import numcore as nc
+from arpg.decoding import KvCache
+from conftest import content_kv
 
 
 def tiny_config(**kw):
@@ -104,14 +106,14 @@ def test_decode_reads_live_weights():
     params = make_params(seed=9)
     cfg = params.config
     ids, pos = [cfg.class_token(2), 3, 7], [0, 5, 9]
-    kv = md.forward_pass1(params, ids, pos)
+    kv = content_kv(params, ids, pos)
     md.forward_pass2(params, np.array([2, 4]), kv)
     params.pass1[0].wqkv.data[:, :4] += 0.5
     params.pass2[1].w13.data *= 1.5
     fresh = make_params(seed=9)
     for p, edited in zip(fresh.parameters(), params.parameters()):
         p.data = edited.data.copy()
-    kv_live, kv_fresh = md.forward_pass1(params, ids, pos), md.forward_pass1(fresh, ids, pos)
+    kv_live, kv_fresh = content_kv(params, ids, pos), content_kv(fresh, ids, pos)
     assert not np.array_equal(kv_live[0][0], kv[0][0])
     for (k, v), (kf, vf) in zip(kv_live, kv_fresh):
         assert np.array_equal(k, kf) and np.array_equal(v, vf)
@@ -121,7 +123,7 @@ def test_decode_reads_live_weights():
 
 def test_pass1_condition_only():
     params = make_params()
-    kv = md.forward_pass1(params, [params.config.class_token(1)], [0])
+    kv = content_kv(params, [params.config.class_token(1)], [0])
     assert len(kv) == 1
     k, v = kv[0]
     assert k.shape == (1, 4, 8) and v.shape == (1, 4, 8)
@@ -130,12 +132,13 @@ def test_pass1_condition_only():
 
 def test_pass1_contract_errors():
     params = make_params()
+    cache = KvCache(params.config, 17, params.dtype)
     with pytest.raises(ValueError):
-        md.forward_pass1(params, [1, 2], [0])
+        md.forward_pass1(params, [1, 2], [0], cache)
     with pytest.raises(ValueError):
-        md.forward_pass1(params, [1], [3])  # first fed token must sit at position 0
+        md.forward_pass1(params, [1], [3], cache)  # first fed token must sit at position 0
     with pytest.raises(IndexError):
-        md.forward_pass1(params, [99], [0])
+        md.forward_pass1(params, [99], [0], cache)
 
 
 def test_pass1_permutation_equivariance_bidirectional_only():
@@ -149,19 +152,19 @@ def test_pass1_permutation_equivariance_bidirectional_only():
     ids_s = np.concatenate([[params.config.class_token(0)], toks[sigma]])
     pos_s = np.concatenate([[0], pos[sigma]])
 
-    k, v = md.forward_pass1(params, ids, full_pos, pattern="block_causal")[0]
-    k_s, v_s = md.forward_pass1(params, ids_s, pos_s, pattern="block_causal")[0]
+    k, v = content_kv(params, ids, full_pos, pattern="block_causal")[0]
+    k_s, v_s = content_kv(params, ids_s, pos_s, pattern="block_causal")[0]
     assert np.allclose(k_s[1:], k[1:][sigma], atol=1e-12)
     assert np.allclose(v_s[1:], v[1:][sigma], atol=1e-12)
 
-    k_c = md.forward_pass1(params, ids, full_pos, pattern="causal")[0]
-    k_cs = md.forward_pass1(params, ids_s, pos_s, pattern="causal")[0]
+    k_c = content_kv(params, ids, full_pos, pattern="causal")[0]
+    k_cs = content_kv(params, ids_s, pos_s, pattern="causal")[0]
     assert not np.allclose(k_cs[0][1:], k_c[0][1:][sigma], atol=1e-6)
 
 
 def test_pass2_identical_positions_identical_logits():
     params = make_params(seed=7)
-    kv = md.forward_pass1(params, [params.config.class_token(2), 3, 9], [0, 4, 11])
+    kv = content_kv(params, [params.config.class_token(2), 3, 9], [0, 4, 11])
     logits = md.forward_pass2(params, [7, 7], kv)
     assert np.array_equal(logits[0], logits[1])
 
@@ -170,7 +173,7 @@ def test_pass2_joint_equals_separate_bitwise():
     params = make_params(seed=8)
     rng = np.random.default_rng(9)
     toks = rng.integers(0, 16, 6)
-    kv = md.forward_pass1(params, np.concatenate([[params.config.class_token(1)], toks]),
+    kv = content_kv(params, np.concatenate([[params.config.class_token(1)], toks]),
                           np.concatenate([[0], np.arange(1, 7)]))
     targets = np.array([9, 12, 7, 15])
     joint = md.forward_pass2(params, targets, kv)
@@ -181,7 +184,7 @@ def test_pass2_joint_equals_separate_bitwise():
 
 def test_pass2_contract_errors():
     params = make_params()
-    kv = md.forward_pass1(params, [params.config.class_token(0)], [0])
+    kv = content_kv(params, [params.config.class_token(0)], [0])
     with pytest.raises(ValueError):
         md.forward_pass2(params, [0], kv)  # condition slot is not a target
     with pytest.raises(ValueError):
@@ -268,7 +271,7 @@ def test_train_vs_inference_routes_agree(shared_kv):
         logits, _ = forward_one(params, toks, 3, perm)
     ids = np.concatenate([[params.config.class_token(3)], toks[perm - 1][:-1]])
     pos = np.concatenate([[0], perm[:-1]])
-    kv = md.forward_pass1(params, ids, pos, pattern="causal")
+    kv = content_kv(params, ids, pos, pattern="causal")
     ref = np.concatenate([
         md.forward_pass2(params, perm[i:i + 1], [(k[:i + 1], v[:i + 1]) for k, v in kv])
         for i in range(16)])

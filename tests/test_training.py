@@ -262,6 +262,13 @@ def test_masked_baseline_explicit_extremes():
     assert np.array(none_masked["dk_norms"]).max() == 0.0
 
 
+def test_masked_baseline_rejects_an_empty_batch():
+    for rows in (0, -3):
+        with pytest.raises(ValueError, match="rows must be >= 1"):
+            tr.masked_baseline_grad_demo(0, rows=rows)
+    assert len(tr.masked_baseline_grad_demo(0, rows=1)["masked"]) == 1
+
+
 def test_masked_baseline_many_seeds():
     for seed in range(10):
         report = tr.masked_baseline_grad_demo(seed)

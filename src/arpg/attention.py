@@ -35,52 +35,45 @@ ROWS_BLOCK = 1 << 14  # score entries attention_rows holds at once
 
 # ---------------------------------------------------------------- rotary table
 
-@dataclass
 class RopeTable:
-    """Per-position pairwise rotation angles: theta[p, j] = p * base^(-2j/head_dim)."""
+    """Rotary angles theta[p, j] = p * base^(-2j/head_dim) for positions [0, size).
 
-    max_positions: int
-    head_dim: int
-    base: float
-    cos: np.ndarray = field(repr=False)  # [max_positions, head_dim//2] float64
-    sin: np.ndarray = field(repr=False)
-    # dtype -> interleaved (c, c) and (-s, s) tables, filled by rows()
-    _interleaved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    The table decides its own size: rows() grows it to the largest position
+    it is asked for. Each row is computed in float64 from its own position
+    alone, so growth changes no row's bits. One interleaved (c, c), (-s, s)
+    pair [size, head_dim] is kept per dtype, cast on its first use, so
+    repeated calls cast nothing; growth drops them all.
+    """
 
-    @classmethod
-    def build(cls, max_positions: int, head_dim: int, base: float = 10000.0) -> "RopeTable":
-        if head_dim % 2 != 0:
-            raise ValueError("rotary head_dim must be even, got %d" % head_dim)
-        if max_positions < 1:
-            raise ValueError("max_positions must be >= 1")
-        j = np.arange(head_dim // 2, dtype=np.float64)
-        inv_freq = base ** (-2.0 * j / head_dim)
-        theta = np.arange(max_positions, dtype=np.float64)[:, None] * inv_freq[None, :]
-        return cls(max_positions, head_dim, base, np.cos(theta), np.sin(theta))
-
-    def _checked(self, positions: np.ndarray) -> np.ndarray:
-        p = np.asarray(positions)
-        if p.size and (p.min() < 0 or p.max() >= self.max_positions):
-            raise IndexError(
-                "position out of rotary table range [0, %d)" % self.max_positions)
-        return p
+    def __init__(self, head_dim: int, size: int, base: float = 10000.0):
+        if head_dim % 2 != 0 or size < 1:
+            raise ValueError("rotary head_dim must be even and size >= 1, got %d and %d"
+                             % (head_dim, size))
+        self.head_dim, self.size, self.base = head_dim, size, base
+        self._interleaved: dict = {}  # dtype -> (cc, ss)
 
     def rows(self, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
         """Interleaved rows (c, c) and (-s, s) [..., head_dim] for integer positions.
 
-        Gathered from whole-table copies cast to dtype on its first use, so
-        repeated calls cast nothing. The one table format: rotate_pairs and
-        rotary_matmul both read these rows.
+        The one table format: rotate_pairs and rotary_matmul both read these
+        rows. Raises IndexError for a negative position.
         """
-        p = self._checked(positions)
-        tables = self._interleaved.get(np.dtype(dtype))
-        if tables is None:
-            cc = np.repeat(self.cos, 2, axis=-1).astype(dtype)
-            ss = np.empty_like(cc)
-            ss[:, 0::2] = -self.sin
-            ss[:, 1::2] = self.sin
-            tables = self._interleaved[np.dtype(dtype)] = (cc, ss)
-        return tables[0][p], tables[1][p]
+        p = np.asarray(positions)
+        if p.size and p.min() < 0:
+            raise IndexError("rotary position %d is negative" % p.min())
+        if p.size and p.max() >= self.size:
+            self.size = int(p.max()) + 1
+            self._interleaved.clear()
+        if np.dtype(dtype) not in self._interleaved:
+            j = np.arange(self.head_dim // 2, dtype=np.float64)
+            inv_freq = self.base ** (-2.0 * j / self.head_dim)
+            theta = np.arange(self.size, dtype=np.float64)[:, None] * inv_freq
+            ss = np.repeat(np.sin(theta), 2, axis=-1)
+            ss[:, 0::2] *= -1.0
+            self._interleaved[np.dtype(dtype)] = (
+                np.repeat(np.cos(theta), 2, axis=-1).astype(dtype), ss.astype(dtype))
+        cc, ss = self._interleaved[np.dtype(dtype)]
+        return cc[p], ss[p]
 
 
 def rotate_pairs(x: np.ndarray, cc: np.ndarray, ss: np.ndarray) -> np.ndarray:

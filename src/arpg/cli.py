@@ -178,6 +178,8 @@ def cmd_train(cfg: dict, used: set[str]):
     snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
     log_every = int(take(cfg, "train.log_every", used, 50))
     resume = take(cfg, "train.resume", used, None)
+    if data_n < 1:
+        raise ConfigError("data.n must be >= 1, got %d" % data_n)
     if spec.grid_h * spec.grid_w != mc.seq_len:
         raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
                           "is %d" % (spec.grid_h, spec.grid_w,
@@ -269,6 +271,7 @@ def cmd_generate(cfg: dict, used: set[str]):
         raise ConfigError("generate.n must be >= 1, got %d" % n)
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "generate")
     _grid_shape(params.config, dc)
+    schedule_counts(DecodeSchedule(dc.schedule, dc.steps, params.config.seq_len))
 
     def run():
         for i in range(n):

@@ -25,7 +25,7 @@ from . import model as md
 from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, CfgSchedule,
                        DecodeSchedule, cfg_scale_at, fixed_order, schedule_counts)
 
-# Largest position count the rotary table will be rebuilt for during expansion.
+# Most positions an expand target may hold; the rotary table grows to cover them.
 EXPAND_POSITION_LIMIT = 4096
 
 ATTENTION_PATTERNS = ("causal", "block_causal")
@@ -183,10 +183,14 @@ class DecodeConfig:
     grid_w: int | None = None
 
     def __post_init__(self):
+        for name in ("steps", "seed", "top_k", "grid_h", "grid_w"):
+            value, optional = getattr(self, name), name not in ("steps", "seed")
+            if not (isinstance(value, (int, np.integer)) or optional and value is None):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0 (0 means argmax)")
+        if not 0 <= self.temperature < np.inf:
+            raise ValueError("temperature must be finite and >= 0 (0 means argmax)")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.top_k is not None and self.top_k < 1:
@@ -198,8 +202,8 @@ class DecodeConfig:
             if getattr(self, name) not in kinds:
                 raise ValueError("%s must be one of %s, got %r"
                                  % (name, "|".join(kinds), getattr(self, name)))
-        if self.cfg_scale < 0:
-            raise ValueError("cfg_scale must be >= 0")
+        if not 0 <= self.cfg_scale < np.inf:
+            raise ValueError("cfg_scale must be finite and >= 0")
 
 
 @dataclass
@@ -494,7 +498,7 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
 
     mode "outpaint" anchors the base at the top-left corner; "resolution"
     centers it. Positions are re-indexed on the target raster and the rotary
-    table is rebuilt for the longer sequence, never extrapolated. dc.grid_h
+    table grows to the longer sequence, never extrapolated. dc.grid_h
     and dc.grid_w, when set, must name the target grid.
     """
     base.validate(params.config.vocab_size)
@@ -509,8 +513,8 @@ def expand_layout(base_shape: tuple[int, int], new_h: int, new_w: int,
                   mode: str, dc: DecodeConfig) -> np.ndarray:
     """Raster indices of the base cells on the new_h x new_w target (see expand).
 
-    Raises ValueError for a target smaller than the base, past the rotary
-    rebuild limit, other than dc's grid when one is set, or an unknown mode.
+    Raises ValueError for a target smaller than the base, past
+    EXPAND_POSITION_LIMIT, other than dc's grid when one is set, or an unknown mode.
     """
     if (dc.grid_h, dc.grid_w) not in ((None, None), (new_h, new_w)):
         raise ValueError("decode grid %sx%s is not the expand target %dx%d"
@@ -521,8 +525,8 @@ def expand_layout(base_shape: tuple[int, int], new_h: int, new_w: int,
                          % (new_h, new_w, old_h, old_w))
     total = new_h * new_w
     if total > EXPAND_POSITION_LIMIT:
-        raise ValueError("target holds %d positions, above the %d rotary "
-                         "rebuild limit" % (total, EXPAND_POSITION_LIMIT))
+        raise ValueError("target holds %d positions, above the expand limit of %d"
+                         % (total, EXPAND_POSITION_LIMIT))
     if mode == "outpaint":
         off_r, off_c = 0, 0
     elif mode == "resolution":

@@ -148,7 +148,7 @@ class ArpgParams:
         self.pass2: list[Pass2Layer] = []
         self.final_norm: Parameter | None = None
         self.head: Parameter | None = None
-        self._rope: RopeTable | None = None
+        self.rope = RopeTable(config.head_dim, config.seq_len + 1, config.rope_base)
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator,
@@ -201,13 +201,6 @@ class ArpgParams:
         out += [self.final_norm, self.head]
         return out
 
-    def rope_table(self, min_positions: int) -> RopeTable:
-        """Rotary table covering at least [0, min_positions); grown by recompute."""
-        if self._rope is None or self._rope.max_positions < min_positions:
-            self._rope = RopeTable.build(max(min_positions, self.config.seq_len + 1),
-                                         self.config.head_dim, self.config.rope_base)
-        return self._rope
-
 
 # ---------------------------------------------------------------- batched (tape) route
 
@@ -234,9 +227,8 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     d = params.config.hidden
     rate = params.config.dropout
     x = nc.embedding(params.token_embedding, input_ids)
-    table = params.rope_table(int(positions.max()) + 1)
     for layer in params.pass1:
-        qkv = rotary_matmul(x, layer.wqkv, 2 * d, table, positions, layer.attn_norm)
+        qkv = rotary_matmul(x, layer.wqkv, 2 * d, params.rope, positions, layer.attn_norm)
         x = self_attention_residual(x, qkv, layer.wo, mask, params.config.heads,
                                     _keep_mask(x, rate, dropout_rng), probs_sink)
         x = _ffn_residual(x, layer, rate, dropout_rng)
@@ -248,8 +240,7 @@ def project_kv(params: ArpgParams, h: Tensor, positions: np.ndarray) -> list[Ten
 
     k, the first d columns, is rotated at its position.
     """
-    table = params.rope_table(int(positions.max()) + 1)
-    return [rotary_matmul(h, w, params.config.hidden, table, positions, params.kv_norm)
+    return [rotary_matmul(h, w, params.config.hidden, params.rope, positions, params.kv_norm)
             for w in params.kv_proj]
 
 
@@ -266,9 +257,8 @@ def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndar
     rate = cfg.dropout
     o = nc.embedding(params.token_embedding,
                      np.full((b, q_len), cfg.mask_token, dtype=np.int64))
-    table = params.rope_table(int(target_positions.max()) + 1)
     for li, layer in enumerate(params.pass2):
-        q = rotary_matmul(o, layer.wq, cfg.hidden, table, target_positions, layer.q_norm)
+        q = rotary_matmul(o, layer.wq, cfg.hidden, params.rope, target_positions, layer.q_norm)
         # the rotated query itself is the residual carrier
         o = cross_attention_residual(q, kv[0 if cfg.shared_kv else li], layer.wo, mask,
                                      cfg.heads, _keep_mask(q, rate, dropout_rng), probs_sink)
@@ -359,9 +349,8 @@ def forward_pass1(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarr
     past = cache.length
     if past == 0 and pos[0] != 0:
         raise ValueError("first fed token must be the condition at position 0")
-    table = params.rope_table(int(pos.max()) + 1)
     # rows run position-major: row i * S + s is position i of stream s
-    cc, ss = table.rows(np.repeat(pos, streams), params.dtype)
+    cc, ss = params.rope.rows(np.repeat(pos, streams), params.dtype)
     if pattern == "causal":
         lens = past + np.arange(1, m + 1)
     elif pattern == "block_causal":
@@ -414,8 +403,7 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
         raise ValueError("kv must hold at least one cached token")
     q_len = tgt.size
     length = kv[0][0].shape[0]
-    table = params.rope_table(int(tgt.max()) + 1)
-    cc, ss = table.rows(tgt, params.dtype)
+    cc, ss = params.rope.rows(tgt, params.dtype)
     lens = np.full(q_len, length)
 
     o = params.token_embedding.data[np.full(q_len, cfg.mask_token)]

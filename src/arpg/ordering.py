@@ -111,6 +111,8 @@ def schedule_counts(sched: DecodeSchedule) -> list[int]:
     steps are repaired by borrowing one token from the currently largest step.
     """
     steps, total = sched.steps, sched.total
+    if not (isinstance(steps, (int, np.integer)) and isinstance(total, (int, np.integer))):
+        raise ValueError("steps and total must be integers, got %r/%r" % (steps, total))
     if steps < 1 or steps > total:
         raise ValueError("steps must satisfy 1 <= steps <= total, got %d/%d"
                          % (steps, total))

@@ -20,6 +20,9 @@ from .decoding import DecodeConfig, TokenGrid, generate
 from .model import ArpgParams, forward_train_batch
 
 FAMILY_NAMES = ("filled_rect", "hollow_rect", "diagonal_stripe", "checker")
+BACKGROUND = 0  # the token of every cell outside the shape; palettes start at 1
+PURITY_THRESHOLD = 0.6  # strict verify_grid: least share of the majority palette
+MATCH_THRESHOLD = 0.75  # strict verify_grid: least Jaccard overlap with the ideal shape
 
 
 # ---------------------------------------------------------------- dataset
@@ -32,10 +35,7 @@ class ToyDatasetSpec:
     grid_w: int = 8
     vocab_size: int = 16
     num_classes: int = 4
-    background: int = 0
     noise_rate: float = 0.0
-    match_threshold: float = 0.75
-    purity_threshold: float = 0.6
 
     def __post_init__(self):
         if self.grid_h < 4 or self.grid_w < 4:
@@ -88,7 +88,7 @@ def make_sample(spec: ToyDatasetSpec, class_id: int,
     palette = spec.palette(class_id)
     cells = _shape_cells(spec, spec.family(class_id), rng)
     color = int(rng.choice(palette))
-    tokens = np.full((spec.grid_h, spec.grid_w), spec.background, dtype=np.int64)
+    tokens = np.full((spec.grid_h, spec.grid_w), BACKGROUND, dtype=np.int64)
     tokens[cells] = color
     if spec.noise_rate > 0.0:
         hit = rng.random((spec.grid_h, spec.grid_w)) < spec.noise_rate
@@ -135,9 +135,9 @@ def verify_grid(tokens: np.ndarray, spec: ToyDatasetSpec,
     The default mode assigns whichever class owns the most palette-colored
     cells (so garbage grids land on a roughly uniform class, chance level for
     the validity metric); -1 only when no palette cell exists at all. Strict
-    mode additionally demands that the majority palette own purity_threshold
+    mode additionally demands that the majority palette own PURITY_THRESHOLD
     of the palette cells and that the best-fitting ideal shape of its family
-    overlap them with Jaccard at least match_threshold, else -1.
+    overlap them with Jaccard at least MATCH_THRESHOLD, else -1.
     """
     tokens = np.asarray(tokens)
     counts = np.array([np.isin(tokens, spec.palette(c)).sum()
@@ -148,7 +148,7 @@ def verify_grid(tokens: np.ndarray, spec: ToyDatasetSpec,
     best = int(np.argmax(counts))
     if not strict:
         return best
-    if counts[best] / total < spec.purity_threshold:
+    if counts[best] / total < PURITY_THRESHOLD:
         return -1
     cells = np.isin(tokens, spec.palette(best))
     family = spec.family(best)
@@ -161,7 +161,7 @@ def verify_grid(tokens: np.ndarray, spec: ToyDatasetSpec,
     else:
         ideal = _best_pattern_ideal(cells, 2)
     jaccard = (cells & ideal).sum() / (cells | ideal).sum()
-    return best if jaccard >= spec.match_threshold else -1
+    return best if jaccard >= MATCH_THRESHOLD else -1
 
 
 def dataset_arrays(dataset: list[TokenGrid]) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +317,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and > 0, got %r" % self.lr)
+        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
+            raise ValueError("grad_clip must be None or finite and > 0, got %r" % self.grad_clip)
 
 
 def train_loop(params: ArpgParams, dataset: list[TokenGrid], cfg: TrainConfig,
@@ -367,8 +371,8 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     a mask id. Content rows provably get exactly zero query gradient (their
     attention outputs never reach the loss), while their keys and values
     still receive gradient through the mask rows that attend to them. Raises
-    ValueError for rows < 1, and AssertionError if any unmasked row shows a
-    nonzero dq norm.
+    ValueError for rows < 1 or a masked flag count other than rows, and
+    AssertionError if any unmasked row shows a nonzero dq norm.
     """
     if rows < 1:
         raise ValueError("rows must be >= 1, got %d" % rows)
@@ -387,6 +391,8 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
         if masked.all() or not masked.any():
             masked[rows // 2] = not masked[rows // 2]
     masked = np.asarray(masked, dtype=bool)
+    if masked.shape != (rows,):
+        raise ValueError("masked must hold %d flags, got shape %r" % (rows, masked.shape))
     fed = np.where(masked, mask_id, ids)
     x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
     # one head: q and k|v as [1, 1, rows, dim] views, the layout the model's heads take

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from arpg import attention as at
 from arpg import numcore as nc
+from arpg.decoding import EXPAND_POSITION_LIMIT
 from conftest import (add, assert_grads_close, cross_attention_node, fd_grad, mul,
                       residual_matmul_node, rms_norm_node, self_attention_node, sum_all)
 
@@ -17,7 +18,7 @@ from conftest import (add, assert_grads_close, cross_attention_node, fd_grad, mu
 
 def test_rope_position_zero_identity():
     rng = np.random.default_rng(0)
-    table = at.RopeTable.build(8, 16)
+    table = at.RopeTable(16, 8)
     x = nc.Tensor(rng.standard_normal((3, 2, 16)))
     y = at.apply_rope(x, np.zeros(3, dtype=int), table)
     assert np.array_equal(y.data, x.data)
@@ -25,7 +26,7 @@ def test_rope_position_zero_identity():
 
 def test_rope_preserves_norm():
     rng = np.random.default_rng(1)
-    table = at.RopeTable.build(64, 8)
+    table = at.RopeTable(8, 64)
     x = nc.Tensor(rng.standard_normal((5, 4, 8)))
     y = at.apply_rope(x, np.array([0, 7, 13, 21, 63]), table)
     assert np.allclose(np.linalg.norm(y.data, axis=-1),
@@ -35,7 +36,7 @@ def test_rope_preserves_norm():
 def test_rope_relative_shift_invariance():
     # dot(R_m q, R_n k) depends only on m - n; 1000 random (q, k, m, n, s)
     rng = np.random.default_rng(2)
-    table = at.RopeTable.build(256, 8)
+    table = at.RopeTable(8, 256)
     for _ in range(1000):
         q = rng.standard_normal(8)
         k = rng.standard_normal(8)
@@ -51,19 +52,36 @@ def test_rope_relative_shift_invariance():
 
 def test_rope_odd_head_dim_rejected():
     with pytest.raises(ValueError):
-        at.RopeTable.build(8, 7)
+        at.RopeTable(7, 8)
 
 
 def test_rope_position_out_of_range():
-    table = at.RopeTable.build(8, 4)
+    table = at.RopeTable(4, 8)
     x = nc.Tensor(np.zeros((1, 1, 4)))
     with pytest.raises(IndexError):
-        at.apply_rope(x, np.array([8]), table)
+        at.apply_rope(x, np.array([-1]), table)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_growth_keeps_row_bits(dtype):
+    # a position past the table grows it; every row it held keeps its bits
+    pos = np.array([[0, 1, 7], [16, 3, 16]])
+    table = at.RopeTable(8, 17)
+    before = table.rows(pos, dtype)
+    far = np.array([EXPAND_POSITION_LIMIT + 5])
+    table.rows(far, dtype)
+    assert table.size == EXPAND_POSITION_LIMIT + 6
+    for x, y in zip(before, table.rows(pos, dtype)):
+        assert x.dtype == dtype and np.array_equal(x, y)
+    # and the grown rows equal those of a table built that large at once
+    fresh = at.RopeTable(8, EXPAND_POSITION_LIMIT + 6)
+    for x, y in zip(table.rows(far, dtype), fresh.rows(far, dtype)):
+        assert np.array_equal(x, y)
 
 
 def test_rope_gradient_fd():
     rng = np.random.default_rng(3)
-    table = at.RopeTable.build(16, 8)
+    table = at.RopeTable(8, 16)
     x = nc.Parameter("x", rng.standard_normal((4, 2, 8)))
     pos = np.array([1, 5, 9, 15])
     w = rng.standard_normal((4, 2, 8))
@@ -78,7 +96,7 @@ def test_rope_gradient_fd():
 def test_rope_joined_layout_matches_heads_fd():
     # joined [B, T, H * hd] rotates each head_dim group like [B, T, H, hd]
     rng = np.random.default_rng(14)
-    table = at.RopeTable.build(16, 4)
+    table = at.RopeTable(4, 16)
     x = nc.Parameter("x", rng.standard_normal((2, 3, 8)))
     pos = np.array([[0, 5, 9], [15, 2, 7]])
     w = rng.standard_normal((2, 3, 8))
@@ -101,7 +119,7 @@ def test_rope_joined_layout_matches_heads_fd():
 def test_rotary_matmul_fd(rotated):
     # q|k of a fused q|k|v (16 of 24 columns) or every column rotated
     rng = np.random.default_rng(17)
-    table = at.RopeTable.build(16, 4)
+    table = at.RopeTable(4, 16)
     a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
     m = nc.Parameter("m", rng.standard_normal((6, 24)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
@@ -125,7 +143,7 @@ def test_rotary_matmul_fd(rotated):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
     rng = np.random.default_rng(18)
-    table = at.RopeTable.build(32, 8)
+    table = at.RopeTable(8, 32)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
     a0, m0, w = (rng.standard_normal(s).astype(dtype) for s in ((3, 7, 12), (12, 16), (3, 7, 16)))
 
@@ -145,7 +163,7 @@ def test_rotary_matmul_bit_equals_matmul_then_rope(dtype):
 def test_rotary_matmul_norm_fd():
     # RMSNorm folded in
     rng = np.random.default_rng(19)
-    table = at.RopeTable.build(16, 4)
+    table = at.RopeTable(4, 16)
     a = nc.Parameter("a", rng.standard_normal((2, 5, 6)))
     g = nc.Parameter("g", rng.standard_normal(6))
     m = nc.Parameter("m", rng.standard_normal((6, 8)))
@@ -169,7 +187,7 @@ def test_rotary_matmul_norm_fd():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
     rng = np.random.default_rng(20)
-    table = at.RopeTable.build(32, 8)
+    table = at.RopeTable(8, 32)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
     x0 = rng.standard_normal((3, 7, 12)).astype(dtype)
     g0 = rng.standard_normal(12).astype(dtype)
@@ -341,7 +359,7 @@ def test_self_attention_op_fd():
     # with a keep mask: fused q|k|v rows, causal mask, shuffled positions, 2
     # heads of 4; q and k are rotated by a rotary projection through the identity
     rng = np.random.default_rng(15)
-    table = at.RopeTable.build(16, 4)
+    table = at.RopeTable(4, 16)
     x = nc.Parameter("x", rng.standard_normal((2, 5, 8)))
     qkv = nc.Parameter("qkv", rng.standard_normal((2, 5, 24)))
     wo = nc.Parameter("wo", rng.standard_normal((8, 8)))
@@ -412,7 +430,7 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
     # gradients meet in the same sums as in training.
     rng = np.random.default_rng(30)
     b, t, d, heads, layers = 2, 5, 8, 2, 2 if streams == 1 else 3
-    table = at.RopeTable.build(16, d // heads)
+    table = at.RopeTable(d // heads, 16)
     pos = np.stack([rng.permutation(16)[:t] for _ in range(b)])
     mask = at.causal_mask(t)
 
@@ -461,7 +479,7 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
 def test_rotate_leading_bit_equals_rotate_pairs(dtype, sign):
     # both directions the tape turns: forward by ss, backward by -ss
     rng = np.random.default_rng(31)
-    table = at.RopeTable.build(32, 8)
+    table = at.RopeTable(8, 32)
     pos = np.stack([rng.permutation(32)[:7] for _ in range(3)])
     cc, ss = table.rows(pos, dtype)
     x0 = rng.standard_normal((3, 7, 40)).astype(dtype)

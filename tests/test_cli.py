@@ -114,6 +114,21 @@ def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, text", [
+    ("train.grad_clip=-1", "grad_clip must be None or finite and > 0"),
+    ("train.lr=0", "lr must be finite and > 0"),
+    ("data.n=0", "data.n must be >= 1"),
+    ("data.background=20", "unknown config keys: data.background"),
+    ("data.match_threshold=0.5", "unknown config keys: data.match_threshold"),
+    ("data.purity_threshold=0.5", "unknown config keys: data.purity_threshold")])
+def test_bad_train_setting_exits_2_before_writing(tmp_path, capsys, setting, text):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path / "cfg.json", tiny_cfg(out))
+    assert main(["train", "--config", cfg, setting]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_outputs_and_determinism(trained, tmp_path):
     outs = []
     for name in ("g1", "g2"):
@@ -222,6 +237,22 @@ def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys
                  "decode.order=bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
     assert not (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("setting, text", [
+    ("decode.top_k=2.5", "top_k must be an integer"),
+    ("decode.seed=1.5", "seed must be an integer"),
+    ("decode.steps=2.5", "steps must be an integer"),
+    ("decode.temperature=NaN", "must be finite"),
+    ("decode.cfg_scale=NaN", "must be finite"),
+    ("decode.cfg_scale=Infinity", "must be finite"),
+    ("decode.steps=100", "got 100/16")])
+def test_bad_decode_setting_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
+    out = tmp_path / "out"
+    assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 setting]) == 2
+    assert text in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("shape", [(-4, -4), (-2, -8)])
@@ -492,5 +523,8 @@ def test_bit_hashes_tool_is_deterministic():
     runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
             for _ in range(2)]
     lines = runs[0].splitlines()
-    assert runs[0] == runs[1] and len(lines) == 6
-    assert all(len(ln.rsplit(": ", 1)[1]) == 64 for ln in lines)
+    assert runs[0] == runs[1] and len(lines) == 7
+    assert all(len(ln.rsplit(": ", 1)[1]) == 64 for ln in lines[:6])
+    src = tool.parents[1] / "src" / "arpg"
+    total = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
+    assert lines[6] == "src/arpg lines: %d" % total

@@ -368,6 +368,18 @@ def test_decode_config_validation():
     for field in ("order", "schedule", "cfg_schedule"):
         with pytest.raises(ValueError, match="%s must be one of" % field):
             dec.DecodeConfig(**{field: "bogus"})
+    for field in ("steps", "seed", "top_k", "grid_h", "grid_w"):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            dec.DecodeConfig(**{field: 2.5})
+    for field in ("steps", "seed"):
+        with pytest.raises(ValueError, match="%s must be an integer" % field):
+            dec.DecodeConfig(**{field: None})
+    for field in ("temperature", "cfg_scale"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                dec.DecodeConfig(**{field: bad})
+    dc = dec.DecodeConfig(steps=np.int64(4), seed=np.int64(1), top_k=np.int64(3))
+    assert (dc.steps, dc.seed, dc.top_k) == (4, 1, 3)
 
 
 # ---------------------------------------------------------------- generate

@@ -127,6 +127,9 @@ def test_schedule_rejects_bad_steps():
         od.schedule_counts(od.DecodeSchedule("arccos", 0, 64))
     with pytest.raises(ValueError):
         od.schedule_counts(od.DecodeSchedule("sigmoid", 4, 64))
+    for steps, total in ((2.5, 16), (4, 16.0), (float("nan"), 16)):
+        with pytest.raises(ValueError, match="must be integers"):
+            od.schedule_counts(od.DecodeSchedule("arccos", steps, total))
 
 
 def test_cfg_linear_endpoints_and_midpoint():

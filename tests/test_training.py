@@ -74,7 +74,7 @@ def test_palettes_disjoint():
     for c in range(4):
         pal = set(spec.palette(c).tolist())
         assert not pal & seen
-        assert spec.background not in pal
+        assert tr.BACKGROUND not in pal
         seen |= pal
 
 
@@ -230,6 +230,16 @@ def test_train_step_stops_on_non_finite_grad(monkeypatch, clip):
             assert np.array_equal(now, then)
 
 
+@pytest.mark.parametrize("setting", [{"grad_clip": -1.0}, {"grad_clip": 0.0},
+                                     {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
+                                     {"lr": 0.0}, {"lr": -3e-3}, {"lr": float("nan")},
+                                     {"lr": float("inf")}])
+def test_train_config_rejects_a_bad_step_size(setting):
+    # a negative clip would scale the gradients by a negative factor: ascent
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        tr.TrainConfig(**setting)
+
+
 def test_train_loop_rejects_grid_mismatch():
     params, _ = tiny_setup()
     ds = tr.make_dataset(tr.ToyDatasetSpec(), 8, np.random.default_rng(0))
@@ -267,6 +277,12 @@ def test_masked_baseline_rejects_an_empty_batch():
         with pytest.raises(ValueError, match="rows must be >= 1"):
             tr.masked_baseline_grad_demo(0, rows=rows)
     assert len(tr.masked_baseline_grad_demo(0, rows=1)["masked"]) == 1
+
+
+def test_masked_baseline_rejects_a_mask_of_another_length():
+    for masked in (np.array([True]), np.ones(9, bool), np.ones((2, 4), bool)):
+        with pytest.raises(ValueError, match="masked must hold 8 flags"):
+            tr.masked_baseline_grad_demo(0, rows=8, masked=masked)
 
 
 def test_masked_baseline_many_seeds():

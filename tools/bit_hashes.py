@@ -17,12 +17,14 @@ hashed are those below the length the last step's queries read, worked out
 from the schedule, so a tree that also caches the last chunk prints the same
 digests as one that does not. BLAS threads are pinned before
 numpy loads, since training bits depend on the thread count. The package is
-imported from the `src` directory next to this script.
+imported from the `src` directory next to this script. A last line gives the
+package's line total, as `wc -l src/arpg/*.py` counts it.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
 import sys
@@ -119,6 +121,11 @@ def main(argv=None) -> int:
     for kind in ("generate_parallel", "generate_sequential", "inpaint", "expand"):
         arrays = [a for r in range(args.requests) for a in outputs(kind, r)]
         print("%s, %d requests: %s" % (kind, args.requests, digest(arrays)))
+    lines = 0
+    for path in glob.glob(os.path.join(SRC, "arpg", "*.py")):
+        with open(path, "rb") as f:
+            lines += f.read().count(b"\n")
+    print("src/arpg lines: %d" % lines)
     return 0
 
 

@@ -96,6 +96,17 @@ def take(cfg: dict, key: str, used: set[str], default=_MISSING):
     return default
 
 
+def take_int(cfg: dict, key: str, used: set[str], default=_MISSING) -> int:
+    """take() for an integer key: ConfigError for a bool or a non-integer."""
+    return as_int(key, take(cfg, key, used, default))
+
+
+def as_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError("%s must be an integer, got %r" % (key, value))
+    return int(value)
+
+
 def check_used(cfg: dict, used: set[str]) -> None:
     unknown = sorted(set(cfg) - used)
     if unknown:
@@ -173,10 +184,10 @@ def cmd_train(cfg: dict, used: set[str]):
     mc = build(md.ModelConfig, cfg, "model", used)
     spec = build(ToyDatasetSpec, cfg, "data", used)
     tc = build(TrainConfig, cfg, "train", used)
-    data_n = int(take(cfg, "data.n", used, 512))
-    data_seed = int(take(cfg, "data.seed", used, 0))
-    snapshot_every = int(take(cfg, "train.snapshot_every", used, 0))
-    log_every = int(take(cfg, "train.log_every", used, 50))
+    data_n = take_int(cfg, "data.n", used, 512)
+    data_seed = take_int(cfg, "data.seed", used, 0)
+    snapshot_every = take_int(cfg, "train.snapshot_every", used, 0)
+    log_every = take_int(cfg, "train.log_every", used, 50)
     resume = take(cfg, "train.resume", used, None)
     if data_n < 1:
         raise ConfigError("data.n must be >= 1, got %d" % data_n)
@@ -253,8 +264,8 @@ def _decode_inputs(cfg: dict, used: set[str], command: str):
     (params, dc, class_id, cell_px, the sidecar fields of every sample)."""
     ck_path = take(cfg, "checkpoint", used)
     dc = build(DecodeConfig, cfg, "decode", used)
-    class_id = int(take(cfg, "%s.class_id" % command, used, 0))
-    cell_px = int(take(cfg, "image.cell_px", used, 16))
+    class_id = take_int(cfg, "%s.class_id" % command, used, 0)
+    cell_px = take_int(cfg, "image.cell_px", used, 16)
     if cell_px < 1:
         raise ConfigError("image.cell_px must be >= 1, got %d" % cell_px)
     params = load_checkpoint(ck_path).params
@@ -266,7 +277,7 @@ def _decode_inputs(cfg: dict, used: set[str], command: str):
 
 def cmd_generate(cfg: dict, used: set[str]):
     out = Path(take(cfg, "out_dir", used))
-    n = int(take(cfg, "generate.n", used, 1))
+    n = take_int(cfg, "generate.n", used, 1)
     if n < 1:
         raise ConfigError("generate.n must be >= 1, got %d" % n)
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "generate")
@@ -308,8 +319,8 @@ def cmd_inpaint(cfg: dict, used: set[str]):
 def cmd_expand(cfg: dict, used: set[str]):
     out = Path(take(cfg, "out_dir", used))
     input_path = take(cfg, "expand.input", used)
-    new_h = int(take(cfg, "expand.new_h", used))
-    new_w = int(take(cfg, "expand.new_w", used))
+    new_h = take_int(cfg, "expand.new_h", used)
+    new_w = take_int(cfg, "expand.new_w", used)
     mode = take(cfg, "expand.mode", used, "outpaint")
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "expand")
     base = TokenGrid(load_tokens_txt(input_path), class_id).validate(
@@ -347,7 +358,7 @@ def run_bench(params: md.ArpgParams, steps_list, patterns, batch: int = 16,
     total = cfg.seq_len
     if base_dc is None:
         base_dc = DecodeConfig()
-    cells = [(pattern, int(steps)) for pattern in patterns for steps in steps_list]
+    cells = [(pattern, steps) for pattern in patterns for steps in steps_list]
     wall_ms = [[] for _ in cells]
     sinks = [[] for _ in cells]
     for rep in range(repeats + 1):  # round 0 is warm-up
@@ -421,12 +432,12 @@ def cmd_bench(cfg: dict, used: set[str]):
     else:
         mc = build(md.ModelConfig, cfg, "model", used)
         params = md.ArpgParams.init(mc, np.random.default_rng(0))
-    steps_list = take(cfg, "bench.steps", used,
-                      _default_steps(params.config.seq_len))
+    steps_list = [as_int("bench.steps", steps) for steps in
+                  take(cfg, "bench.steps", used, _default_steps(params.config.seq_len))]
     patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
-    batch = int(take(cfg, "bench.batch", used, 16))
-    repeats = int(take(cfg, "bench.repeats", used, 3))
-    seed = int(take(cfg, "bench.seed", used, 0))
+    batch = take_int(cfg, "bench.batch", used, 16)
+    repeats = take_int(cfg, "bench.repeats", used, 3)
+    seed = take_int(cfg, "bench.seed", used, 0)
     if batch < 1 or repeats < 1:
         raise ConfigError("bench.batch and bench.repeats must be >= 1")
     if not steps_list or not patterns:
@@ -434,7 +445,7 @@ def cmd_bench(cfg: dict, used: set[str]):
     _grid_shape(params.config, dc)
     for steps in steps_list:  # every cell's decode settings and schedule
         for pattern in patterns:
-            cell = replace(dc, steps=int(steps), attention_pattern=pattern)
+            cell = replace(dc, steps=steps, attention_pattern=pattern)
             schedule_counts(DecodeSchedule(cell.schedule, cell.steps, params.config.seq_len))
 
     def run():
@@ -456,8 +467,8 @@ def _fmt_norm(v: float) -> str:
 def cmd_grad_demo(cfg: dict, used: set[str]):
     out_path = take(cfg, "out_dir", used, None)
     out = None if out_path is None else Path(out_path)
-    seed = int(take(cfg, "demo.seed", used, 0))
-    rows = int(take(cfg, "demo.rows", used, 8))
+    seed = take_int(cfg, "demo.seed", used, 0)
+    rows = take_int(cfg, "demo.rows", used, 8)
     if rows < 1:
         raise ConfigError("demo.rows must be >= 1, got %d" % rows)
 
@@ -501,8 +512,8 @@ def cmd_attn_export(cfg: dict, used: set[str]):
     out = Path(take(cfg, "out_dir", used))
     ck_path = take(cfg, "checkpoint", used)
     input_path = take(cfg, "attn.input", used, None)
-    class_id = int(take(cfg, "attn.class_id", used, 0))
-    seed = int(take(cfg, "attn.seed", used, 0))
+    class_id = take_int(cfg, "attn.class_id", used, 0)
+    seed = take_int(cfg, "attn.seed", used, 0)
     ck = load_checkpoint(ck_path)
     params = ck.params
     mc = params.config

@@ -72,12 +72,12 @@ class KvCache:
     so views handed out earlier stay valid; `length` counts condition plus
     fed tokens and is advanced by the content pass appending a chunk.
     Caches are opened here alone: the decode loop and its sequential
-    reference size each to 1 + the grid's cell count, and
-    model.forward_pass1 only extends the cache it is given. A generation
-    never feeds its last chunk, so its cache ends that many rows short of
-    its capacity and those rows stay unwritten. The content pass attends
-    over every row of the per-layer buffers, so `capacity` enters the bits
-    of each content row, and those buffers start zero-filled.
+    reference size each to the rows a generation writes (the condition, the
+    prefill and every chunk but the last, which is never fed), and
+    model.forward_pass1 only extends the cache it is given, so a
+    generation's cache ends full. The content pass attends over every row
+    of the per-layer buffers, so `capacity` enters the bits of each content
+    row, and those buffers start zero-filled.
 
     A cache may hold several decode streams (the conditional and the
     unconditional one of CFG) that feed the same ids at the same positions.
@@ -157,10 +157,11 @@ class KvCache:
         return [(k[:n], v[:n]) for k, v, n in zip(self._out_k, self._out_v, self._out_fill)]
 
 
-def cache_scalar_count(config: md.ModelConfig, seq_len: int) -> int:
-    """Closed-form peak cache size in scalars: streams * 2 * hidden * (1 + T)."""
+def cache_scalar_count(config: md.ModelConfig, rows: int) -> int:
+    """Closed-form size in scalars of a one-stream cache of `rows` rows:
+    kv streams * 2 * hidden * rows."""
     streams = config.pass1_layers + (1 if config.shared_kv else config.pass2_layers)
-    return streams * 2 * config.hidden * (1 + seq_len)
+    return streams * 2 * config.hidden * rows
 
 
 # ---------------------------------------------------------------- config
@@ -211,7 +212,8 @@ class GenerationState:
     """One generation: order, tokens in decode order, caches.
 
     The caches hold the condition row, the prefill and every decoded chunk
-    but the last, which no query reads and so is never fed.
+    but the last, which no query reads and so is never fed; they are sized
+    to exactly those rows, so each ends full.
     """
 
     permutation: np.ndarray
@@ -341,13 +343,15 @@ def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
 
     The known prefix_ids sit behind the condition at rotary positions
     prefix_pos (raster index + 1); together with todo_idx they cover the
-    grid. One cache of 1 + grid_h * grid_w rows holds every CFG stream: the
-    condition rows, then the prefill, then each step's sampled chunk but the
-    last, which no query reads. Under rebuild (the sequential reference)
-    every step instead reads fresh one-stream caches of that width, one per
-    condition, fed [condition, known cells, decoded so far] in one causal
-    pass. state_sink, when given, receives the GenerationState (decode order
-    as positions, tokens in decode order, caches).
+    grid. One cache holds every CFG stream: the condition rows, then the
+    prefill, then each step's sampled chunk but the last, which no query
+    reads; its width, 1 + grid_h * grid_w - the last chunk, is exactly those
+    rows. Under rebuild (the sequential reference) every step instead reads
+    fresh one-stream caches of that width, one per condition, fed
+    [condition, known cells, decoded so far] in one causal pass; its last
+    chunk is one cell, so the final step fills them. state_sink, when given,
+    receives the GenerationState (decode order as positions, tokens in
+    decode order, caches).
     """
     out = np.empty(grid_h * grid_w, dtype=np.int64)
     out[prefix_pos - 1] = prefix_ids
@@ -363,7 +367,7 @@ def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
     conds = [cfg.class_token(class_id)]
     if any(s != 1.0 for s in scales):
         conds.append(cfg.null_class_token)
-    width = 1 + out.size
+    width = 1 + out.size - counts[-1]
     if not rebuild:
         cache = KvCache(cfg, width, params.dtype, streams=len(conds))
         md.forward_pass1(params, np.array(conds)[:, None], [0], cache)

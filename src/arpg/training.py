@@ -315,6 +315,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         if not 0 < self.lr < np.inf:

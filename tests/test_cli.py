@@ -14,6 +14,7 @@ from arpg import checkpoint as ck
 from arpg.cli import main, run_bench
 from arpg.decoding import DecodeConfig, cache_scalar_count
 from arpg.model import ArpgParams, ModelConfig, param_count
+from arpg.ordering import DecodeSchedule, schedule_counts
 
 
 def write_cfg(path: Path, entries: dict) -> str:
@@ -335,10 +336,11 @@ def test_bench_reports_closed_form_cache_size(tmp_path):
     assert len(report["rows"]) == 2
     mc = ModelConfig(vocab_size=16, num_classes=4, hidden=32, heads=4,
                      pass1_layers=2, pass2_layers=2, seq_len=16)
-    want = cache_scalar_count(mc, 16)
+    want = {s: cache_scalar_count(mc, 1 + 16 - schedule_counts(
+        DecodeSchedule("arccos", s, 16))[-1]) for s in (2, 4)}
     for row in report["rows"]:
         assert row["pattern"] == "causal"
-        assert row["cache_scalars"] == want
+        assert row["cache_scalars"] == want[row["steps"]]
         assert row["wall_ms_mean"] > 0
     assert (out / "bench.txt").read_text().strip()
 
@@ -359,8 +361,9 @@ def test_bench_measures_open_caches_and_dtype_bytes():
     params = ArpgParams.init(mc, np.random.default_rng(0), np.float64)
     report = run_bench(params, [1, 4], ["causal"], batch=1, repeats=1,
                        base_dc=DecodeConfig(cfg_scale=3.0))
-    one = cache_scalar_count(mc, 16)
-    assert [r["cache_scalars"] for r in report["rows"]] == [one, 2 * one]
+    one = {s: cache_scalar_count(mc, 1 + 16 - schedule_counts(
+        DecodeSchedule("arccos", s, 16))[-1]) for s in (1, 4)}
+    assert [r["cache_scalars"] for r in report["rows"]] == [one[1], 2 * one[4]]
     for row in report["rows"]:
         assert row["resident_bytes_est"] == 8 * (param_count(mc) + row["cache_scalars"])
 
@@ -513,6 +516,35 @@ def test_bad_bench_cell_exits_2_before_writing(tmp_path, capsys, setting, text):
     assert main(["bench", "out_dir=%s" % out, "bench.batch=1", "bench.repeats=1"]
                 + model + [setting]) == 2
     assert text in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("train", "data.n=16.7"), ("train", "data.seed=true"), ("train", "train.log_every=5.5"),
+    ("train", "train.snapshot_every=2.0"), ("train", "train.steps=2.5"),
+    ("train", "train.batch_size=8.0"),
+    ("generate", "generate.n=1.9"), ("generate", "generate.class_id=true"),
+    ("generate", "image.cell_px=4.5"), ("expand", "expand.new_h=6.5"),
+    ("expand", 'expand.new_w="6"'), ("bench", "bench.steps=[2, 4.5]"),
+    ("bench", "bench.steps=[true]"), ("bench", "bench.batch=1.5"), ("bench", "bench.seed=0.5"),
+    ("grad-demo", "demo.rows=8.5"), ("grad-demo", "demo.seed=false"),
+    ("attn-export", "attn.seed=0.5"), ("attn-export", "attn.class_id=1.0")])
+def test_non_integer_count_exits_2_before_writing(trained, tmp_path, capsys, command, setting):
+    # an integer key is never truncated: 16.7 grids or 1.9 samples is bad input
+    out = tmp_path / "out"
+    np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
+    ck_arg = "checkpoint=%s" % (trained / "model.ckpt")
+    base = {
+        "train": ["--config", write_cfg(tmp_path / "cfg.json", tiny_cfg(out))],
+        "generate": [ck_arg],
+        "expand": [ck_arg, "expand.input=%s" % (tmp_path / "in.txt"), "expand.new_h=4",
+                   "expand.new_w=6"],
+        "bench": [ck_arg, "bench.batch=1", "bench.repeats=1"],
+        "grad-demo": [],
+        "attn-export": [ck_arg, "attn.input=%s" % (tmp_path / "in.txt")],
+    }[command]
+    assert main([command, "out_dir=%s" % out] + base + [setting]) == 2
+    assert "must be an integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from arpg import attention as at
 from arpg import decoding as dec
 from arpg import model as md
-from arpg.ordering import FIXED_ORDER_KINDS
+from arpg.ordering import FIXED_ORDER_KINDS, DecodeSchedule, schedule_counts
 from conftest import content_kv, filtered_sample_loop
 
 
@@ -119,10 +119,10 @@ def test_cache_scalar_count_closed_form():
                              pass1_layers=2, pass2_layers=p2, seq_len=16,
                              shared_kv=shared)
         cache = dec.KvCache(cfg, 1 + cfg.seq_len)
-        assert cache.scalar_count() == dec.cache_scalar_count(cfg, cfg.seq_len)
+        assert cache.scalar_count() == dec.cache_scalar_count(cfg, 1 + cfg.seq_len)
     cfg = md.ModelConfig()
     streams = cfg.pass1_layers + 1
-    assert dec.cache_scalar_count(cfg, cfg.seq_len) == streams * 2 * cfg.hidden * 65
+    assert dec.cache_scalar_count(cfg, 65) == streams * 2 * cfg.hidden * 65
 
 
 def test_cache_vs_rebuild_logits_on_trajectory():
@@ -227,7 +227,8 @@ def test_cfg_streams_are_isolated_and_counted_once():
     sink = []
     dec.generate(params, 2, dec.DecodeConfig(steps=5, cfg_scale=3.0), sink)
     caches = sink[0].caches
-    one = dec.cache_scalar_count(cfg, cfg.seq_len)
+    one = dec.cache_scalar_count(cfg, 1 + cfg.seq_len - schedule_counts(
+        DecodeSchedule("arccos", 5, cfg.seq_len))[-1])
     assert sum(c.scalar_count() for c in caches) == 2 * one
     for cache in caches:  # the arrays a cache's attributes list, as bench sums them
         arrays = [b for v in vars(cache).values() if isinstance(v, list)
@@ -689,6 +690,39 @@ def test_edits_at_one_token_per_step_equal_the_sequential_reference(
     want = dec.sequential_reference_decode(params, 1, prefix, idx + 1, todo,
                                            grid_h, grid_w, dc)
     assert np.array_equal(got.tokens, want.tokens)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["generate", "inpaint", "outpaint", "resolution"]),
+       bits=st.integers(1, 2**16 - 2), grow=st.sampled_from([(0, 1), (1, 0), (2, 2), (4, 4)]),
+       pattern=st.sampled_from(dec.ATTENTION_PATTERNS), cfg=st.booleans(),
+       steps=st.integers(1, 64), seed=st.integers(0, 2**16))
+def test_every_generation_ends_with_full_caches(kind, bits, grow, pattern, cfg, steps, seed):
+    # a cache is opened with exactly the rows the generation feeds, so every
+    # buffer ends full and one more row overflows it
+    params = INPAINT_PARAMS
+    base = dec.TokenGrid(np.random.default_rng(seed).integers(0, 16, (4, 4)), 1)
+    guide = dict(cfg_scale=3.0, top_k=8, top_p=0.9) if cfg else {}
+    dc = dec.DecodeConfig(steps=steps, attention_pattern=pattern, seed=seed, **guide)
+    sink = []
+    if kind == "generate":
+        dec.generate(params, 1, replace(dc, steps=min(steps, 16)), sink)
+    elif kind == "inpaint":
+        known = ((bits >> np.arange(16)) & 1).astype(bool).reshape(4, 4)
+        dec.inpaint(params, base, known, 1, dc, sink)
+    else:
+        dec.expand(params, base, 4 + grow[0], 4 + grow[1], kind, dc, sink)
+    mc = params.config
+    for cache in sink[0].caches:
+        assert cache.length == cache.capacity
+        assert cache._layer_fill == [cache.capacity] * mc.pass1_layers
+        assert cache._out_fill == [cache.capacity] * len(cache._out_fill)
+        joint = cache.joint or cache
+        row = np.zeros((1, joint.streams * mc.heads, mc.head_dim), params.dtype)
+        with pytest.raises(RuntimeError, match="kv cache overflow"):
+            joint.out_append(0, row, row)
+        with pytest.raises(RuntimeError, match="kv cache overflow"):
+            joint.layer_append(0, row, row)
 
 
 def test_token_grid_validation():

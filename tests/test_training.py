@@ -240,6 +240,14 @@ def test_train_config_rejects_a_bad_step_size(setting):
         tr.TrainConfig(**setting)
 
 
+@pytest.mark.parametrize("setting", [{"steps": 2.5}, {"steps": 8.0}, {"batch_size": 4.5},
+                                     {"batch_size": "8"}, {"seed": 0.5}])
+def test_train_config_requires_integer_counts(setting):
+    # steps=2.5 would pass the range check and fail only inside the loop
+    with pytest.raises(ValueError, match="%s must be an integer" % next(iter(setting))):
+        tr.TrainConfig(**setting)
+
+
 def test_train_loop_rejects_grid_mismatch():
     params, _ = tiny_setup()
     ds = tr.make_dataset(tr.ToyDatasetSpec(), 8, np.random.default_rng(0))

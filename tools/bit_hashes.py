@@ -13,8 +13,8 @@ fixed requests each of parallel generate (8 steps, CFG, top-k/top-p),
 sequential generate (one token per step, greedy), inpaint and expand
 (outpaint and resolution), on the desk config's initial weights: sampled ids
 rarely move when logits move in their last bits, the cache rows do. The rows
-hashed are those below the length the last step's queries read, worked out
-from the schedule, so a tree that also caches the last chunk prints the same
+hashed are those below each cache's `length`, the rows the last step's
+queries read, so a tree that also caches the last chunk prints the same
 digests as one that does not. BLAS threads are pinned before
 numpy loads, since training bits depend on the thread count. The package is
 imported from the `src` directory next to this script. A last line gives the
@@ -48,9 +48,9 @@ def main(argv=None) -> int:
     import numpy as np
     from dataclasses import replace
 
-    from arpg import (ArpgParams, DecodeConfig, DecodeSchedule, ModelConfig, OptimState,
-                      ToyDatasetSpec, TokenGrid, TrainConfig, expand, generate, inpaint,
-                      make_dataset, schedule_counts, train_step)
+    from arpg import (ArpgParams, DecodeConfig, ModelConfig, OptimState, ToyDatasetSpec,
+                      TokenGrid, TrainConfig, expand, generate, inpaint, make_dataset,
+                      train_step)
     from arpg.training import dataset_arrays
 
     def digest(arrays) -> str:
@@ -106,17 +106,11 @@ def main(argv=None) -> int:
             mode = ("outpaint", "resolution")[r % 2]
             grid = expand(params, bases[r], 12, 12, mode, DecodeConfig(seed=r),
                           state_sink=sink)
-        # the last step's queries read the condition and every cell outside their chunk
-        todo = sink[0].permutation.size
-        dc = {"generate_parallel": parallel, "generate_sequential": sequential}.get(
-            kind, DecodeConfig())
-        last = schedule_counts(DecodeSchedule(dc.schedule, min(dc.steps, todo), todo))[-1]
-        read = 1 + grid.tokens.size - last
-        caches = [c for c in sink[0].caches if c is not None]
-        rows = [a[:read] for c in caches for li in range(params.config.pass1_layers)
+        caches = sink[0].caches
+        rows = [a[:c.length] for c in caches for li in range(params.config.pass1_layers)
                 for a in c.layer_rows(li)]
         return [grid.tokens, sink[0].permutation] + rows + [
-            a[:read] for c in caches for kv in c.out_kv() for a in kv]
+            a for c in caches for kv in c.out_kv() for a in kv]
 
     for kind in ("generate_parallel", "generate_sequential", "inpaint", "expand"):
         arrays = [a for r in range(args.requests) for a in outputs(kind, r)]

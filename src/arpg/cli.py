@@ -7,8 +7,9 @@ then write, then run. The command first reads its keys, loads and checks
 every input and writes nothing; main then rejects unknown keys, creates the
 output directory and copies the resolved config into it as config.json;
 only then does the command's work run. Exit codes: 0 success, 2 bad usage,
-config or input (any error raised before the work starts), 1 any failure of
-the run.
+config or input (an OSError, ValueError, TypeError, KeyError or IndexError
+raised before the work starts), 1 any other failure, and any failure of the
+run.
 """
 
 from __future__ import annotations
@@ -30,13 +31,9 @@ from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
                        inpaint, inpaint_layout)
-from .ordering import DecodeSchedule, schedule_counts
+from .ordering import DecodeSchedule, check_int, schedule_counts
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
-
-
-class ConfigError(Exception):
-    """Bad config file, unknown key, or inconsistent settings (exit code 2)."""
 
 
 # ---------------------------------------------------------------- config
@@ -48,7 +45,7 @@ def parse_override(token: str) -> tuple[str, object]:
     """"key=value" or "--key=value" -> (key, json-decoded or raw value)."""
     text = token[2:] if token.startswith("--") else token
     if "=" not in text:
-        raise ConfigError("override %r is not key=value" % token)
+        raise ValueError("override %r is not key=value" % token)
     key, raw = text.split("=", 1)
     try:
         return key, json.loads(raw)
@@ -62,10 +59,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     if path is not None:
         p = Path(path)
         if not p.exists():
-            raise ConfigError("config file not found: %s" % path)
+            raise ValueError("config file not found: %s" % path)
         loaded = json.loads(p.read_text())
         if not isinstance(loaded, dict):
-            raise ConfigError("config root must be a JSON object: %s" % path)
+            raise ValueError("config root must be a JSON object: %s" % path)
         cfg.update(loaded)
     for token in overrides:
         key, value = parse_override(token)
@@ -81,10 +78,7 @@ def build(cls, cfg: dict, prefix: str, used: set[str]):
         if key in cfg:
             kwargs[f.name] = cfg[key]
             used.add(key)
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as e:
-        raise ConfigError("bad %s settings: %s" % (prefix, e)) from e
+    return cls(**kwargs)
 
 
 def take(cfg: dict, key: str, used: set[str], default=_MISSING):
@@ -92,25 +86,19 @@ def take(cfg: dict, key: str, used: set[str], default=_MISSING):
         used.add(key)
         return cfg[key]
     if default is _MISSING:
-        raise ConfigError("missing required config key: %s" % key)
+        raise ValueError("missing required config key: %s" % key)
     return default
 
 
 def take_int(cfg: dict, key: str, used: set[str], default=_MISSING) -> int:
-    """take() for an integer key: ConfigError for a bool or a non-integer."""
-    return as_int(key, take(cfg, key, used, default))
-
-
-def as_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError("%s must be an integer, got %r" % (key, value))
-    return int(value)
+    """take() for an integer key: ValueError for a bool or a non-integer."""
+    return check_int(key, take(cfg, key, used, default))
 
 
 def check_used(cfg: dict, used: set[str]) -> None:
     unknown = sorted(set(cfg) - used)
     if unknown:
-        raise ConfigError("unknown config keys: %s" % ", ".join(unknown))
+        raise ValueError("unknown config keys: %s" % ", ".join(unknown))
 
 
 # ---------------------------------------------------------------- images
@@ -160,7 +148,7 @@ def save_tokens_txt(path, tokens: np.ndarray) -> None:
 def load_tokens_txt(path) -> np.ndarray:
     p = Path(path)
     if not p.exists():
-        raise ConfigError("token grid file not found: %s" % path)
+        raise ValueError("token grid file not found: %s" % path)
     return np.loadtxt(p, dtype=np.int64, ndmin=2)
 
 
@@ -190,33 +178,30 @@ def cmd_train(cfg: dict, used: set[str]):
     log_every = take_int(cfg, "train.log_every", used, 50)
     resume = take(cfg, "train.resume", used, None)
     if data_n < 1:
-        raise ConfigError("data.n must be >= 1, got %d" % data_n)
+        raise ValueError("data.n must be >= 1, got %d" % data_n)
     if spec.grid_h * spec.grid_w != mc.seq_len:
-        raise ConfigError("data grid %dx%d holds %d tokens, model.seq_len "
-                          "is %d" % (spec.grid_h, spec.grid_w,
-                                     spec.grid_h * spec.grid_w, mc.seq_len))
+        raise ValueError("data grid %dx%d holds %d tokens, model.seq_len is %d"
+                         % (spec.grid_h, spec.grid_w, spec.grid_h * spec.grid_w, mc.seq_len))
     if spec.vocab_size != mc.vocab_size or spec.num_classes != mc.num_classes:
-        raise ConfigError("data vocab/classes (%d, %d) do not match model "
-                          "(%d, %d)" % (spec.vocab_size, spec.num_classes,
-                                        mc.vocab_size, mc.num_classes))
+        raise ValueError("data vocab/classes (%d, %d) do not match model (%d, %d)"
+                         % (spec.vocab_size, spec.num_classes, mc.vocab_size, mc.num_classes))
     data_id = {"n": data_n, "seed": data_seed, "spec": asdict(spec)}
 
     if resume is not None:
         ck = load_checkpoint(resume)
         if ck.meta.get("model") != asdict(mc):
-            raise ConfigError("checkpoint model config does not match the "
-                              "requested one: %s" % resume)
+            raise ValueError("checkpoint model config does not match the "
+                             "requested one: %s" % resume)
         extra = ck.meta.get("extra") or {}
         if extra.get("data") != data_id:
-            raise ConfigError("checkpoint was trained on a different "
-                              "dataset: %s" % resume)
+            raise ValueError("checkpoint was trained on a different dataset: %s" % resume)
         if ck.optim is None:
-            raise ConfigError("checkpoint holds no optimizer state, cannot "
-                              "resume: %s" % resume)
+            raise ValueError("checkpoint holds no optimizer state, cannot "
+                             "resume: %s" % resume)
         start_step = int(extra["loop_step"])
         if start_step > tc.steps:
-            raise ConfigError("checkpoint was saved at step %d, past "
-                              "train.steps %d: %s" % (start_step, tc.steps, resume))
+            raise ValueError("checkpoint was saved at step %d, past "
+                             "train.steps %d: %s" % (start_step, tc.steps, resume))
         rng = restore_rng(extra["rng_state"])
         params, optim = ck.params, ck.optim
         metrics_mode = "a"
@@ -267,7 +252,7 @@ def _decode_inputs(cfg: dict, used: set[str], command: str):
     class_id = take_int(cfg, "%s.class_id" % command, used, 0)
     cell_px = take_int(cfg, "image.cell_px", used, 16)
     if cell_px < 1:
-        raise ConfigError("image.cell_px must be >= 1, got %d" % cell_px)
+        raise ValueError("image.cell_px must be >= 1, got %d" % cell_px)
     params = load_checkpoint(ck_path).params
     params.config.class_token(class_id)  # raises for an unknown class
     sidecar = {"command": command, "seed": dc.seed, "class_id": class_id,
@@ -279,7 +264,7 @@ def cmd_generate(cfg: dict, used: set[str]):
     out = Path(take(cfg, "out_dir", used))
     n = take_int(cfg, "generate.n", used, 1)
     if n < 1:
-        raise ConfigError("generate.n must be >= 1, got %d" % n)
+        raise ValueError("generate.n must be >= 1, got %d" % n)
     params, dc, class_id, cell_px, sidecar = _decode_inputs(cfg, used, "generate")
     _grid_shape(params.config, dc)
     schedule_counts(DecodeSchedule(dc.schedule, dc.steps, params.config.seq_len))
@@ -308,7 +293,7 @@ def cmd_inpaint(cfg: dict, used: set[str]):
     def run():
         sink: list = []
         grid = inpaint(params, partial, known, class_id, dc, state_sink=sink)
-        order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
+        order = sink[0].permutation
         _write_sample(out / "inpaint", grid, order,
                       dict(sidecar, input=str(input_path), mask=str(mask_path)),
                       cell_px)
@@ -330,8 +315,7 @@ def cmd_expand(cfg: dict, used: set[str]):
     def run():
         sink: list = []
         grid = expand(params, base, new_h, new_w, mode, dc, state_sink=sink)
-        order = sink[0].permutation if sink else np.empty(0, dtype=np.int64)
-        _write_sample(out / "expand", grid, order,
+        _write_sample(out / "expand", grid, sink[0].permutation,
                       dict(sidecar, mode=mode, input=str(input_path),
                            new_h=new_h, new_w=new_w), cell_px)
         print("expanded to %dx%d (%s) -> %s"
@@ -432,16 +416,16 @@ def cmd_bench(cfg: dict, used: set[str]):
     else:
         mc = build(md.ModelConfig, cfg, "model", used)
         params = md.ArpgParams.init(mc, np.random.default_rng(0))
-    steps_list = [as_int("bench.steps", steps) for steps in
+    steps_list = [check_int("bench.steps", steps) for steps in
                   take(cfg, "bench.steps", used, _default_steps(params.config.seq_len))]
     patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
     batch = take_int(cfg, "bench.batch", used, 16)
     repeats = take_int(cfg, "bench.repeats", used, 3)
     seed = take_int(cfg, "bench.seed", used, 0)
     if batch < 1 or repeats < 1:
-        raise ConfigError("bench.batch and bench.repeats must be >= 1")
+        raise ValueError("bench.batch and bench.repeats must be >= 1")
     if not steps_list or not patterns:
-        raise ConfigError("bench.steps and bench.patterns must each name at least one cell")
+        raise ValueError("bench.steps and bench.patterns must each name at least one cell")
     _grid_shape(params.config, dc)
     for steps in steps_list:  # every cell's decode settings and schedule
         for pattern in patterns:
@@ -470,7 +454,7 @@ def cmd_grad_demo(cfg: dict, used: set[str]):
     seed = take_int(cfg, "demo.seed", used, 0)
     rows = take_int(cfg, "demo.rows", used, 8)
     if rows < 1:
-        raise ConfigError("demo.rows must be >= 1, got %d" % rows)
+        raise ValueError("demo.rows must be >= 1, got %d" % rows)
 
     def run():
         report = masked_baseline_grad_demo(seed, rows=rows)
@@ -528,8 +512,8 @@ def cmd_attn_export(cfg: dict, used: set[str]):
         model_grid = ((spec["grid_h"], spec["grid_w"]) if spec
                       else _grid_shape(mc, DecodeConfig()))
         if grid.shape != model_grid:
-            raise ConfigError("attn.input grid has shape %s, model grid is %s"
-                              % (grid.shape, model_grid))
+            raise ValueError("attn.input grid has shape %s, model grid is %s"
+                             % (grid.shape, model_grid))
         toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
 
     def run():
@@ -589,24 +573,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None,
                         help="flat JSON config with dotted keys")
     args, overrides = parser.parse_known_args(argv)
-    try:
-        try:  # check all input, then write: a failure here is the input's
-            cfg = load_config(args.config, overrides)
-            used: set[str] = set()
-            out, run = COMMANDS[args.command](cfg, used)
-            check_used(cfg, used)
-            if out is not None:
-                out.mkdir(parents=True, exist_ok=True)
-                (out / "config.json").write_text(
-                    json.dumps(cfg, indent=2, sort_keys=True) + "\n")
-        except (OSError, ValueError, TypeError, KeyError, IndexError) as e:
-            raise ConfigError(str(e)) from e
+    running = False
+    try:  # check all input, then write, then run
+        cfg = load_config(args.config, overrides)
+        used: set[str] = set()
+        out, run = COMMANDS[args.command](cfg, used)
+        check_used(cfg, used)
+        if out is not None:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / "config.json").write_text(
+                json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+        running = True
         run()
         return 0
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 2
-    except Exception as e:  # any other failure is the run's, not the input's
+    except Exception as e:
+        if not running and isinstance(e, (OSError, ValueError, TypeError, KeyError,
+                                          IndexError)):  # the input's failure
+            print("config error: %s" % e, file=sys.stderr)
+            return 2
+        # any other failure, and every failure of the run, is the run's
         traceback.print_exc()
         print("error: %s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1

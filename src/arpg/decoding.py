@@ -5,14 +5,16 @@ are read by [MASK] queries against the cache built so far, tokens are sampled,
 and the sampled chunk is fed through the content pass to extend the cache;
 the last chunk is never fed, since no query reads its rows.
 Everything runs on the row-stable inference kernels, so query chunking never
-changes logits. One core, _decode_region, runs every decode: generate is its
-empty-prefix case, while inpaint and expand prefill the known tokens into the
-cache first and decode only the positions left. Its sequential reference
-(sequential_reference_decode) runs the same loop one token per step with the
-content rebuilt from scratch at every step, and any decode at S = |todo|
-equals it bit for bit. Under CFG the
-conditional and unconditional streams share one cache and one content pass
-per step; only their [MASK] queries run apart.
+changes logits. One core, _decode_region, runs every decode from one request
+shape: the known cells, as ids and raster indices, from which it works out
+the cells left, the prefill's positions and each step's CFG scale. generate
+is its no-known-cell case, while inpaint and expand prefill the known tokens
+into the cache first and decode only the cells left. Its sequential
+reference (sequential_reference_decode) takes the same request and runs the
+same loop one token per step with the content rebuilt from scratch at every
+step, and any decode at one step per cell left equals it bit for bit. Under
+CFG the conditional and unconditional streams share one cache and one
+content pass per step; only their [MASK] queries run apart.
 """
 
 from copy import copy
@@ -22,8 +24,8 @@ from math import isqrt
 import numpy as np
 
 from . import model as md
-from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, CfgSchedule,
-                       DecodeSchedule, cfg_scale_at, fixed_order, schedule_counts)
+from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, DecodeSchedule,
+                       cfg_scale_at, check_int, fixed_order, schedule_counts)
 
 # Most positions an expand target may hold; the rotary table grows to cover them.
 EXPAND_POSITION_LIMIT = 4096
@@ -185,9 +187,8 @@ class DecodeConfig:
 
     def __post_init__(self):
         for name in ("steps", "seed", "top_k", "grid_h", "grid_w"):
-            value, optional = getattr(self, name), name not in ("steps", "seed")
-            if not (isinstance(value, (int, np.integer)) or optional and value is None):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if name in ("steps", "seed") or getattr(self, name) is not None:
+                check_int(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not 0 <= self.temperature < np.inf:
@@ -211,9 +212,12 @@ class DecodeConfig:
 class GenerationState:
     """One generation: order, tokens in decode order, caches.
 
-    The caches hold the condition row, the prefill and every decoded chunk
-    but the last, which no query reads and so is never fed; they are sized
-    to exactly those rows, so each ends full.
+    permutation holds the decoded cells' positions (raster index + 1) in
+    decode order and tokens the ids sampled there. The caches hold the
+    condition row, the prefill and every decoded chunk but the last, which
+    no query reads and so is never fed; they are sized to exactly those
+    rows, so each ends full. A request with no cell left decodes nothing:
+    permutation and tokens are empty and caches is ().
     """
 
     permutation: np.ndarray
@@ -337,33 +341,40 @@ def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
     return flat_idx[np.argsort(rank[flat_idx], kind="stable")] + 1
 
 
-def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
-                   grid_h, grid_w, steps, dc, state_sink=None, rebuild=False):
-    """Decode raster indices todo_idx of a grid_h x grid_w grid in steps chunks.
+def _decode_region(params, class_id, known_ids, known_idx, grid_h, grid_w,
+                   steps, dc, state_sink=None, rebuild=False):
+    """Decode every cell of a grid_h x grid_w grid but the known ones, in steps chunks.
 
-    The known prefix_ids sit behind the condition at rotary positions
-    prefix_pos (raster index + 1); together with todo_idx they cover the
-    grid. One cache holds every CFG stream: the condition rows, then the
-    prefill, then each step's sampled chunk but the last, which no query
+    known_ids sit at the distinct raster indices known_idx (ValueError for a
+    repeated, negative or out-of-grid index) and are prefilled behind the
+    condition at rotary positions known_idx + 1; the cells left are decoded
+    in dc's order, each step under dc's CFG scale for the fraction decoded
+    before it. One cache holds every CFG stream: the condition rows, then
+    the prefill, then each step's sampled chunk but the last, which no query
     reads; its width, 1 + grid_h * grid_w - the last chunk, is exactly those
     rows. Under rebuild (the sequential reference) every step instead reads
     fresh one-stream caches of that width, one per condition, fed
     [condition, known cells, decoded so far] in one causal pass; its last
     chunk is one cell, so the final step fills them. state_sink, when given,
-    receives the GenerationState (decode order as positions, tokens in
-    decode order, caches).
+    receives the GenerationState, empty when no cell is left.
     """
+    known_ids = np.asarray(known_ids, dtype=np.int64)
+    known_idx = np.asarray(known_idx, dtype=np.int64)
     out = np.empty(grid_h * grid_w, dtype=np.int64)
-    out[prefix_pos - 1] = prefix_ids
+    todo_idx = np.setdiff1d(np.arange(out.size), known_idx)
+    if known_idx.size + todo_idx.size != out.size:  # a known index repeats or is off-grid
+        raise ValueError("known indices must be distinct raster indices in [0, %d)" % out.size)
+    out[known_idx] = known_ids
     if todo_idx.size == 0:
+        if state_sink is not None:
+            state_sink.append(GenerationState(todo_idx + 1, known_ids[:0], ()))
         return TokenGrid(out.reshape(grid_h, grid_w), class_id)
     cfg = params.config
     rng = np.random.default_rng(dc.seed)
     order_pos = _rank_of_positions(dc, grid_h, grid_w, todo_idx, rng)
     counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
-    sched = CfgSchedule(dc.cfg_schedule, dc.cfg_scale)
-    scales = [cfg_scale_at(sched, d / todo_idx.size) for d in np.cumsum([0] + counts[:-1])]
-    del sched  # not held through the decode
+    scales = [cfg_scale_at(dc.cfg_schedule, dc.cfg_scale, d / todo_idx.size)
+              for d in np.cumsum([0] + counts[:-1])]
     conds = [cfg.class_token(class_id)]
     if any(s != 1.0 for s in scales):
         conds.append(cfg.null_class_token)
@@ -371,16 +382,16 @@ def _decode_region(params, class_id, prefix_ids, prefix_pos, todo_idx,
     if not rebuild:
         cache = KvCache(cfg, width, params.dtype, streams=len(conds))
         md.forward_pass1(params, np.array(conds)[:, None], [0], cache)
-        if prefix_ids.size:
-            _prefill(params, cache, prefix_ids, prefix_pos)
+        if known_ids.size:
+            _prefill(params, cache, known_ids, known_idx + 1)
         caches = (cache.stream(0), cache.stream(1)) if len(conds) == 2 else (cache,)
     sampled = np.empty(order_pos.size, dtype=np.int64)
     start = 0
     for step, (n, scale) in enumerate(zip(counts, scales)):
         chunk = order_pos[start:start + n]
         if rebuild:
-            fed = np.concatenate([prefix_ids, sampled[:start]])
-            pos = np.concatenate([[0], prefix_pos, order_pos[:start]])
+            fed = np.concatenate([known_ids, sampled[:start]])
+            pos = np.concatenate([[0], known_idx + 1, order_pos[:start]])
             caches = tuple(KvCache(cfg, width, params.dtype) for _ in conds)
             for cond, fresh in zip(conds, caches):
                 md.forward_pass1(params, np.concatenate([[cond], fed]), pos, fresh)
@@ -416,35 +427,32 @@ def generate(params: md.ArpgParams, class_id: int, dc: DecodeConfig,
     in decode order, caches) for callers that log or inspect the run.
     """
     grid_h, grid_w = _grid_shape(params.config, dc)
-    empty = np.empty(0, dtype=np.int64)
-    return _decode_region(params, class_id, empty, empty,
-                          np.arange(grid_h * grid_w), grid_h, grid_w,
-                          dc.steps, dc, state_sink)
+    return _decode_region(params, class_id, [], [], grid_h, grid_w, dc.steps, dc,
+                          state_sink)
 
 
 def sequential_reference_decode(params: md.ArpgParams, class_id: int,
-                                prefix_ids: np.ndarray, prefix_pos: np.ndarray,
-                                todo_idx: np.ndarray, grid_h: int, grid_w: int,
+                                known_ids: np.ndarray, known_idx: np.ndarray,
+                                grid_h: int, grid_w: int,
                                 dc: DecodeConfig) -> TokenGrid:
     """Oracle for _decode_region: one token per step, no cache carried over.
 
+    known_ids sit at the distinct raster indices known_idx (ValueError for a
+    repeated, negative or out-of-grid index); every other cell is decoded.
     Every step reads fresh caches fed [condition, known cells in the given
     order, decoded so far]. It consumes the rng exactly like the cached route
-    at S = |todo_idx|, so generate, inpaint and expand at that step count
-    must equal it bit for bit, with any sampling. dc.steps is ignored.
+    at one step per cell left, so generate, inpaint and expand at that step
+    count must equal it bit for bit, with any sampling. dc.steps is ignored.
     """
-    todo_idx = np.asarray(todo_idx)
-    return _decode_region(params, class_id, np.asarray(prefix_ids), np.asarray(prefix_pos),
-                          todo_idx, grid_h, grid_w, todo_idx.size, dc, rebuild=True)
+    return _decode_region(params, class_id, known_ids, known_idx, grid_h, grid_w,
+                          grid_h * grid_w - np.size(known_idx), dc, rebuild=True)
 
 
 def sequential_reference_generate(params: md.ArpgParams, class_id: int,
                                   dc: DecodeConfig) -> TokenGrid:
     """sequential_reference_decode over the full grid: generate's oracle at S = T."""
     grid_h, grid_w = _grid_shape(params.config, dc)
-    empty = np.empty(0, dtype=np.int64)
-    return sequential_reference_decode(params, class_id, empty, empty,
-                                       np.arange(grid_h * grid_w), grid_h, grid_w, dc)
+    return sequential_reference_decode(params, class_id, [], [], grid_h, grid_w, dc)
 
 
 # ---------------------------------------------------------------- editing
@@ -489,10 +497,8 @@ def inpaint(params: md.ArpgParams, partial: TokenGrid, known,
     grid_h, grid_w = _grid_shape(cfg, dc)
     partial.validate(cfg.vocab_size)
     idx = inpaint_layout(partial.tokens.shape, known, grid_h, grid_w)
-    todo = np.setdiff1d(np.arange(cfg.seq_len), idx)
-    return _decode_region(params, class_id, partial.flat[idx], idx + 1, todo,
-                          grid_h, grid_w, min(dc.steps, todo.size), dc,
-                          state_sink)
+    return _decode_region(params, class_id, partial.flat[idx], idx, grid_h, grid_w,
+                          min(dc.steps, cfg.seq_len - idx.size), dc, state_sink)
 
 
 def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
@@ -507,10 +513,8 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
     """
     base.validate(params.config.vocab_size)
     base_idx = expand_layout(base.tokens.shape, new_h, new_w, mode, dc)
-    todo = np.setdiff1d(np.arange(new_h * new_w), base_idx)
-    return _decode_region(params, base.class_id, base.flat, base_idx + 1, todo,
-                          new_h, new_w, min(dc.steps, todo.size), dc,
-                          state_sink)
+    return _decode_region(params, base.class_id, base.flat, base_idx, new_h, new_w,
+                          min(dc.steps, new_h * new_w - base_idx.size), dc, state_sink)
 
 
 def expand_layout(base_shape: tuple[int, int], new_h: int, new_w: int,

@@ -34,7 +34,7 @@ from .attention import (AttentionMask, RopeTable, attention_rows, causal_mask,
                         self_attention_residual)
 from .attention import apply_rope  # noqa: F401 -- profilers patch model.apply_rope
 from .numcore import Parameter, Tensor, rowwise_matmul
-from .ordering import is_permutation
+from .ordering import check_int, is_permutation
 
 
 # ---------------------------------------------------------------- configuration
@@ -53,6 +53,9 @@ class ModelConfig:
     shared_kv: bool = True
 
     def __post_init__(self):
+        for name in ("vocab_size", "num_classes", "hidden", "heads", "pass1_layers",
+                     "pass2_layers", "seq_len"):
+            check_int(name, getattr(self, name))
         if self.hidden % self.heads != 0:
             raise ValueError("hidden %d not divisible by heads %d" % (self.hidden, self.heads))
         if self.pass1_layers < 0 or self.pass2_layers < 1:

@@ -15,6 +15,13 @@ SCHEDULE_KINDS = ("arccos", "cosine", "uniform")
 CFG_KINDS = ("linear", "constant")
 
 
+def check_int(name: str, value) -> int:
+    """value as an int; ValueError unless it is an int or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 # ---------------------------------------------------------------- permutations
 
 def sample_permutation(total: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,9 +117,7 @@ def schedule_counts(sched: DecodeSchedule) -> list[int]:
     Cumulative targets are round-half-up of total * f(s/steps); zero-count
     steps are repaired by borrowing one token from the currently largest step.
     """
-    steps, total = sched.steps, sched.total
-    if not (isinstance(steps, (int, np.integer)) and isinstance(total, (int, np.integer))):
-        raise ValueError("steps and total must be integers, got %r/%r" % (steps, total))
+    steps, total = check_int("steps", sched.steps), check_int("total", sched.total)
     if steps < 1 or steps > total:
         raise ValueError("steps must satisfy 1 <= steps <= total, got %d/%d"
                          % (steps, total))
@@ -128,22 +133,15 @@ def schedule_counts(sched: DecodeSchedule) -> list[int]:
 
 # ---------------------------------------------------------------- cfg schedule
 
-@dataclass
-class CfgSchedule:
-    """Guidance-scale ramp; w is the terminal scale reached at full progress."""
-
-    kind: str = "linear"
-    scale: float = 1.0
-
-
-def cfg_scale_at(sched: CfgSchedule, decoded_fraction: float) -> float:
-    """Scale for a step whose decoded-before-the-step fraction is given."""
+def cfg_scale_at(kind: str, scale: float, decoded_fraction: float) -> float:
+    """Guidance scale of a step whose decoded-before-the-step fraction is given:
+    kind "linear" ramps from 1 to `scale` at full progress, "constant" holds it."""
     u = float(decoded_fraction)
     if not 0.0 <= u <= 1.0:
         raise ValueError("decoded fraction must lie in [0,1], got %g" % u)
-    if sched.kind == "linear":
-        return 1.0 + (sched.scale - 1.0) * u
-    if sched.kind == "constant":
-        return sched.scale
+    if kind == "linear":
+        return 1.0 + (scale - 1.0) * u
+    if kind == "constant":
+        return scale
     raise ValueError("unknown cfg kind %r (choose from %s)"
-                     % (sched.kind, "|".join(CFG_KINDS)))
+                     % (kind, "|".join(CFG_KINDS)))

@@ -18,6 +18,7 @@ from . import numcore as nc
 from .attention import attention_backward, attention_forward, cross_full_mask
 from .decoding import DecodeConfig, TokenGrid, generate
 from .model import ArpgParams, forward_train_batch
+from .ordering import check_int
 
 FAMILY_NAMES = ("filled_rect", "hollow_rect", "diagonal_stripe", "checker")
 BACKGROUND = 0  # the token of every cell outside the shape; palettes start at 1
@@ -38,6 +39,8 @@ class ToyDatasetSpec:
     noise_rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("grid_h", "grid_w", "vocab_size", "num_classes"):
+            check_int(name, getattr(self, name))
         if self.grid_h < 4 or self.grid_w < 4:
             raise ValueError("grids below 4x4 cannot hold the shape families")
         if not 0.0 <= self.noise_rate < 1.0:
@@ -316,9 +319,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("steps", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
+            check_int(name, getattr(self, name))
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         if not 0 < self.lr < np.inf:

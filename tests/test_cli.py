@@ -121,7 +121,10 @@ def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, t
     ("data.n=0", "data.n must be >= 1"),
     ("data.background=20", "unknown config keys: data.background"),
     ("data.match_threshold=0.5", "unknown config keys: data.match_threshold"),
-    ("data.purity_threshold=0.5", "unknown config keys: data.purity_threshold")])
+    ("data.purity_threshold=0.5", "unknown config keys: data.purity_threshold"),
+    ("model.pass2_layers=true", "pass2_layers must be an integer"),
+    ("train.batch_size=true", "batch_size must be an integer"),
+    ("data.grid_h=4.0", "grid_h must be an integer")])
 def test_bad_train_setting_exits_2_before_writing(tmp_path, capsys, setting, text):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path / "cfg.json", tiny_cfg(out))
@@ -244,6 +247,8 @@ def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys
     ("decode.top_k=2.5", "top_k must be an integer"),
     ("decode.seed=1.5", "seed must be an integer"),
     ("decode.steps=2.5", "steps must be an integer"),
+    ("decode.steps=true", "steps must be an integer"),
+    ("decode.top_k=true", "top_k must be an integer"),
     ("decode.temperature=NaN", "must be finite"),
     ("decode.cfg_scale=NaN", "must be finite"),
     ("decode.cfg_scale=Infinity", "must be finite"),
@@ -287,6 +292,18 @@ def test_inpaint_preserves_known_cells(trained, tmp_path):
     assert got.shape == (4, 4)
     assert np.array_equal(got[mask == 1], toks[mask == 1])
     assert got.min() >= 0 and got.max() < 16
+
+
+def test_inpaint_with_every_cell_known_writes_an_empty_order(trained, tmp_path):
+    toks = np.random.default_rng(4).integers(0, 16, (4, 4))
+    np.savetxt(tmp_path / "in.txt", toks, fmt="%d")
+    np.savetxt(tmp_path / "mask.txt", np.ones((4, 4), dtype=np.int64), fmt="%d")
+    out = tmp_path / "out"
+    assert main(["inpaint", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "inpaint.input=%s" % (tmp_path / "in.txt"),
+                 "inpaint.mask=%s" % (tmp_path / "mask.txt")]) == 0
+    assert np.array_equal(np.loadtxt(out / "inpaint.tokens.txt", dtype=np.int64), toks)
+    assert json.loads((out / "inpaint.json").read_text())["order"] == []
 
 
 def test_expand_outpaint_preserves_base(trained, tmp_path):

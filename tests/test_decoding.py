@@ -370,8 +370,9 @@ def test_decode_config_validation():
         with pytest.raises(ValueError, match="%s must be one of" % field):
             dec.DecodeConfig(**{field: "bogus"})
     for field in ("steps", "seed", "top_k", "grid_h", "grid_w"):
-        with pytest.raises(ValueError, match="%s must be an integer" % field):
-            dec.DecodeConfig(**{field: 2.5})
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="%s must be an integer" % field):
+                dec.DecodeConfig(**{field: bad})
     for field in ("steps", "seed"):
         with pytest.raises(ValueError, match="%s must be an integer" % field):
             dec.DecodeConfig(**{field: None})
@@ -578,10 +579,13 @@ def test_inpaint_preserves_known(shape, bits, as_indices, pattern, steps, cfg, s
 def test_inpaint_all_known_returns_input():
     params = tiny_params(dtype=np.float32)
     grid = dec.TokenGrid(np.arange(16).reshape(4, 4) % 16, 0)
+    sink = []
     out = dec.inpaint(params, grid, np.ones((4, 4), bool), 0,
-                      dec.DecodeConfig(steps=4))
+                      dec.DecodeConfig(steps=4), sink)
     assert np.array_equal(out.tokens, grid.tokens)
     assert out.tokens is not grid.tokens
+    assert sink[0].permutation.size == sink[0].tokens.size == 0
+    assert sink[0].caches == ()
 
 
 def test_inpaint_all_but_one():
@@ -614,8 +618,11 @@ def test_expand_identity_and_outpaint():
     params = tiny_params(seed=13, dtype=np.float32)
     rng = np.random.default_rng(14)
     base = dec.TokenGrid(rng.integers(0, 16, (4, 4)), 3)
-    same = dec.expand(params, base, 4, 4, "outpaint", dec.DecodeConfig(steps=4))
+    sink = []
+    same = dec.expand(params, base, 4, 4, "outpaint", dec.DecodeConfig(steps=4), sink)
     assert np.array_equal(same.tokens, base.tokens)
+    assert sink[0].permutation.size == sink[0].tokens.size == 0
+    assert sink[0].caches == ()
     wide = dec.expand(params, base, 4, 8, "outpaint",
                       dec.DecodeConfig(steps=4, seed=5))
     assert wide.tokens.shape == (4, 8)
@@ -686,10 +693,21 @@ def test_edits_at_one_token_per_step_equal_the_sequential_reference(
         got = dec.expand(params, base, grid_h, grid_w, kind, dc)
         idx = dec.expand_layout(shape, grid_h, grid_w, kind, dc)
         prefix = base.flat
-    todo = np.setdiff1d(np.arange(grid_h * grid_w), idx)
-    want = dec.sequential_reference_decode(params, 1, prefix, idx + 1, todo,
-                                           grid_h, grid_w, dc)
+    want = dec.sequential_reference_decode(params, 1, prefix, idx, grid_h, grid_w, dc)
     assert np.array_equal(got.tokens, want.tokens)
+
+
+def test_sequential_reference_rejects_a_bad_known_set():
+    # the known cells alone fix the cells left, so a repeated, negative or
+    # off-grid index is refused rather than leaving a cell unset
+    params = tiny_params(dtype=np.float32)
+    dc = dec.DecodeConfig()
+    for idx in ([1, 2, 2], [-1, 2, 3], [1, 2, 16]):
+        with pytest.raises(ValueError, match="distinct raster indices in \\[0, 16\\)"):
+            dec.sequential_reference_decode(params, 0, [3, 4, 5], idx, 4, 4, dc)
+    out = dec.sequential_reference_decode(params, 0, [3, 4, 5], [1, 2, 3], 4, 4, dc)
+    assert np.array_equal(out.flat[1:4], [3, 4, 5])
+    assert out.tokens.min() >= 0 and out.tokens.max() < params.config.vocab_size
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

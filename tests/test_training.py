@@ -241,7 +241,7 @@ def test_train_config_rejects_a_bad_step_size(setting):
 
 
 @pytest.mark.parametrize("setting", [{"steps": 2.5}, {"steps": 8.0}, {"batch_size": 4.5},
-                                     {"batch_size": "8"}, {"seed": 0.5}])
+                                     {"batch_size": "8"}, {"seed": 0.5}, {"steps": True}])
 def test_train_config_requires_integer_counts(setting):
     # steps=2.5 would pass the range check and fail only inside the loop
     with pytest.raises(ValueError, match="%s must be an integer" % next(iter(setting))):

@@ -9,12 +9,13 @@ changes logits. One core, _decode_region, runs every decode from one request
 shape: the known cells, as ids and raster indices, from which it works out
 the cells left, the prefill's positions and each step's CFG scale. generate
 is its no-known-cell case, while inpaint and expand prefill the known tokens
-into the cache first and decode only the cells left. Its sequential
-reference (sequential_reference_decode) takes the same request and runs the
-same loop one token per step with the content rebuilt from scratch at every
-step, and any decode at one step per cell left equals it bit for bit. Under
-CFG the conditional and unconditional streams share one cache and one
-content pass per step; only their [MASK] queries run apart.
+into the cache first, PREFILL_ROWS content rows per pass, and decode only
+the cells left. Its sequential reference (sequential_reference_decode) takes
+the same request and runs the same loop one token per step with the content
+rebuilt from scratch at every step, and any decode at one step per cell left
+equals it bit for bit. Under CFG the conditional and unconditional streams
+share one cache and one content pass per step; only their [MASK] queries
+run apart.
 """
 
 from copy import copy
@@ -29,6 +30,9 @@ from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, DecodeSched
 
 # Most positions an expand target may hold; the rotary table grows to cover them.
 EXPAND_POSITION_LIMIT = 4096
+
+# Most content rows (positions times CFG streams) one prefill pass feeds.
+PREFILL_ROWS = 32
 
 ATTENTION_PATTERNS = ("causal", "block_causal")
 
@@ -327,7 +331,18 @@ def sample_tokens(logits: np.ndarray, temperature: float = 1.0,
 # ---------------------------------------------------------------- step loop
 
 def _prefill(params, cache, ids, positions):
-    md.forward_pass1(params, ids, positions, cache, "causal")
+    """Feed the known cells behind the condition, in their given order.
+
+    The cells go through the content pass as causal chunks of at most
+    PREFILL_ROWS rows over all of the cache's streams, so the pass's
+    buffers stay that small whatever the known count. A causal content
+    row's bits depend only on its own query, its prefix and the cache
+    width, never on the chunk it came in, so every cache row equals that of
+    one pass over all the known cells.
+    """
+    step = max(1, PREFILL_ROWS // cache.streams)
+    for a in range(0, len(ids), step):
+        md.forward_pass1(params, ids[a:a + step], positions[a:a + step], cache, "causal")
 
 
 def _rank_of_positions(dc: DecodeConfig, grid_h: int, grid_w: int,
@@ -346,30 +361,33 @@ def _decode_region(params, class_id, known_ids, known_idx, grid_h, grid_w,
     """Decode every cell of a grid_h x grid_w grid but the known ones, in steps chunks.
 
     known_ids sit at the distinct raster indices known_idx (ValueError for a
-    repeated, negative or out-of-grid index) and are prefilled behind the
-    condition at rotary positions known_idx + 1; the cells left are decoded
-    in dc's order, each step under dc's CFG scale for the fraction decoded
-    before it. One cache holds every CFG stream: the condition rows, then
-    the prefill, then each step's sampled chunk but the last, which no query
-    reads; its width, 1 + grid_h * grid_w - the last chunk, is exactly those
-    rows. Under rebuild (the sequential reference) every step instead reads
-    fresh one-stream caches of that width, one per condition, fed
+    repeated, negative or out-of-grid index, or an id outside [0, vocab_size))
+    and are prefilled behind the condition at rotary positions known_idx + 1,
+    PREFILL_ROWS content rows at a time (see _prefill); the cells left are
+    decoded in dc's order, each step under dc's CFG scale for the fraction
+    decoded before it. One cache holds every CFG stream: the condition rows,
+    then the prefill, then each step's sampled chunk but the last, which no
+    query reads; its width, 1 + grid_h * grid_w - the last chunk, is exactly
+    those rows. Under rebuild (the sequential reference) every step instead
+    reads fresh one-stream caches of that width, one per condition, fed
     [condition, known cells, decoded so far] in one causal pass; its last
     chunk is one cell, so the final step fills them. state_sink, when given,
     receives the GenerationState, empty when no cell is left.
     """
+    cfg = params.config
     known_ids = np.asarray(known_ids, dtype=np.int64)
     known_idx = np.asarray(known_idx, dtype=np.int64)
     out = np.empty(grid_h * grid_w, dtype=np.int64)
     todo_idx = np.setdiff1d(np.arange(out.size), known_idx)
     if known_idx.size + todo_idx.size != out.size:  # a known index repeats or is off-grid
         raise ValueError("known indices must be distinct raster indices in [0, %d)" % out.size)
+    if known_ids.size and not 0 <= known_ids.min() <= known_ids.max() < cfg.vocab_size:
+        raise ValueError("known ids must lie in [0, %d)" % cfg.vocab_size)
     out[known_idx] = known_ids
     if todo_idx.size == 0:
         if state_sink is not None:
             state_sink.append(GenerationState(todo_idx + 1, known_ids[:0], ()))
         return TokenGrid(out.reshape(grid_h, grid_w), class_id)
-    cfg = params.config
     rng = np.random.default_rng(dc.seed)
     order_pos = _rank_of_positions(dc, grid_h, grid_w, todo_idx, rng)
     counts = schedule_counts(DecodeSchedule(dc.schedule, steps, todo_idx.size))
@@ -438,7 +456,8 @@ def sequential_reference_decode(params: md.ArpgParams, class_id: int,
     """Oracle for _decode_region: one token per step, no cache carried over.
 
     known_ids sit at the distinct raster indices known_idx (ValueError for a
-    repeated, negative or out-of-grid index); every other cell is decoded.
+    repeated, negative or out-of-grid index, or an id outside the
+    vocabulary); every other cell is decoded.
     Every step reads fresh caches fed [condition, known cells in the given
     order, decoded so far]. It consumes the rng exactly like the cached route
     at one step per cell left, so generate, inpaint and expand at that step
@@ -511,7 +530,6 @@ def expand(params: md.ArpgParams, base: TokenGrid, new_h: int, new_w: int,
     table grows to the longer sequence, never extrapolated. dc.grid_h
     and dc.grid_w, when set, must name the target grid.
     """
-    base.validate(params.config.vocab_size)
     base_idx = expand_layout(base.tokens.shape, new_h, new_w, mode, dc)
     return _decode_region(params, base.class_id, base.flat, base_idx, new_h, new_w,
                           min(dc.steps, new_h * new_w - base_idx.size), dc, state_sink)

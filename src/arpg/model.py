@@ -56,6 +56,9 @@ class ModelConfig:
         for name in ("vocab_size", "num_classes", "hidden", "heads", "pass1_layers",
                      "pass2_layers", "seq_len"):
             check_int(name, getattr(self, name))
+        if self.hidden < 1 or self.heads < 1:
+            raise ValueError("need hidden >= 1 and heads >= 1, got %d and %d"
+                             % (self.hidden, self.heads))
         if self.hidden % self.heads != 0:
             raise ValueError("hidden %d not divisible by heads %d" % (self.hidden, self.heads))
         if self.pass1_layers < 0 or self.pass2_layers < 1:
@@ -64,6 +67,8 @@ class ModelConfig:
             raise ValueError("vocab_size >= 2, num_classes >= 1, seq_len >= 1 required")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        if not 0.0 < self.rope_base < np.inf:
+            raise ValueError("rope_base must be finite and > 0, got %r" % (self.rope_base,))
 
     @property
     def head_dim(self) -> int:
@@ -409,11 +414,13 @@ def forward_pass2(params: ArpgParams, target_positions: np.ndarray,
     cc, ss = params.rope.rows(tgt, params.dtype)
     lens = np.full(q_len, length)
 
-    o = params.token_embedding.data[np.full(q_len, cfg.mask_token)]
+    o = params.token_embedding.data[[cfg.mask_token]]
     for li, layer in enumerate(params.pass2):
         on = _rms_np(o, layer.q_norm)
-        q = rotate_pairs(rowwise_matmul(on, layer.wq.data).reshape(q_len, cfg.heads, -1),
-                         cc, ss)
+        q = rowwise_matmul(on, layer.wq.data)
+        if li == 0:  # every query enters as the same [MASK] row: project it once
+            q = np.repeat(q, q_len, axis=0)
+        q = rotate_pairs(q.reshape(q_len, cfg.heads, -1), cc, ss)
         del on, o  # not held under the scores
         k, v = kv[0] if cfg.shared_kv else kv[li]
         a = attention_rows(q, k.transpose(1, 0, 2), v.transpose(1, 0, 2), lens)

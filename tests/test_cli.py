@@ -124,7 +124,12 @@ def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, t
     ("data.purity_threshold=0.5", "unknown config keys: data.purity_threshold"),
     ("model.pass2_layers=true", "pass2_layers must be an integer"),
     ("train.batch_size=true", "batch_size must be an integer"),
-    ("data.grid_h=4.0", "grid_h must be an integer")])
+    ("data.grid_h=4.0", "grid_h must be an integer"),
+    ("model.heads=0", "need hidden >= 1 and heads >= 1"),
+    ("model.heads=-4", "need hidden >= 1 and heads >= 1"),
+    ("model.hidden=0", "need hidden >= 1 and heads >= 1"),
+    ("model.rope_base=0.0", "rope_base must be finite and > 0"),
+    ("model.rope_base=NaN", "rope_base must be finite and > 0")])
 def test_bad_train_setting_exits_2_before_writing(tmp_path, capsys, setting, text):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path / "cfg.json", tiny_cfg(out))

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -84,11 +85,10 @@ def test_unfilled_layer_rows_are_zero():
 
 
 def test_wide_prefill_scores_stay_within_the_block_bound(monkeypatch):
-    # expanding a 20 x 20 grid to 24 x 24 prefills 400 known rows against a
-    # 577-row cache, then decodes the other 176 cells in two chunks;
-    # attention_rows scores at most ROWS_BLOCK entries at once, so besides
-    # its result it holds about two blocks (the scores and numpy's
-    # broadcasting buffers), not the [m, H, C] scores of the whole call
+    # a content pass of 400 rows against a 577-row cache: attention_rows
+    # scores at most ROWS_BLOCK entries at once, so besides its result it
+    # holds about two blocks (the scores and numpy's broadcasting buffers),
+    # not the [m, H, C] scores of the whole call
     params = tiny_params(seed=13, dtype=np.float32)
     cfg = params.config
     assert cfg.heads * 577 <= at.ROWS_BLOCK  # a block holds at least one whole row
@@ -103,14 +103,41 @@ def test_wide_prefill_scores_stay_within_the_block_bound(monkeypatch):
                       tracemalloc.get_traced_memory()[1] - base - out.nbytes))
         return out
     monkeypatch.setattr(md, "attention_rows", traced)
-    base = dec.TokenGrid(np.random.default_rng(14).integers(0, 16, (20, 20)), 1)
+    ids = np.random.default_rng(14).integers(0, 16, 400)
+    cache = dec.KvCache(cfg, 577, params.dtype)
+    md.forward_pass1(params, [cfg.class_token(1)], [0], cache)
     tracemalloc.start()
     try:
-        dec.expand(params, base, 24, 24, "outpaint", dec.DecodeConfig(steps=2, seed=3))
+        md.forward_pass1(params, ids, np.arange(1, 401), cache)
     finally:
         tracemalloc.stop()
     assert max(scores for scores, _ in calls) >= 40 * at.ROWS_BLOCK
     assert max(held for _, held in calls) <= 3 * at.ROWS_BLOCK * 4
+
+
+@pytest.mark.parametrize("cfg_scale", [1.0, 3.0])
+def test_prefill_feeds_at_most_prefill_rows_per_content_pass(monkeypatch, cfg_scale):
+    # expanding a 20 x 20 grid to 24 x 24 prefills 400 known cells; they
+    # reach the content pass in their given order, PREFILL_ROWS rows (over
+    # both CFG streams) at a time
+    params = tiny_params(seed=13, dtype=np.float32)
+    passes = []
+    pass1 = md.forward_pass1
+
+    def traced(params, ids, positions, cache, pattern="causal"):
+        passes.append((np.asarray(positions), cache.streams, pattern))
+        return pass1(params, ids, positions, cache, pattern)
+    monkeypatch.setattr(md, "forward_pass1", traced)
+    base = dec.TokenGrid(np.random.default_rng(14).integers(0, 16, (20, 20)), 1)
+    dc = dec.DecodeConfig(steps=2, seed=3, cfg_scale=cfg_scale)
+    dec.expand(params, base, 24, 24, "outpaint", dc)
+    known = dec.expand_layout((20, 20), 24, 24, "outpaint", dc) + 1
+    prefill = [p for p in passes if np.isin(p[0], known).all()]
+    assert np.array_equal(np.concatenate([pos for pos, _, _ in prefill]), known)
+    streams = 2 if cfg_scale != 1.0 else 1
+    assert all(s == streams and pattern == "causal" for _, s, pattern in prefill)
+    assert max(pos.size * s for pos, s, _ in prefill) == dec.PREFILL_ROWS
+    assert len(prefill) == -(-400 * streams // dec.PREFILL_ROWS)
 
 
 def test_cache_scalar_count_closed_form():
@@ -650,6 +677,9 @@ def test_expand_limits_and_modes():
         dec.expand(params, base, 70, 70, "outpaint", dec.DecodeConfig(steps=4))
     with pytest.raises(ValueError):
         dec.expand(params, base, 4, 8, "mirror", dec.DecodeConfig(steps=4))
+    with pytest.raises(ValueError, match="known ids must lie"):
+        dec.expand(params, dec.TokenGrid(np.full((4, 4), 16), 0), 6, 6, "outpaint",
+                   dec.DecodeConfig(steps=4))
     # a grid set on dc must name the target, as generate holds it to the model's
     for grid_h, grid_w in ((1, 3), (6, None), (None, 6), (6, 4)):
         with pytest.raises(ValueError, match="not the expand target 6x6"):
@@ -666,13 +696,17 @@ def test_expand_limits_and_modes():
        pattern=st.sampled_from(dec.ATTENTION_PATTERNS),
        order=st.sampled_from(("random",) + FIXED_ORDER_KINDS), cfg=st.booleans(),
        greedy=st.booleans(), shared=st.booleans(),
-       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16))
+       dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**16),
+       prefill_rows=st.sampled_from([1, 2, 3, 32]))
 def test_edits_at_one_token_per_step_equal_the_sequential_reference(
-        kind, shape, grow, bits, pattern, order, cfg, greedy, shared, dtype, seed):
+        kind, shape, grow, bits, pattern, order, cfg, greedy, shared, dtype, seed,
+        prefill_rows):
     # inpaint and expand at S = |todo| against a reference that rebuilds
     # [condition, known cells, decoded so far] at every step; the large init
     # spreads the logits, so a prefill fed at wrong positions, in another
-    # order or under another pattern moves sampled tokens, not only low bits
+    # order or under another pattern moves sampled tokens, not only low bits.
+    # The cached route's prefill is split into passes of prefill_rows rows,
+    # the reference's is one pass, and the bits must not tell them apart.
     h, w = shape
     mc = md.ModelConfig(vocab_size=16, num_classes=4, hidden=16, heads=2, pass1_layers=2,
                         pass2_layers=2, seq_len=h * w, shared_kv=shared)
@@ -686,11 +720,13 @@ def test_edits_at_one_token_per_step_equal_the_sequential_reference(
         known = ((bits >> np.arange(h * w)) & 1).astype(bool)
         known[bits % (h * w)] = True
         dc = replace(dc, grid_h=h, grid_w=w)
-        got = dec.inpaint(params, base, known.reshape(shape), 1, dc)
+        with mock.patch.object(dec, "PREFILL_ROWS", prefill_rows):
+            got = dec.inpaint(params, base, known.reshape(shape), 1, dc)
         idx = np.flatnonzero(known)
         prefix = base.flat[idx]
     else:
-        got = dec.expand(params, base, grid_h, grid_w, kind, dc)
+        with mock.patch.object(dec, "PREFILL_ROWS", prefill_rows):
+            got = dec.expand(params, base, grid_h, grid_w, kind, dc)
         idx = dec.expand_layout(shape, grid_h, grid_w, kind, dc)
         prefix = base.flat
     want = dec.sequential_reference_decode(params, 1, prefix, idx, grid_h, grid_w, dc)
@@ -705,6 +741,10 @@ def test_sequential_reference_rejects_a_bad_known_set():
     for idx in ([1, 2, 2], [-1, 2, 3], [1, 2, 16]):
         with pytest.raises(ValueError, match="distinct raster indices in \\[0, 16\\)"):
             dec.sequential_reference_decode(params, 0, [3, 4, 5], idx, 4, 4, dc)
+    # a known id outside the vocabulary would be fed as a class or [MASK] token
+    for ids in ([16, 21, 3], [3, -1, 4]):
+        with pytest.raises(ValueError, match="known ids must lie in \\[0, 16\\)"):
+            dec.sequential_reference_decode(params, 0, ids, [0, 1, 2], 4, 4, dc)
     out = dec.sequential_reference_decode(params, 0, [3, 4, 5], [1, 2, 3], 4, 4, dc)
     assert np.array_equal(out.flat[1:4], [3, 4, 5])
     assert out.tokens.min() >= 0 and out.tokens.max() < params.config.vocab_size

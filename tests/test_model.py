@@ -33,6 +33,12 @@ def test_config_validation():
         md.ModelConfig(pass2_layers=0)
     with pytest.raises(ValueError):
         md.ModelConfig(dropout=1.0)
+    for bad in (dict(heads=0), dict(heads=-4), dict(hidden=0), dict(hidden=-128)):
+        with pytest.raises(ValueError, match="need hidden >= 1 and heads >= 1"):
+            md.ModelConfig(**bad)
+    for base in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rope_base must be finite and > 0"):
+            md.ModelConfig(rope_base=base)
 
 
 def test_token_id_layout():

@@ -263,8 +263,8 @@ def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndar
     cfg = params.config
     b, q_len = target_positions.shape
     rate = cfg.dropout
-    o = nc.embedding(params.token_embedding,
-                     np.full((b, q_len), cfg.mask_token, dtype=np.int64))
+    # every query enters as the one [MASK] row: a broadcast, not a gathered copy
+    o = nc.broadcast_row(params.token_embedding, cfg.mask_token, (b, q_len))
     for li, layer in enumerate(params.pass2):
         q = rotary_matmul(o, layer.wq, cfg.hidden, params.rope, target_positions, layer.q_norm)
         # the rotated query itself is the residual carrier

@@ -24,7 +24,12 @@ nodes are held to live with the tests. A gemm node given a gain reads
 RMSNorm(x) * gain without holding it: it keeps x and x's per-row scale s,
 and its backward rebuilds x * s * gain.
 ffn_residual keeps only the same x and s: its backward rebuilds the gate|up
-product with the forward's own gemm, then silu(a) * b from it.
+product h with the forward's own gemm, then silu(a) * b from it, and writes
+the gate|up gradient over h FFN_BLOCK rows at a time; besides h it holds one
+[N, f] buffer and one row block. Gemms are never split into row blocks,
+since their bits depend on the row count; pointwise ops keep theirs.
+broadcast_row reads one table row at every slot through zero strides, with
+the gather's gradient.
 The attention nodes (attention.self_attention_residual and
 cross_attention_residual) keep q|k|v and two per-row softmax statistics, and
 rebuild the probs and the joined heads. Each rebuild repeats the forward's
@@ -176,6 +181,7 @@ def zero_grads(params: Sequence[Parameter]) -> None:
 # ---------------------------------------------------------------- gemm nodes
 
 RMS_EPS = 1e-6  # RMSNorm's epsilon, added to the mean square
+FFN_BLOCK = 64  # rows of the gate|up gradient ffn_residual's backward forms at once
 
 
 def _gemm_into(shape: tuple[int, ...], x2: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -206,8 +212,9 @@ def gemm_rows(a: Tensor, w: Tensor,
         saved = rows = a.data.reshape(-1, d)
     else:
         saved = _rms_scale(a.data)
-        rows = (a.data * saved * gain.data).reshape(-1, d)
-    return saved, _gemm_into(a.shape[:-1] + w.shape[1:], rows, w.data)
+        rows = a.data * saved  # a * s * gain in one buffer
+        rows *= gain.data
+    return saved, _gemm_into(a.shape[:-1] + w.shape[1:], rows.reshape(-1, d), w.data)
 
 
 def gemm_rows_grads(a: Tensor, saved: np.ndarray, w: Tensor, g: np.ndarray,
@@ -283,36 +290,45 @@ def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
     del u
 
     def bwd(g):
-        # scratch besides the rebuilt h and its gradient d is one [..., f]
-        # buffer: it holds sig (computed contiguous, as in the forward), then u,
-        # then du = gk @ w2^T; db keeps a copy of sig until the end
+        # scratch besides the rebuilt h = a|b is one [N, f] buffer: u, then
+        # du = gk @ w2^T; da|db are then formed FFN_BLOCK rows at a time and
+        # written over h's a|b columns, which hold the gemm grads' input
         h = gemm_rows(x, w13, gain)[1]
-        a, b = h[..., :f], h[..., f:]
+        h2 = h.reshape(-1, 2 * f)
+        a, b = h2[:, :f], h2[:, f:]
         g2 = (g if keep is None else g * keep).reshape(-1, g.shape[-1])
-        d = np.empty(h.shape, dtype=h.dtype)
-        da, db = d[..., :f], d[..., f:]
-        u = _sigmoid(a)
-        db[...] = u
-        sig = db
-        np.multiply(a, u, out=u)
+        u = a * _sigmoid(a)
         u *= b
-        u2 = u.reshape(-1, f)
-        dw2 = u2.T @ g2
-        du = np.matmul(g2, w2.data.T, out=u2).reshape(u.shape)
-        # da = sig * (1 + a * (1 - sig)) * (du * b), db = silu(a) * du
-        np.subtract(1.0, sig, out=da)
-        da *= a
-        da += 1.0
-        da *= sig
-        np.multiply(a, sig, out=db)
-        db *= du
-        du *= b
-        da *= du
-        del h, a, b, u, u2, du, g2  # free the rebuilt product before the gemm grads
-        dx, dgain, dw13 = gemm_rows_grads(x, saved, w13, d, gain)
+        dw2 = u.T @ g2
+        du = np.matmul(g2, w2.data.T, out=u)
+        del u, g2
+        for r in range(0, h2.shape[0], FFN_BLOCK):
+            _swiglu_grads_over(a[r:r + FFN_BLOCK], b[r:r + FFN_BLOCK], du[r:r + FFN_BLOCK])
+        del a, b, du, h2  # a live view of du would keep it under the gemm grads
+        dx, dgain, dw13 = gemm_rows_grads(x, saved, w13, h, gain)
         dx += g  # the residual's gradient; da + g has the bits of the unfused g + da
         return dx, dgain, dw13, dw2
     return from_op(out, (x, gain, w13, w2), bwd)
+
+
+def _swiglu_grads_over(a: np.ndarray, b: np.ndarray, du: np.ndarray) -> None:
+    """Overwrite a with da and b with db of u = silu(a) * b at gradient du.
+
+    da = sig * (1 + a * (1 - sig)) * (du * b), db = silu(a) * du, with sig
+    rebuilt by the forward's _sigmoid; du is overwritten. Every op is
+    pointwise, so any split of the rows keeps the bits.
+    """
+    sig = _sigmoid(a)
+    da = np.subtract(1.0, sig)
+    da *= a
+    da += 1.0
+    da *= sig
+    np.multiply(a, sig, out=sig)
+    sig *= du
+    du *= b
+    da *= du
+    a[...] = da
+    b[...] = sig
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -379,6 +395,29 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         if table.grad is None:
             table.grad = np.zeros_like(table.data)
         table.grad[rows[starts]] += sums
+        return (None,)
+    return from_op(out, (table,), bwd)
+
+
+def broadcast_row(table: Tensor, row: int, shape: tuple[int, ...]) -> Tensor:
+    """table[row] read at every slot of shape: a read-only [*shape, d] broadcast.
+
+    The gather embedding(table, ids) for ids all equal to row, without its
+    [*shape, d] copy: the data is one private copy of the row with zero
+    leading strides. Backward sums every slot's gradient into that row with
+    embedding's own reduction, so the bits are the gather's.
+    """
+    d = table.shape[-1]
+    out = np.broadcast_to(table.data[row].copy(), tuple(shape) + (d,))
+
+    def bwd(g):
+        if not g.size:
+            return (None,)
+        # the contiguous rows embedding's sorted gather hands reduceat
+        sums = np.add.reduceat(np.ascontiguousarray(g.reshape(-1, d)), [0], axis=0)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[row] += sums[0]
         return (None,)
     return from_op(out, (table,), bwd)
 

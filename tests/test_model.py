@@ -303,6 +303,43 @@ def test_mask_embedding_sole_grad_path_through_queries():
     assert np.array_equal(nonzero_rows, [cfg.mask_token])
 
 
+@pytest.mark.parametrize("dtype,kw", [(np.float32, {}),
+                                      (np.float64, {"dropout": 0.2, "shared_kv": False})])
+def test_broadcast_mask_input_bit_equals_gathered_copy(monkeypatch, dtype, kw):
+    # pass 2 reads the one [MASK] row through zero leading strides; the logits
+    # and every gradient, the [MASK] row's included, are those of a run that
+    # feeds it a gathered [B, Q, d] copy
+    def run():
+        params = make_params(seed=27, dtype=dtype, **kw)
+        cfg = params.config
+        rng = np.random.default_rng(28)
+        toks = rng.integers(0, 16, (2, 16))
+        cond = np.array([cfg.class_token(1), cfg.null_class_token])
+        perms = np.stack([rng.permutation(16) + 1 for _ in range(2)])
+        logits, targets = md.forward_train_batch(params, toks, cond, perms,
+                                                 dropout_rng=np.random.default_rng(29))
+        nc.cross_entropy(nc.reshape(logits, (32, 16)), targets.reshape(-1)).backward()
+        return [logits.data] + [p.grad for p in params.parameters()]
+
+    inputs, broadcast = [], nc.broadcast_row
+
+    def recording(table, row, shape):
+        out = broadcast(table, row, shape)
+        inputs.append(out.data)
+        return out
+    monkeypatch.setattr(nc, "broadcast_row", recording)
+    got = run()
+    assert len(inputs) == 1 and inputs[0].shape == (2, 16, 32)
+    assert inputs[0].strides[:2] == (0, 0)
+    monkeypatch.setattr(nc, "broadcast_row",
+                        lambda table, row, shape: nc.embedding(table, np.full(shape, row)))
+    want = run()
+    mask_row = tiny_config().mask_token
+    assert np.abs(got[1][mask_row]).sum() > 0
+    for u, v in zip(got, want):
+        assert u.dtype == dtype and np.array_equal(u, v)
+
+
 def test_train_backward_grad_copies(monkeypatch):
     # the fused ops hand each producer one fresh gradient, and the residual
     # stream adopts each residual node's own .grad; what is still copied: the

@@ -1,5 +1,6 @@
 """Tape autograd: per-op closed forms plus finite-difference oracles (double precision)."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -170,12 +171,32 @@ def test_embedding_gather_and_grad():
     with pytest.raises(IndexError):
         nc.embedding(table, np.array([4]))
 
-    # every slot gathers one row, as the query stack gathers [MASK]
+    # every slot gathers one row, the gather broadcast_row is held to
     nc.zero_grads([table])
     w = np.arange(30.0).reshape(2, 5, 3)
     sum_all(mul(nc.embedding(table, np.full((2, 5), 3)), w)).backward()
     assert np.array_equal(table.grad[:3], np.zeros((3, 3)))
     assert np.array_equal(table.grad[3], w.reshape(10, 3).sum(axis=0))
+
+
+def test_broadcast_row_bit_equals_gather():
+    # one row read at every slot through zero leading strides: the values and
+    # the summed row gradient of embedding's gather of that row
+    rng = np.random.default_rng(5)
+    t0 = rng.standard_normal((4, 7)).astype(np.float32)
+    w = rng.standard_normal((3, 50, 7)).astype(np.float32)
+
+    def run(broadcast):
+        table = nc.Parameter("emb", t0.copy())
+        y = (nc.broadcast_row(table, 2, (3, 50)) if broadcast
+             else nc.embedding(table, np.full((3, 50), 2)))
+        sum_all(mul(y, w)).backward()
+        return y.data, table.grad
+
+    (y, grad), (y_ref, grad_ref) = run(True), run(False)
+    assert y.shape == (3, 50, 7) and y.strides[:2] == (0, 0) and not y.flags.writeable
+    assert np.array_equal(y, y_ref) and np.array_equal(grad, grad_ref)
+    assert np.flatnonzero(np.abs(grad).sum(axis=1)).tolist() == [2]
 
 
 def test_ffn_residual_fd():
@@ -220,27 +241,53 @@ def test_ffn_residual_rejects_mismatched_weights():
 @pytest.mark.parametrize("dropout", [False, True])
 def test_ffn_residual_bit_equals_norm_matmul_then_swiglu_residual(dtype, dropout):
     # the fused node against a gain gemm node feeding the SwiGLU residual
-    # reference node; x is a non-leaf, as on the model's residual stream; odd f
+    # reference node; x is a non-leaf, as on the model's residual stream; odd f.
+    # 150 rows span two whole backward row blocks and a partial one
     rng = np.random.default_rng(24)
-    x0, w = (rng.standard_normal((4, 6, 8)).astype(dtype) for _ in range(2))
-    g0 = (1.0 + 0.1 * rng.standard_normal(8)).astype(dtype)
-    w13_0 = rng.standard_normal((8, 14)).astype(dtype)
-    w2_0 = rng.standard_normal((7, 8)).astype(dtype)
-    keep = ((rng.random((4, 6, 8)) >= 0.2).astype(dtype) / 0.8) if dropout else None
+    for lead in ((4, 6), (3, 50)):
+        x0, w = (rng.standard_normal(lead + (8,)).astype(dtype) for _ in range(2))
+        g0 = (1.0 + 0.1 * rng.standard_normal(8)).astype(dtype)
+        w13_0 = rng.standard_normal((8, 14)).astype(dtype)
+        w2_0 = rng.standard_normal((7, 8)).astype(dtype)
+        keep = ((rng.random(lead + (8,)) >= 0.2).astype(dtype) / 0.8) if dropout else None
 
-    def run(fused):
-        p, gain, w13, w2 = (nc.Parameter(n, v.copy()) for n, v in
-                            (("p", x0), ("gain", g0), ("w13", w13_0), ("w2", w2_0)))
-        x = mul(p, 1.5)
-        if fused:
-            out = nc.ffn_residual(x, gain, w13, w2, keep)
-        else:
-            out = swiglu_residual(x, nc.matmul(x, w13, gain), w2, keep)
-        sum_all(mul(out, w)).backward()
-        return out.data, p.grad, gain.grad, w13.grad, w2.grad
+        def run(fused):
+            p, gain, w13, w2 = (nc.Parameter(n, v.copy()) for n, v in
+                                (("p", x0), ("gain", g0), ("w13", w13_0), ("w2", w2_0)))
+            x = mul(p, 1.5)
+            if fused:
+                out = nc.ffn_residual(x, gain, w13, w2, keep)
+            else:
+                out = swiglu_residual(x, nc.matmul(x, w13, gain), w2, keep)
+            sum_all(mul(out, w)).backward()
+            return out.data, p.grad, gain.grad, w13.grad, w2.grad
 
-    for u, v in zip(run(True), run(False)):
-        assert u.dtype == dtype and np.array_equal(u, v)
+        for u, v in zip(run(True), run(False)):
+            assert u.dtype == dtype and np.array_equal(u, v)
+
+
+def test_ffn_residual_backward_scratch():
+    # backward holds the rebuilt gate|up product [N, 2f], one [N, f] buffer
+    # and one row block: under 4 N f items, where a second [N, 2f] array for
+    # the gradient would take it past 5
+    assert nc.FFN_BLOCK < 1024 // 8
+    rng = np.random.default_rng(25)
+    n, d, f = 1024, 8, 97
+    x = nc.Parameter("x", rng.standard_normal((n, d)).astype(np.float32))
+    gain = nc.Parameter("gain", np.ones(d, dtype=np.float32))
+    w13 = nc.Parameter("w13", rng.standard_normal((d, 2 * f)).astype(np.float32))
+    w2 = nc.Parameter("w2", rng.standard_normal((f, d)).astype(np.float32))
+    y = nc.ffn_residual(x, gain, w13, w2)
+    g = rng.standard_normal((n, d)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        grads = y._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert [v.shape for v in grads] == [(n, d), (d,), (d, 2 * f), (f, d)]
+    assert peak < 4 * n * f * 4
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -18,6 +18,8 @@ of both routes; on the training route `rotary_matmul` does it inside the
 projection's own buffer, so q and k are held once, rotated, and the tape
 keeps positions, not rows. The decoding engine uses the per-query-row
 kernel at the bottom, whose bits never depend on how queries are grouped.
+Both kernels mask one way: a blocked key scores -inf and weighs exactly +0;
+a query with no open key (only the batched kernel takes one) outputs zeros.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import numpy as np
 from . import numcore as nc
 from .numcore import Tensor
 
-NEG_BIAS = -1e9  # large negative bias standing in for -inf pre-softmax
 ROWS_BLOCK = 1 << 14  # score entries attention_rows holds at once
 
 
@@ -168,9 +169,6 @@ class AttentionMask:
     kind: str
     allowed: np.ndarray = field(repr=False)
 
-    def bias(self, dtype) -> np.ndarray:
-        return np.where(self.allowed, 0.0, NEG_BIAS).astype(dtype)
-
 
 def causal_mask(n: int) -> AttentionMask:
     return AttentionMask("causal", np.tril(np.ones((n, n), dtype=bool)))
@@ -207,13 +205,12 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Attenti
                       stats: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Masked softmax attention on [..., H, T, head_dim]; returns (out, probs).
 
-    Disallowed entries get a -1e9 bias; with max-subtraction their exp
-    underflows to exact zero, and they are zeroed explicitly as well so a row
-    with no allowed key yields the zero vector instead of NaN. stats carries
-    each query row's max score and softmax divisor [..., H, T, 1]: an empty
-    list receives them, and a list holding them stands in for the two
-    reductions, so the call rebuilds the probs and out of an earlier call
-    bit for bit.
+    A blocked key scores -inf, so it weighs exactly +0 whatever finite k and
+    v it holds; a query with no open key takes max 0 and outputs zeros.
+    stats carries each query row's max score (0 with no open key) and
+    softmax divisor [..., H, T, 1]: an empty list receives them, and a list
+    holding them stands in for the two reductions, so the call rebuilds the
+    probs and out of an earlier call bit for bit.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[:-1] != v.shape[:-1]:
         raise ValueError("q/k/v head shapes disagree: %r %r %r"
@@ -224,12 +221,12 @@ def attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Attenti
     scale = 1.0 / np.sqrt(q.shape[-1])
     p = q @ k.swapaxes(-1, -2)  # scores, turned into probs in place
     p *= scale
-    p += mask.bias(q.dtype)
+    np.copyto(p, -np.inf, where=~mask.allowed)
     rebuild = bool(stats)
     row_max = stats[0] if rebuild else _row_max(p)
+    row_max[row_max == -np.inf] = 0.0  # no open key: every weight is exp(-inf) = +0
     p -= row_max
     np.exp(p, out=p)
-    p *= mask.allowed
     if rebuild:
         divisor = stats[1]
     else:

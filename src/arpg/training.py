@@ -322,8 +322,15 @@ class TrainConfig:
             check_int(name, getattr(self, name))
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
-        if not 0 < self.lr < np.inf:
-            raise ValueError("lr must be finite and > 0, got %r" % self.lr)
+        for key, ok, rule in (("lr", 0 < self.lr < np.inf, "finite and > 0"),
+                              ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                              ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                              ("min_lr", 0 <= self.min_lr < np.inf, "finite and >= 0"),
+                              ("warmup_frac", 0 <= self.warmup_frac <= 1, "in [0, 1]"),
+                              ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0"),
+                              ("class_dropout", 0 <= self.class_dropout <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError("%s must be %s, got %r" % (key, rule, getattr(self, key)))
         if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
             raise ValueError("grad_clip must be None or finite and > 0, got %r" % self.grad_clip)
 

@@ -212,13 +212,13 @@ def test_rotary_matmul_norm_bit_equals_rms_norm_then_rotary(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_row_max_tree_equals_max(dtype):
-    # every width up to 70, odd ones included, with some rows wholly biased
-    # by NEG_BIAS (a query with no allowed key) and some holding ties
+    # every width up to 70, odd ones included, with some rows wholly -inf
+    # (a query with no open key) and some holding ties
     rng = np.random.default_rng(40)
     for n in range(1, 71):
         shape = tuple(rng.integers(1, 4, rng.integers(0, 3))) + (5, n)
         p = rng.standard_normal(shape).astype(dtype)
-        p[..., 1, :] += at.NEG_BIAS
+        p[..., 1, :] = -np.inf
         p[..., 2, :] = np.round(p[..., 2, :])
         got = at._row_max(p)
         assert got.shape == shape[:-1] + (1,) and got.dtype == dtype
@@ -268,21 +268,23 @@ def test_attention_empty_key_row_zero_output():
 
 
 def test_attention_causal_leakage_exact():
-    # perturbing key/value rows > i leaves output row i bit-identical
+    # perturbing key/value rows > i leaves output row i bit-identical, also
+    # when a future key's score beats every open one by far more than 1e9
     rng = np.random.default_rng(7)
     q = rng.standard_normal((2, 6, 8))
     k = rng.standard_normal((2, 6, 8))
     v = rng.standard_normal((2, 6, 8))
     mask = at.causal_mask(6)
     base, _ = at.attention_forward(q, k, v, mask)
-    for trial in range(20):
-        i = int(rng.integers(0, 5))
-        k2, v2 = k.copy(), v.copy()
-        k2[:, i + 1:] = rng.standard_normal(k2[:, i + 1:].shape)
-        v2[:, i + 1:] = rng.standard_normal(v2[:, i + 1:].shape)
-        pert, _ = at.attention_forward(q, k2, v2, mask)
-        assert np.array_equal(pert[:, :i + 1], base[:, :i + 1])
-        assert not np.array_equal(pert[:, i + 1:], base[:, i + 1:])
+    for key_scale in (1.0, 1e10):
+        for trial in range(20):
+            i = int(rng.integers(0, 5))
+            k2, v2 = k.copy(), v.copy()
+            k2[:, i + 1:] = key_scale * rng.standard_normal(k2[:, i + 1:].shape)
+            v2[:, i + 1:] = rng.standard_normal(v2[:, i + 1:].shape)
+            pert, _ = at.attention_forward(q, k2, v2, mask)
+            assert np.array_equal(pert[:, :i + 1], base[:, :i + 1]), (key_scale, i)
+            assert not np.array_equal(pert[:, i + 1:], base[:, i + 1:])
 
 
 # ---------------------------------------------------------------- backward

@@ -118,6 +118,12 @@ def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, t
 @pytest.mark.parametrize("setting, text", [
     ("train.grad_clip=-1", "grad_clip must be None or finite and > 0"),
     ("train.lr=0", "lr must be finite and > 0"),
+    ("train.beta1=1.0", "beta1 must be in [0, 1)"),
+    ("train.beta2=1.5", "beta2 must be in [0, 1)"),
+    ("train.min_lr=NaN", "min_lr must be finite and >= 0"),
+    ("train.warmup_frac=NaN", "warmup_frac must be in [0, 1]"),
+    ("train.weight_decay=-1e9", "weight_decay must be finite and >= 0"),
+    ("train.class_dropout=NaN", "class_dropout must be in [0, 1]"),
     ("data.n=0", "data.n must be >= 1"),
     ("data.background=20", "unknown config keys: data.background"),
     ("data.match_threshold=0.5", "unknown config keys: data.match_threshold"),

@@ -454,6 +454,66 @@ def test_generate_cfg_schedule_anchors():
     assert not np.array_equal(base.tokens, guided.tokens)
 
 
+# Oracles written apart from the decode loop: each restates one part of the
+# request (order, CFG condition, CFG scale) from the config alone.
+
+def test_random_order_is_the_seeded_permutation():
+    # generate decodes rng.permutation(T) + 1 of the decode seed's rng; an
+    # inpaint decodes its cells left in raster order, permuted by that draw
+    params = tiny_params(seed=3, dtype=np.float32)
+    total = params.config.seq_len
+    known = np.array([0, 5, 6, 15])
+    left = np.setdiff1d(np.arange(total), known)
+    partial = dec.TokenGrid(np.zeros((4, 4), dtype=np.int64), 1)
+    for seed in (0, 1, 5):
+        dc = dec.DecodeConfig(steps=4, seed=seed)
+        sink = []
+        dec.generate(params, 1, dc, sink)
+        dec.inpaint(params, partial, known, 1, dc, sink)
+        want = np.random.default_rng(seed).permutation(total) + 1
+        assert np.array_equal(sink[0].permutation, want)
+        draw = np.random.default_rng(seed).permutation(left.size)
+        assert np.array_equal(sink[1].permutation, left[draw] + 1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shared", [True, False])
+def test_cfg_streams_feed_the_class_and_the_null_class(dtype, shared):
+    # each stream's cache equals one causal pass of a fresh one-stream cache
+    # over its condition, then the sampled tokens at their positions
+    params = tiny_params(seed=4, dtype=dtype, shared_kv=shared)
+    cfg = params.config
+    sink = []
+    dec.generate(params, 2, dec.DecodeConfig(steps=5, cfg_scale=3.0, seed=6), sink)
+    state = sink[0]
+    width = state.caches[0].capacity
+    pos = np.concatenate([[0], state.permutation[:width - 1]])
+    for cond, got in zip((cfg.class_token(2), cfg.null_class_token), state.caches, strict=True):
+        want = dec.KvCache(cfg, width, params.dtype)
+        md.forward_pass1(params, np.concatenate([[cond], state.tokens[:width - 1]]), pos, want)
+        assert got.length == want.length == width
+        for a, b in zip(cache_arrays(got, cfg), cache_arrays(want, cfg), strict=True):
+            assert_bits_equal(a, b)
+
+
+@pytest.mark.parametrize("steps", [5, 3])
+def test_cfg_scale_ramps_with_the_cells_decoded_before_each_step(monkeypatch, steps):
+    # linear ramp: a step after d of T cells decoded guides at 1 + (s - 1) * d / T
+    params = tiny_params(seed=5, dtype=np.float32)
+    total = params.config.seq_len
+    combine, seen = dec.cfg_combine, []
+
+    def recording(cond, uncond, scale):
+        seen.append(scale)
+        return combine(cond, uncond, scale)
+    monkeypatch.setattr(dec, "cfg_combine", recording)
+    dec.generate(params, 1, dec.DecodeConfig(steps=steps, cfg_scale=2.5, seed=2))
+    decoded = np.cumsum([0] + schedule_counts(DecodeSchedule("arccos", steps, total))[:-1])
+    np.testing.assert_allclose(seen, 1 + (2.5 - 1) * decoded / total, rtol=1e-15)
+    if steps == 5:
+        assert seen == [1.0, 1.1875, 1.375, 1.65625, 1.84375]
+
+
 def test_generate_fixed_order_deterministic():
     params = tiny_params(seed=9, dtype=np.float32)
     dc = dec.DecodeConfig(steps=4, order="spiral_in", seed=2)

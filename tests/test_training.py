@@ -233,9 +233,13 @@ def test_train_step_stops_on_non_finite_grad(monkeypatch, clip):
 @pytest.mark.parametrize("setting", [{"grad_clip": -1.0}, {"grad_clip": 0.0},
                                      {"grad_clip": float("nan")}, {"grad_clip": float("inf")},
                                      {"lr": 0.0}, {"lr": -3e-3}, {"lr": float("nan")},
-                                     {"lr": float("inf")}])
+                                     {"lr": float("inf")}, {"beta1": 1.0}, {"beta2": 1.5},
+                                     {"min_lr": float("nan")}, {"warmup_frac": float("nan")},
+                                     {"weight_decay": -1e9}, {"class_dropout": float("nan")}])
 def test_train_config_rejects_a_bad_step_size(setting):
-    # a negative clip would scale the gradients by a negative factor: ascent
+    # a negative clip would scale the gradients by a negative factor: ascent;
+    # beta1 = 1 divides by a zero bias correction, a NaN min_lr or warmup_frac
+    # poisons the schedule, and the rest pass silently
     with pytest.raises(ValueError, match=next(iter(setting))):
         tr.TrainConfig(**setting)
 

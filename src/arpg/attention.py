@@ -2,24 +2,18 @@
 
 Layouts: the batched kernels (attention_forward/attention_backward) work on
 [..., H, T, head_dim]. The training route keeps activations joined,
-[B, T, H * head_dim], and its attention tape ops read them in place:
-`self_attention_residual` takes the rows of the fused q|k|v projection
-[B, T, 3d] (the model stores wq|wk|wv as one weight),
-`cross_attention_residual` takes q [B, Q, d] and k|v rows [B, S, 2d]. Both
-hand the kernels per-head strided views (reshape + transpose, no copy) and
-feed the joined heads [B, T, d] to their wo gemm, whose product goes
-straight into the residual sum. The tape holds neither the probs nor the
-joined heads, only the inputs it keeps anyway and each query row's softmax
-max and divisor; backward rebuilds the rest bit for bit and writes one
-fresh joined gradient per input. Rotary embedding rotates
-each head_dim group of the last axis, in either layout, at per-token
-positions by the interleaved rows of RopeTable.rows, the one table format
-of both routes; on the training route `rotary_matmul` does it inside the
-projection's own buffer, so q and k are held once, rotated, and the tape
-keeps positions, not rows. The decoding engine uses the per-query-row
-kernel at the bottom, whose bits never depend on how queries are grouped.
-Both kernels mask one way: a blocked key scores -inf and weighs exactly +0;
-a query with no open key (only the batched kernel takes one) outputs zeros.
+[B, T, H * head_dim]: `attention_block` runs a whole block, from its input
+through the rotated projection and the kernels, which read per-head strided
+views (reshape + transpose, no copy), to the residual sum, as one tape node
+that holds neither the projection nor the probs nor the joined heads.
+Rotary embedding rotates each head_dim group of the last axis, in either
+layout, at per-token positions by the interleaved rows of RopeTable.rows,
+the one table format of both routes; on the training route it turns q|k, q
+or k inside the projection's own buffer. The decoding engine uses the
+per-query-row kernel at the bottom, whose bits never depend on how queries
+are grouped. Both kernels mask one way: a blocked key scores -inf and weighs
+exactly +0; a query with no open key (only the batched kernel takes one)
+outputs zeros.
 """
 
 from __future__ import annotations
@@ -134,6 +128,24 @@ def _rotate_leading(x: np.ndarray, width: int, cc: np.ndarray, ss: np.ndarray) -
     lead += sw
 
 
+def _rotary_projection(a: Tensor, w: Tensor, rotated: int, table: RopeTable,
+                       positions: np.ndarray, gain: Tensor | None) -> tuple:
+    """(saved, out) of nc.gemm_rows, out's first `rotated` columns rotated at positions."""
+    saved, out = nc.gemm_rows(a, w, gain)
+    cc, ss = table.rows(positions, out.dtype)
+    _rotate_leading(out, rotated, cc, ss)
+    return saved, out
+
+
+def _rotary_projection_grads(a: Tensor, saved: np.ndarray, w: Tensor, g: np.ndarray,
+                             rotated: int, table: RopeTable, positions: np.ndarray,
+                             gain: Tensor | None) -> tuple[np.ndarray, ...]:
+    """Grads of _rotary_projection at g, overwritten: turn back, then nc.gemm_rows_grads."""
+    cc, ss = table.rows(positions, g.dtype)
+    _rotate_leading(g, rotated, cc, -ss)
+    return nc.gemm_rows_grads(a, saved, w, g, gain)
+
+
 def rotary_matmul(a: Tensor, w: Tensor, rotated: int, table: RopeTable,
                   positions: np.ndarray, gain: Tensor | None = None) -> Tensor:
     """Tape op: a @ w [..., T, f] with its first `rotated` columns rotated in place.
@@ -148,16 +160,10 @@ def rotary_matmul(a: Tensor, w: Tensor, rotated: int, table: RopeTable,
     if rotated % hd or not 0 <= rotated <= w.shape[-1]:
         raise ValueError("cannot rotate %d of %d columns in whole heads of %d"
                          % (rotated, w.shape[-1], hd))
-    saved, out = nc.gemm_rows(a, w, gain)
-    cc, ss = table.rows(positions, out.dtype)
-    _rotate_leading(out, rotated, cc, ss)
-
-    def bwd(g):
-        # inverse rotation (transpose of each 2x2 block), then the gemm grads
-        cc, ss = table.rows(positions, g.dtype)
-        _rotate_leading(g, rotated, cc, -ss)
-        return nc.gemm_rows_grads(a, saved, w, g, gain)
-    return nc.from_op(out, (a, w) if gain is None else (a, gain, w), bwd)
+    saved, out = _rotary_projection(a, w, rotated, table, positions, gain)
+    return nc.from_op(out, (a, w) if gain is None else (a, gain, w),
+                      lambda g: _rotary_projection_grads(a, saved, w, g, rotated, table,
+                                                         positions, gain))
 
 
 # ---------------------------------------------------------------- masks
@@ -276,29 +282,50 @@ def _joined(*parts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _attention_residual(x: Tensor, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                        mask: AttentionMask, wo: Tensor, keep: np.ndarray | None,
-                        probs_sink: list | None, parents: tuple, input_grads) -> Tensor:
-    """x + (joined attention heads @ wo) * keep as one node over per-head views q, k, v.
+def _qkv_heads(p: np.ndarray, kv: Tensor | None, heads: int) -> tuple[np.ndarray, ...]:
+    """Per-head views q, k, v [B, H, T, hd] of q|k|v rows p, or of q rows p and kv's k|v."""
+    if kv is None:
+        xh = _heads(p, 3 * heads)
+        return xh[:, :heads], xh[:, heads:2 * heads], xh[:, 2 * heads:]
+    d = p.shape[-1]
+    return _heads(p, heads), _heads(kv.data[..., :d], heads), _heads(kv.data[..., d:], heads)
 
-    The node keeps each query row's softmax max and divisor, not the probs or
-    the joined heads: its backward rebuilds both with attention_forward, then
-    runs dW_o, the heads' gradient and attention_backward as a residual gemm
-    node and an attention node would. input_grads(g, dq, dk, dv) turns the
-    head gradients into the gradients of parents[:-1]; wo's comes last.
+
+def attention_block(x: Tensor, gain: Tensor, w: Tensor, table: RopeTable,
+                    positions: np.ndarray, kv: Tensor | None, wo: Tensor,
+                    mask: AttentionMask, heads: int, keep: np.ndarray | None = None,
+                    probs_sink: list | None = None) -> Tensor:
+    """Tape op: one attention block of x [B, T, d], projection to residual sum.
+
+    p = RMSNorm(x) * gain @ w, its q (and k) columns rotated at positions
+    [B, T] as rotary_matmul does. With kv None, w is wq|wk|wv [d, 3d] and the
+    block is x + (self-attention over p) @ wo * keep; with k|v rows kv
+    [B, S, 2d], w is wq [d, d] and the block is p + (attention of p over kv)
+    @ wo * keep, the rotated query being the residual carrier. The node holds
+    x, its per-row scale, the positions and two softmax statistics
+    [B, H, T, 1]; backward rebuilds p, the probs and the joined heads with
+    the forward's own calls. Bit for bit rotary_matmul feeding an attention
+    node and a residual gemm node (dx + g for x has the bits of g + dx).
     """
-    heads = q.shape[1]
+    width = w.shape[-1]
+    if kv is None and width % (3 * heads):
+        raise ValueError("fused q|k|v width %d does not hold 3 x %d heads" % (width, heads))
+    if kv is not None and kv.shape[-1] != 2 * width:
+        raise ValueError("k|v width %d is not twice the query width %d" % (kv.shape[-1], width))
+    rotated = width if kv is not None else 2 * width // 3
+    saved, p = _rotary_projection(x, w, rotated, table, positions, gain)
     stats: list = []
-    o, probs = attention_forward(q, k, v, mask, stats)
+    o, probs = attention_forward(*_qkv_heads(p, kv, heads), mask, stats)
     if probs_sink is not None:
         probs_sink.append(probs)
     del probs
     a = Tensor(_joined(o))
     del o
-    out = nc.residual_sum(x, nc.gemm_rows(a, wo)[1], keep)
-    del a
+    out = nc.residual_sum(x.data if kv is None else p, nc.gemm_rows(a, wo)[1], keep)
 
     def bwd(g):
+        p = _rotary_projection(x, w, rotated, table, positions, gain)[1]
+        q, k, v = _qkv_heads(p, kv, heads)
         o, probs = attention_forward(q, k, v, mask, stats)
         a = Tensor(_joined(o))
         del o
@@ -306,52 +333,19 @@ def _attention_residual(x: Tensor, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                                      g if keep is None else g * keep)
         dq, dk, dv = attention_backward(q, k, v, probs, _heads(a.data, heads),
                                         _heads(da, heads))
-        del probs, a, da
-        return input_grads(g, dq, dk, dv) + (dwo,)
-    return nc.from_op(out, parents, bwd)
-
-
-def self_attention_residual(x: Tensor, qkv: Tensor, wo: Tensor, mask: AttentionMask,
-                            heads: int, keep: np.ndarray | None = None,
-                            probs_sink: list | None = None) -> Tensor:
-    """Tape op: x + (self-attention over fused q|k|v rows [B, T, 3d]) @ wo * keep.
-
-    q and k come rotated. The kernels read per-head views of qkv in place, so
-    the node holds qkv and two [B, H, T, 1] softmax statistics (see
-    _attention_residual); the backward returns g for x and one fresh
-    [B, T, 3d] gradient for qkv. Bit for bit a self-attention node whose
-    joined heads [B, T, d] feed a residual gemm node.
-    """
-    b, t, d3 = qkv.shape
-    if d3 % (3 * heads):
-        raise ValueError("fused q|k|v width %d does not hold 3 x %d heads" % (d3, heads))
-    xh = qkv.data.reshape(b, t, 3 * heads, d3 // (3 * heads)).transpose(0, 2, 1, 3)
-    q, k, v = xh[:, :heads], xh[:, heads:2 * heads], xh[:, 2 * heads:]
-    return _attention_residual(x, q, k, v, mask, wo, keep, probs_sink, (x, qkv, wo),
-                               lambda g, dq, dk, dv: (g, _joined(dq, dk, dv)))
-
-
-def cross_attention_residual(q: Tensor, kv: Tensor, wo: Tensor, mask: AttentionMask,
-                             heads: int, keep: np.ndarray | None = None,
-                             probs_sink: list | None = None) -> Tensor:
-    """Tape op: q + (attention of q [B, Q, d] over k|v rows kv [B, S, 2d]) @ wo * keep.
-
-    The query itself is the residual carrier. Rotation, if any, is the
-    caller's: a shared k is rotated once for every layer that reads it. The
-    node holds q, kv and two [B, H, Q, 1] softmax statistics. The backward
-    returns g + dq for q and a fresh [B, S, 2d] gradient for kv. Bit for bit
-    a cross-attention node whose joined heads feed a residual gemm node.
-    """
-    d = q.shape[-1]
-    if kv.shape[-1] != 2 * d:
-        raise ValueError("k|v width %d is not twice the query width %d" % (kv.shape[-1], d))
-
-    def input_grads(g, dq, dk, dv):
-        g += _joined(dq)
-        return g, _joined(dk, dv)
-    return _attention_residual(q, _heads(q.data, heads), _heads(kv.data[..., :d], heads),
-                               _heads(kv.data[..., d:], heads), mask, wo, keep, probs_sink,
-                               (q, kv, wo), input_grads)
+        del probs, a, da, q, k, v, p
+        if kv is None:
+            dp = _joined(dq, dk, dv)
+        else:  # the carrier's gradient g + dq, in g's buffer
+            dp, dkv = np.add(g, _joined(dq), out=g), _joined(dk, dv)
+        del dq, dk, dv
+        dx, dgain, dw = _rotary_projection_grads(x, saved, w, dp, rotated, table, positions,
+                                                 gain)
+        if kv is not None:
+            return dx, dgain, dw, dkv, dwo
+        dx += g  # the residual's gradient
+        return dx, dgain, dw, dwo
+    return nc.from_op(out, (x, gain, w, wo) if kv is None else (x, gain, w, kv, wo), bwd)
 
 
 # ---------------------------------------------------------------- row kernel

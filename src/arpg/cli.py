@@ -31,7 +31,7 @@ from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
                        inpaint, inpaint_layout)
-from .ordering import DecodeSchedule, check_int, schedule_counts
+from .ordering import DecodeSchedule, check_int, check_seed, schedule_counts
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
@@ -173,7 +173,7 @@ def cmd_train(cfg: dict, used: set[str]):
     spec = build(ToyDatasetSpec, cfg, "data", used)
     tc = build(TrainConfig, cfg, "train", used)
     data_n = take_int(cfg, "data.n", used, 512)
-    data_seed = take_int(cfg, "data.seed", used, 0)
+    data_seed = check_seed("data.seed", take(cfg, "data.seed", used, 0))
     snapshot_every = take_int(cfg, "train.snapshot_every", used, 0)
     log_every = take_int(cfg, "train.log_every", used, 50)
     resume = take(cfg, "train.resume", used, None)
@@ -421,7 +421,7 @@ def cmd_bench(cfg: dict, used: set[str]):
     patterns = take(cfg, "bench.patterns", used, ["causal", "block_causal"])
     batch = take_int(cfg, "bench.batch", used, 16)
     repeats = take_int(cfg, "bench.repeats", used, 3)
-    seed = take_int(cfg, "bench.seed", used, 0)
+    seed = check_seed("bench.seed", take(cfg, "bench.seed", used, 0))
     if batch < 1 or repeats < 1:
         raise ValueError("bench.batch and bench.repeats must be >= 1")
     if not steps_list or not patterns:
@@ -451,7 +451,7 @@ def _fmt_norm(v: float) -> str:
 def cmd_grad_demo(cfg: dict, used: set[str]):
     out_path = take(cfg, "out_dir", used, None)
     out = None if out_path is None else Path(out_path)
-    seed = take_int(cfg, "demo.seed", used, 0)
+    seed = check_seed("demo.seed", take(cfg, "demo.seed", used, 0))
     rows = take_int(cfg, "demo.rows", used, 8)
     if rows < 1:
         raise ValueError("demo.rows must be >= 1, got %d" % rows)
@@ -497,7 +497,7 @@ def cmd_attn_export(cfg: dict, used: set[str]):
     ck_path = take(cfg, "checkpoint", used)
     input_path = take(cfg, "attn.input", used, None)
     class_id = take_int(cfg, "attn.class_id", used, 0)
-    seed = take_int(cfg, "attn.seed", used, 0)
+    seed = check_seed("attn.seed", take(cfg, "attn.seed", used, 0))
     ck = load_checkpoint(ck_path)
     params = ck.params
     mc = params.config

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import model as md
 from .ordering import (CFG_KINDS, FIXED_ORDER_KINDS, SCHEDULE_KINDS, DecodeSchedule,
-                       cfg_scale_at, check_int, fixed_order, schedule_counts)
+                       cfg_scale_at, check_int, check_seed, fixed_order, schedule_counts)
 
 # Most positions an expand target may hold; the rotary table grows to cover them.
 EXPAND_POSITION_LIMIT = 4096
@@ -190,8 +190,9 @@ class DecodeConfig:
     grid_w: int | None = None
 
     def __post_init__(self):
-        for name in ("steps", "seed", "top_k", "grid_h", "grid_w"):
-            if name in ("steps", "seed") or getattr(self, name) is not None:
+        check_seed("seed", self.seed)
+        for name in ("steps", "top_k", "grid_h", "grid_w"):
+            if name == "steps" or getattr(self, name) is not None:
                 check_int(name, getattr(self, name))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")

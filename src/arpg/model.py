@@ -6,13 +6,12 @@ Projections that run as one matmul are stored as one fused weight: wq|wk|wv
 ([d, 3d]) per content layer, w1|w3 ([d, 2f]) per SwiGLU, and one k|v weight
 ([d, 2d]) per outgoing kv stream. Both forward routes read these same arrays.
 The batched tape route (forward_train_batch) runs BLAS matmuls and feeds the
-optimizer. On it each RMSNorm is folded into the gemm that reads it, each
-FFN (norm, w1|w3 gemm, SwiGLU, w2 residual gemm) is one node and each
-attention block is folded into its wo residual gemm, so the tape holds the
-residual stream with its per-row norm scales, the gemm products (q|k|v, q,
-k|v, logits) and two per-row softmax statistics per attention block;
-backward rebuilds the normalized inputs, the w1|w3 products, the SwiGLU
-outputs, the attention probs and the joined heads. The
+optimizer. On it each RMSNorm is folded into the gemm that reads it, and each
+FFN and each attention block, from its input to its residual sum, is one
+node, so the tape holds the residual stream with its per-row norm scales,
+the k|v and logits products and two per-row softmax statistics per
+attention block; backward rebuilds the q|k|v and q projections, the w1|w3
+products, the SwiGLU outputs, the attention probs and the joined heads. The
 single-sample inference route (forward_pass1 / forward_pass2) computes every
 matmul row by row and attention per query, so its bits are invariant to how
 tokens are chunked into calls; the decoding engine's cache-equality
@@ -29,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .attention import (AttentionMask, RopeTable, attention_rows, causal_mask,
-                        cross_attention_residual, rotary_matmul, rotate_pairs,
-                        self_attention_residual)
+from .attention import (AttentionMask, RopeTable, attention_block, attention_rows,
+                        causal_mask, rotary_matmul, rotate_pairs)
 from .attention import apply_rope  # noqa: F401 -- profilers patch model.apply_rope
 from .numcore import Parameter, Tensor, rowwise_matmul
 from .ordering import check_int, is_permutation
@@ -232,13 +230,12 @@ def pass1_hidden(params: ArpgParams, input_ids: np.ndarray, positions: np.ndarra
     probs_sink, when given, receives each layer's attention probabilities
     [B, H, S, S], first layer first.
     """
-    d = params.config.hidden
     rate = params.config.dropout
     x = nc.embedding(params.token_embedding, input_ids)
     for layer in params.pass1:
-        qkv = rotary_matmul(x, layer.wqkv, 2 * d, params.rope, positions, layer.attn_norm)
-        x = self_attention_residual(x, qkv, layer.wo, mask, params.config.heads,
-                                    _keep_mask(x, rate, dropout_rng), probs_sink)
+        x = attention_block(x, layer.attn_norm, layer.wqkv, params.rope, positions, None,
+                            layer.wo, mask, params.config.heads,
+                            _keep_mask(x, rate, dropout_rng), probs_sink)
         x = _ffn_residual(x, layer, rate, dropout_rng)
     return x
 
@@ -266,10 +263,10 @@ def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndar
     # every query enters as the one [MASK] row: a broadcast, not a gathered copy
     o = nc.broadcast_row(params.token_embedding, cfg.mask_token, (b, q_len))
     for li, layer in enumerate(params.pass2):
-        q = rotary_matmul(o, layer.wq, cfg.hidden, params.rope, target_positions, layer.q_norm)
         # the rotated query itself is the residual carrier
-        o = cross_attention_residual(q, kv[0 if cfg.shared_kv else li], layer.wo, mask,
-                                     cfg.heads, _keep_mask(q, rate, dropout_rng), probs_sink)
+        o = attention_block(o, layer.q_norm, layer.wq, params.rope, target_positions,
+                            kv[0 if cfg.shared_kv else li], layer.wo, mask, cfg.heads,
+                            _keep_mask(o, rate, dropout_rng), probs_sink)
         o = _ffn_residual(o, layer, rate, dropout_rng)
     return nc.matmul(o, params.head, params.final_norm)
 

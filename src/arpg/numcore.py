@@ -30,10 +30,10 @@ the gate|up gradient over h FFN_BLOCK rows at a time; besides h it holds one
 since their bits depend on the row count; pointwise ops keep theirs.
 broadcast_row reads one table row at every slot through zero strides, with
 the gather's gradient.
-The attention nodes (attention.self_attention_residual and
-cross_attention_residual) keep q|k|v and two per-row softmax statistics, and
-rebuild the probs and the joined heads. Each rebuild repeats the forward's
-own ops, so the backward sees bit for bit the values the forward used.
+attention.attention_block keeps the same x and s and two per-row softmax
+statistics, and rebuilds its rotated projection, the probs and the joined
+heads. Each rebuild repeats the forward's own ops, so the backward sees bit
+for bit the values the forward used.
 """
 
 from __future__ import annotations
@@ -256,13 +256,13 @@ def matmul(a: Tensor, b: Tensor, gain: Tensor | None = None) -> Tensor:
                    lambda g: gemm_rows_grads(a, saved, b, g, gain))
 
 
-def residual_sum(x: Tensor, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+def residual_sum(x: np.ndarray, out: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
     """x + out * keep, in out's buffer."""
     if x.shape != out.shape:
         raise ValueError("residual %r does not match the product %r" % (x.shape, out.shape))
     if keep is not None:
         out *= keep
-    out += x.data
+    out += x
     return out
 
 
@@ -285,8 +285,8 @@ def ffn_residual(x: Tensor, gain: Tensor, w13: Tensor, w2: Tensor,
     u = a * _sigmoid(a)
     u *= b
     del h, a, b
-    out = residual_sum(x, _gemm_into(x.shape[:-1] + w2.shape[1:], u.reshape(-1, f), w2.data),
-                       keep)
+    out = residual_sum(x.data, _gemm_into(x.shape[:-1] + w2.shape[1:], u.reshape(-1, f),
+                                          w2.data), keep)
     del u
 
     def bwd(g):

@@ -22,6 +22,13 @@ def check_int(name: str, value) -> int:
     return int(value)
 
 
+def check_seed(name: str, value) -> int:
+    """check_int for an rng seed, which numpy takes only when it is >= 0."""
+    if check_int(name, value) < 0:
+        raise ValueError("%s must be an integer >= 0, got %r" % (name, value))
+    return int(value)
+
+
 # ---------------------------------------------------------------- permutations
 
 def sample_permutation(total: int, rng: np.random.Generator) -> np.ndarray:

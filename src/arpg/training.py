@@ -18,7 +18,7 @@ from . import numcore as nc
 from .attention import attention_backward, attention_forward, cross_full_mask
 from .decoding import DecodeConfig, TokenGrid, generate
 from .model import ArpgParams, forward_train_batch
-from .ordering import check_int
+from .ordering import check_int, check_seed
 
 FAMILY_NAMES = ("filled_rect", "hollow_rect", "diagonal_stripe", "checker")
 BACKGROUND = 0  # the token of every cell outside the shape; palettes start at 1
@@ -318,8 +318,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "seed"):
+        for name in ("steps", "batch_size"):
             check_int(name, getattr(self, name))
+        check_seed("seed", self.seed)
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be >= 1")
         for key, ok, rule in (("lr", 0 < self.lr < np.inf, "finite and > 0"),

@@ -146,7 +146,7 @@ def swiglu_residual(x, h, w, keep=None):
     a, b = h.data[..., :f], h.data[..., f:]
     u = a * nc._sigmoid(a)
     u *= b
-    out = nc.residual_sum(x, (u.reshape(-1, f) @ w.data).reshape(h.shape[:-1] + w.shape[1:]),
+    out = nc.residual_sum(x.data, (u.reshape(-1, f) @ w.data).reshape(h.shape[:-1] + w.shape[1:]),
                           keep)
     del u
 

@@ -315,24 +315,40 @@ def test_attention_backward_unmasked_query_sparsity():
 
 
 def test_attention_fd_two_heads():
-    # the pass-2 node: q + (attention of q over kv) @ wo, q the residual carrier
+    # the pass-2 block: q + (attention of q over kv) @ wo, q = the rotated
+    # RMSNorm(x) * gain @ wq the residual carrier
     rng = np.random.default_rng(10)
-    q = nc.Parameter("q", rng.standard_normal((2, 4, 6)))
-    kv = nc.Parameter("kv", rng.standard_normal((2, 4, 12)))  # k|v
-    wo = nc.Parameter("wo", rng.standard_normal((6, 6)))
+    table = at.RopeTable(4, 16)
+    x = nc.Parameter("x", rng.standard_normal((2, 4, 8)))
+    gain = nc.Parameter("gain", rng.standard_normal(8))
+    wq = nc.Parameter("wq", rng.standard_normal((8, 8)))
+    kv = nc.Parameter("kv", rng.standard_normal((2, 4, 16)))  # k|v
+    wo = nc.Parameter("wo", rng.standard_normal((8, 8)))
+    pos = np.stack([rng.permutation(16)[:4] for _ in range(2)])
     mask = at.causal_mask(4)
-    w = rng.standard_normal((2, 4, 6))
+    w = rng.standard_normal((2, 4, 8))
 
     def run():
-        out, _ = at.attention_forward(*(_joined_heads(x, 2) for x in
-                                        (q.data, kv.data[..., :6], kv.data[..., 6:])), mask)
-        return float(((q.data + _unjoined(out) @ wo.data) * w).sum())
+        q = _projection_ref(x.data, gain.data, wq.data, 8, pos, table)
+        out, _ = at.attention_forward(*(_joined_heads(y, 2) for y in
+                                        (q, kv.data[..., :8], kv.data[..., 8:])), mask)
+        return float(((q + _unjoined(out) @ wo.data) * w).sum())
 
-    sum_all(mul(at.cross_attention_residual(q, kv, wo, mask, 2), w)).backward()
-    for p in (q, kv, wo):
+    sum_all(mul(at.attention_block(x, gain, wq, table, pos, kv, wo, mask, 2), w)).backward()
+    for p in (x, gain, wq, kv, wo):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.cross_attention_residual(q, nc.Tensor(kv.data[..., :6]), wo, mask, 2)
+        at.attention_block(x, gain, wq, table, pos, nc.Tensor(kv.data[..., :8]), wo, mask, 2)
+
+
+def _projection_ref(x, gain, w, rotated, pos, table):
+    # RMSNorm(x) * gain @ w with its first `rotated` columns rotated: the unfused composition
+    y = x / np.sqrt((x ** 2).mean(axis=-1, keepdims=True) + 1e-6) * gain @ w
+    b, t = pos.shape
+    cc, ss = table.rows(pos, np.float64)
+    heads = y[..., :rotated].reshape(b, t, -1, table.head_dim)
+    y[..., :rotated] = at.rotate_pairs(heads, cc, ss).reshape(b, t, rotated)
+    return y
 
 
 def _joined_heads(x, heads):
@@ -357,64 +373,73 @@ def _self_attention_ref(qkv, pos, table, mask, heads):
 
 
 def test_self_attention_op_fd():
-    # the pass-1 node x + (self-attention over q|k|v) @ wo * keep, without and
-    # with a keep mask: fused q|k|v rows, causal mask, shuffled positions, 2
-    # heads of 4; q and k are rotated by a rotary projection through the identity
+    # the pass-1 block x + (self-attention over RMSNorm(x) * gain @ wqkv) @ wo
+    # * keep, without and with a keep mask: fused q|k|v rows, causal mask,
+    # shuffled positions, 2 heads of 4
     rng = np.random.default_rng(15)
     table = at.RopeTable(4, 16)
     x = nc.Parameter("x", rng.standard_normal((2, 5, 8)))
-    qkv = nc.Parameter("qkv", rng.standard_normal((2, 5, 24)))
+    gain = nc.Parameter("gain", rng.standard_normal(8))
+    wqkv = nc.Parameter("wqkv", rng.standard_normal((8, 24)))
     wo = nc.Parameter("wo", rng.standard_normal((8, 8)))
     pos = np.stack([rng.permutation(16)[:5] for _ in range(2)])
     mask = at.causal_mask(5)
     w = rng.standard_normal((2, 5, 8))
     for keep in (None, (rng.random((2, 5, 8)) >= 0.3) / 0.7):
         def ref():
-            y = _self_attention_ref(qkv.data, pos, table, mask, 2) @ wo.data
+            qkv = _projection_ref(x.data, gain.data, wqkv.data, 0, pos, table)
+            y = _self_attention_ref(qkv, pos, table, mask, 2) @ wo.data
             return x.data + (y if keep is None else y * keep)
 
         def run():
             return float((ref() * w).sum())
 
-        nc.zero_grads([x, qkv, wo])
+        nc.zero_grads([x, gain, wqkv, wo])
         sink = []
-        rotated = at.rotary_matmul(qkv, nc.Tensor(np.eye(24)), 16, table, pos)
-        out = at.self_attention_residual(x, rotated, wo, mask, 2, keep, probs_sink=sink)
+        out = at.attention_block(x, gain, wqkv, table, pos, None, wo, mask, 2, keep,
+                                 probs_sink=sink)
         assert out.shape == (2, 5, 8) and sink[0].shape == (2, 2, 5, 5)
         assert np.abs(out.data - ref()).max() < 1e-12
         sum_all(mul(out, w)).backward()
-        for p in (x, qkv, wo):
+        for p in (x, gain, wqkv, wo):
             assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
     with pytest.raises(ValueError):
-        at.self_attention_residual(x, qkv, wo, mask, 3)
+        at.attention_block(x, gain, wqkv, table, pos, None, wo, mask, 3)
     with pytest.raises(ValueError):  # the residual does not match the product
-        at.self_attention_residual(nc.Tensor(np.zeros((2, 5, 6))), qkv, wo, mask, 2)
+        at.attention_block(x, gain, wqkv, table, pos, None, nc.Tensor(np.zeros((8, 6))),
+                           mask, 2)
 
 
 def test_cross_attention_op_shared_kv_fd():
-    # two query layers read one k|v stream, so their gradients sum into it
+    # two query blocks read one k|v stream, so their gradients sum into it
     rng = np.random.default_rng(16)
-    q1, q2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("q1", "q2"))
-    wo1, wo2 = (nc.Parameter(n, rng.standard_normal((8, 8))) for n in ("wo1", "wo2"))
+    table = at.RopeTable(4, 16)
+    x1, x2 = (nc.Parameter(n, rng.standard_normal((2, 3, 8))) for n in ("x1", "x2"))
+    g1, g2 = (nc.Parameter(n, rng.standard_normal(8)) for n in ("g1", "g2"))
+    wq1, wq2, wo1, wo2 = (nc.Parameter(n, rng.standard_normal((8, 8)))
+                          for n in ("wq1", "wq2", "wo1", "wo2"))
     kv = nc.Parameter("kv", rng.standard_normal((2, 5, 16)))  # k|v
+    pos = np.stack([rng.permutation(16)[:3] for _ in range(2)])
     allowed = np.zeros((3, 5), dtype=bool)
     for i, n in enumerate([2, 5, 3]):
         allowed[i, :n] = True
     mask = at.AttentionMask("cross_full", allowed)
     w1, w2 = rng.standard_normal((2, 2, 3, 8))
 
-    def one(q, wo, w):
+    def one(x, g, wq, wo, w):
+        q = _projection_ref(x, g, wq, 8, pos, table)
         out, _ = at.attention_forward(_joined_heads(q, 2), _joined_heads(kv.data[..., :8], 2),
                                       _joined_heads(kv.data[..., 8:], 2), mask)
         return ((q + _unjoined(out) @ wo) * w).sum()
 
     def run():
-        return float(one(q1.data, wo1.data, w1) + one(q2.data, wo2.data, w2))
+        return float(one(x1.data, g1.data, wq1.data, wo1.data, w1)
+                     + one(x2.data, g2.data, wq2.data, wo2.data, w2))
 
-    o1 = at.cross_attention_residual(q1, kv, wo1, mask, 2)
-    o2 = at.cross_attention_residual(q2, kv, wo2, mask, 2)
+    o1 = at.attention_block(x1, g1, wq1, table, pos, kv, wo1, mask, 2)
+    o2 = at.attention_block(x2, g2, wq2, table, pos, kv, wo2, mask, 2)
     add(sum_all(mul(o1, w1)), sum_all(mul(o2, w2))).backward()
-    for p in (q1, q2, wo1, wo2, kv):
+    for p in (x1, x2, g1, g2, wq1, wq2, wo1, wo2, kv):
         assert_grads_close(p.grad, fd_grad(run, p.data), rel_tol=1e-6)
 
 
@@ -426,10 +451,11 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("dropout", [False, True])
 @pytest.mark.parametrize("streams", [0, 1, 3])
 def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, streams):
-    # streams 0: a pass-1 stack of self-attention nodes; 1: two query layers
-    # on one shared k|v stream; 3: three query layers, one stream each. The
-    # inputs are non-leaves made by the model's own rotary projections, so the
-    # gradients meet in the same sums as in training.
+    # streams 0: a pass-1 stack of attention blocks; 1: two query blocks on
+    # one shared k|v stream; 3: three query blocks, one stream each. The fused
+    # side runs attention_block; the reference feeds the model's rotary
+    # projection to the unfused attention and residual gemm nodes. The inputs
+    # are non-leaves, so the gradients meet in the same sums as in training.
     rng = np.random.default_rng(30)
     b, t, d, heads, layers = 2, 5, 8, 2, 2 if streams == 1 else 3
     table = at.RopeTable(d // heads, 16)
@@ -458,17 +484,16 @@ def test_attention_residual_bit_equals_attention_then_residual(dtype, dropout, s
                   for si in range(streams)]
             x = mul(pr, 0.5)
         for li, keep in enumerate(keeps):
-            wo = p["wo%d" % li]
-            if streams == 0:
-                qkv = at.rotary_matmul(x, p["in%d" % li], 2 * d, table, pos, p["gain%d" % li])
-                x = (at.self_attention_residual(x, qkv, wo, mask, heads, keep) if fused else
-                     residual_matmul_node(x, self_attention_node(qkv, mask, heads), wo, keep))
+            w_in, gain, wo = p["in%d" % li], p["gain%d" % li], p["wo%d" % li]
+            kvi = kv[0 if streams == 1 else li] if streams else None
+            if fused:
+                x = at.attention_block(x, gain, w_in, table, pos, kvi, wo, mask, heads, keep)
+            elif streams == 0:
+                qkv = at.rotary_matmul(x, w_in, 2 * d, table, pos, gain)
+                x = residual_matmul_node(x, self_attention_node(qkv, mask, heads), wo, keep)
             else:
-                q = at.rotary_matmul(x, p["in%d" % li], d, table, pos, p["gain%d" % li])
-                kvi = kv[0 if streams == 1 else li]
-                x = (at.cross_attention_residual(q, kvi, wo, mask, heads, keep) if fused
-                     else residual_matmul_node(q, cross_attention_node(q, kvi, mask, heads),
-                                               wo, keep))
+                q = at.rotary_matmul(x, w_in, d, table, pos, gain)
+                x = residual_matmul_node(q, cross_attention_node(q, kvi, mask, heads), wo, keep)
         sum_all(mul(x, w)).backward()
         return [x.data, px.grad, pr.grad] + [p[n].grad for n in sorted(p)]
 

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from arpg import checkpoint as ck
+from arpg import numcore as nc
 from arpg.cli import main, run_bench
 from arpg.decoding import DecodeConfig, cache_scalar_count
-from arpg.model import ArpgParams, ModelConfig, param_count
+from arpg.model import ArpgParams, ModelConfig, forward_train_batch, param_count
 from arpg.ordering import DecodeSchedule, schedule_counts
 
 
@@ -556,9 +557,12 @@ def test_bad_bench_cell_exits_2_before_writing(tmp_path, capsys, setting, text):
     ("expand", 'expand.new_w="6"'), ("bench", "bench.steps=[2, 4.5]"),
     ("bench", "bench.steps=[true]"), ("bench", "bench.batch=1.5"), ("bench", "bench.seed=0.5"),
     ("grad-demo", "demo.rows=8.5"), ("grad-demo", "demo.seed=false"),
-    ("attn-export", "attn.seed=0.5"), ("attn-export", "attn.class_id=1.0")])
+    ("attn-export", "attn.seed=0.5"), ("attn-export", "attn.class_id=1.0"),
+    ("train", "data.seed=-1"), ("train", "train.seed=-1"), ("generate", "decode.seed=-1"),
+    ("bench", "bench.seed=-1"), ("grad-demo", "demo.seed=-3"), ("attn-export", "attn.seed=-1")])
 def test_non_integer_count_exits_2_before_writing(trained, tmp_path, capsys, command, setting):
-    # an integer key is never truncated: 16.7 grids or 1.9 samples is bad input
+    # an integer key is never truncated: 16.7 grids or 1.9 samples is bad
+    # input; nor is a seed negative, which numpy would reject only mid-run
     out = tmp_path / "out"
     np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
     ck_arg = "checkpoint=%s" % (trained / "model.ckpt")
@@ -588,3 +592,40 @@ def test_bit_hashes_tool_is_deterministic():
     src = tool.parents[1] / "src" / "arpg"
     total = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
     assert lines[6] == "src/arpg lines: %d" % total
+
+
+def test_peak_sites_tool_reports_every_tape_node():
+    # the tool that finds where a train step peaks, at a small batch: one line
+    # per tape node with a backward, named as the graph names it, memory held
+    # when backward() starts under the step peak, and the largest site a node
+    tool = Path(__file__).resolve().parents[1] / "tools" / "peak_sites.py"
+    cmd = [sys.executable, str(tool), "--batch", "2", "--threads", "1", "--top", "1"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    rows = [ln.split() for ln in lines[1:] if ln.split()[0].isdigit()]
+    figures = dict(ln.rsplit(": ", 1) for ln in lines if ln.endswith(" MB"))
+
+    cfg = ModelConfig()
+    rng = np.random.default_rng(0)
+    params = ArpgParams.init(cfg, rng, np.float32)
+    perms = np.stack([rng.permutation(cfg.seq_len) + 1 for _ in range(2)])
+    toks = rng.integers(0, cfg.vocab_size, (2, cfg.seq_len))
+    logits, targets = forward_train_batch(params, toks, np.full(2, cfg.class_token(0)), perms)
+    loss = nc.cross_entropy(nc.reshape(logits, (-1, cfg.vocab_size)), targets.reshape(-1))
+    stack, seen, ops = [loss], set(), []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t._parents)
+            if t._backward is not None:
+                ops.append(t._backward.__qualname__.split(".<locals>")[0])
+    assert [int(r[0]) for r in rows] == list(range(len(ops)))
+    assert sorted(r[1] for r in rows) == sorted(ops)
+
+    def mb(text):
+        return float(text.split()[0])
+    assert mb(figures["held when backward() starts"]) <= mb(figures["step peak"])
+    (site, largest), = ((k, v) for k, v in figures.items() if k.startswith("site #"))
+    index, op = site.split()[1:3]
+    assert rows[int(index[1:])][1] == op
+    assert mb(largest) == max(float(r[-1]) for r in rows)

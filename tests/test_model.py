@@ -390,21 +390,25 @@ def test_train_graph_holds_only_fused_projections(kw):
     # every projection writes into the op that reads it, every RMSNorm is
     # folded into the gemm that reads it, and every SwiGLU and attention block
     # into its residual gemm: no residual add, no separate rotation, no k|v
-    # split, and no norm, SwiGLU or attention output on the tape
+    # split, and no norm, SwiGLU or attention output on the tape. Only the k|v
+    # projections, which every query layer reads, are nodes of their own.
     params = make_params(seed=25, **kw)
-    names, attention_wo, ffn_w2 = set(), set(), set()
+    names, attention_wo, ffn_w2, rotary_w = set(), set(), set(), set()
     for t in _train_graph(params, 26):
         if t._backward is not None:
             name = t._backward.__qualname__.split(".<locals>")[0]
             names.add(name)
-            if name == "_attention_residual":
+            if name == "attention_block":
                 attention_wo.add(t._parents[-1].name)
             if name == "ffn_residual":
                 ffn_w2.add(t._parents[-1].name)
+            if name == "rotary_matmul":
+                rotary_w.add(t._parents[-1].name)
     layers = params.pass1 + params.pass2
-    assert {"ffn_residual", "rotary_matmul", "_attention_residual"} <= names
+    assert {"ffn_residual", "rotary_matmul", "attention_block"} <= names
     assert attention_wo == {layer.wo.name for layer in layers}
     assert ffn_w2 == {layer.w2.name for layer in layers}
+    assert rotary_w == {w.name for w in params.kv_proj}
     assert not names & {"add", "mul", "apply_rope", "narrow", "rms_norm", "swiglu",
                         "swiglu_residual", "self_attention", "cross_attention",
                         "residual_matmul"}
@@ -465,18 +469,56 @@ def test_train_graph_holds_no_ffn_products(shared_kv):
 
 @pytest.mark.parametrize("shared_kv", [True, False])
 def test_train_graph_holds_no_rotary_tables(shared_kv):
-    # the rotary nodes keep their positions and gather the table rows again in
-    # backward: no [B, T, hd/2] cos/sin or [B, T, hd] interleaved rows wait on the tape
+    # the rotary nodes (the k|v projections and the attention blocks) keep
+    # their positions and gather the table rows again in backward: no
+    # [B, T, hd/2] cos/sin or [B, T, hd] interleaved rows wait on the tape
     params = make_params(seed=32, pass2_layers=3, shared_kv=shared_kv)
     cfg = params.config
     tables = {(2, 16, cfg.head_dim // 2), (2, 16, cfg.head_dim)}
     rotary_nodes = 0
     for t in _train_graph(params, 33):
-        if t._backward is not None and t._backward.__qualname__.startswith("rotary_matmul"):
+        if t._backward is not None and t._backward.__qualname__.startswith(
+                ("rotary_matmul", "attention_block")):
             rotary_nodes += 1
             for a in _closure_arrays(t._backward):
                 assert not (a.dtype.kind == "f" and a.shape in tables), a.shape
     assert rotary_nodes == cfg.pass1_layers + len(params.kv_proj) + cfg.pass2_layers
+
+
+@pytest.mark.parametrize("kw", [{"shared_kv": True}, {"shared_kv": False, "dropout": 0.2}])
+def test_train_graph_holds_no_attention_projections(kw):
+    # an attention node rebuilds its q|k|v or q projection in backward: each
+    # float array its closure reaches is a parent's data (or the base that
+    # data views), the input's [B, T, 1] norm scale, one of the two [B, H, T, 1]
+    # softmax statistics or, with dropout, the 0-or-1/(1-p) keep mask
+    params = make_params(seed=34, pass2_layers=3, **kw)
+    cfg = params.config
+    wos = {id(layer.wo) for layer in params.pass1 + params.pass2}
+    blocks = 0
+    for t in _train_graph(params, 35):
+        if t._backward is None or not any(id(p) in wos for p in t._parents):
+            continue
+        blocks += 1
+        held = set()
+        for p in t._parents:
+            a = p.data
+            while a is not None:
+                held.add(id(a))
+                a = a.base
+        kinds = []
+        for a in _closure_arrays(t._backward):
+            if a.dtype.kind != "f" or id(a) in held:
+                continue
+            if a.shape == (2, 16, 1):
+                kinds.append("scale")
+            elif a.shape == (2, cfg.heads, 16, 1):
+                kinds.append("stat")
+            else:
+                assert a.shape == (2, 16, cfg.hidden) and np.unique(a).size <= 2, \
+                    (t._backward.__qualname__, a.shape)
+                kinds.append("keep")
+        assert sorted(kinds) == ["keep"] * (cfg.dropout > 0) + ["scale"] + ["stat"] * 2, kinds
+    assert blocks == cfg.pass1_layers + cfg.pass2_layers
 
 
 def test_dropout_is_seeded_and_active():

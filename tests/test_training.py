@@ -245,9 +245,11 @@ def test_train_config_rejects_a_bad_step_size(setting):
 
 
 @pytest.mark.parametrize("setting", [{"steps": 2.5}, {"steps": 8.0}, {"batch_size": 4.5},
-                                     {"batch_size": "8"}, {"seed": 0.5}, {"steps": True}])
+                                     {"batch_size": "8"}, {"seed": 0.5}, {"steps": True},
+                                     {"seed": -1}])
 def test_train_config_requires_integer_counts(setting):
-    # steps=2.5 would pass the range check and fail only inside the loop
+    # steps=2.5 would pass the range check and fail only inside the loop, and
+    # numpy takes no negative seed
     with pytest.raises(ValueError, match="%s must be an integer" % next(iter(setting))):
         tr.TrainConfig(**setting)
 

@@ -13,7 +13,7 @@ from .model import ArpgParams, ModelConfig, param_count
 from .decoding import (DecodeConfig, KvCache, TokenGrid, cache_scalar_count,
                        expand, generate, inpaint, sequential_reference_decode,
                        sequential_reference_generate)
-from .ordering import DecodeSchedule, sample_permutation, schedule_counts
+from .ordering import DecodeSchedule, schedule_counts
 from .training import (OptimState, ToyDatasetSpec, TrainConfig, evaluate,
                        make_dataset, train_loop, train_step, verify_grid)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -23,7 +23,7 @@ __all__ = [
     "DecodeConfig", "KvCache", "TokenGrid", "cache_scalar_count",
     "generate", "inpaint", "expand", "sequential_reference_decode",
     "sequential_reference_generate",
-    "DecodeSchedule", "sample_permutation", "schedule_counts",
+    "DecodeSchedule", "schedule_counts",
     "OptimState", "ToyDatasetSpec", "TrainConfig",
     "evaluate", "make_dataset", "train_loop", "train_step", "verify_grid",
     "load_checkpoint", "save_checkpoint",

@@ -33,18 +33,17 @@ ROWS_BLOCK = 1 << 14  # score entries attention_rows holds at once
 class RopeTable:
     """Rotary angles theta[p, j] = p * base^(-2j/head_dim) for positions [0, size).
 
-    The table decides its own size: rows() grows it to the largest position
-    it is asked for. Each row is computed in float64 from its own position
-    alone, so growth changes no row's bits. One interleaved (c, c), (-s, s)
-    pair [size, head_dim] is kept per dtype, cast on its first use, so
-    repeated calls cast nothing; growth drops them all.
+    The table lays itself out: it starts empty and rows() grows it to the
+    largest position it is asked for. Each row is computed in float64 from
+    its own position alone, so growth changes no row's bits. One interleaved
+    (c, c), (-s, s) pair [size, head_dim] is kept per dtype, cast on its
+    first use, so repeated calls cast nothing; growth drops them all.
     """
 
-    def __init__(self, head_dim: int, size: int, base: float = 10000.0):
-        if head_dim % 2 != 0 or size < 1:
-            raise ValueError("rotary head_dim must be even and size >= 1, got %d and %d"
-                             % (head_dim, size))
-        self.head_dim, self.size, self.base = head_dim, size, base
+    def __init__(self, head_dim: int, base: float = 10000.0):
+        if head_dim % 2 != 0:
+            raise ValueError("rotary head_dim must be even, got %d" % head_dim)
+        self.head_dim, self.size, self.base = head_dim, 0, base
         self._interleaved: dict = {}  # dtype -> (cc, ss)
 
     def rows(self, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:

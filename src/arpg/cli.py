@@ -26,7 +26,7 @@ import numpy as np
 
 from . import model as md
 from . import numcore as nc
-from .attention import causal_mask, cross_full_mask
+from .attention import causal_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
@@ -517,8 +517,9 @@ def cmd_attn_export(cfg: dict, used: set[str]):
         toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
 
     def run():
-        # Raster teacher forcing: content row i sees [cond, x_1..x_i], query
-        # row t asks for position t over the full content length.
+        # Raster teacher forcing, as in training: content row i sees
+        # [cond, x_1..x_i], and query j asks for position j + 1 over content
+        # rows 0..j, never the row holding its own target.
         ids = np.concatenate([[mc.class_token(class_id)],
                               toks[:-1]]).astype(np.int64)
         positions = np.arange(total, dtype=np.int64)
@@ -528,8 +529,8 @@ def cmd_attn_export(cfg: dict, used: set[str]):
             h = md.pass1_hidden(params, ids[None], positions[None],
                                 causal_mask(total), probs_sink=pass1_probs)
             kv = md.project_kv(params, h, positions[None])
-            md.pass2_logits(params, kv, targets[None],
-                            cross_full_mask(total, total), probs_sink=pass2_probs)
+            md.pass2_logits(params, kv, targets[None], causal_mask(total),
+                            probs_sink=pass2_probs)
 
         written = []
         for stack, probs in (("pass1", pass1_probs), ("pass2", pass2_probs)):

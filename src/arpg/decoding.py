@@ -72,8 +72,8 @@ class TokenGrid:
 class KvCache:
     """Append-only (k, v) row storage for one generation.
 
-    Two buffer groups: per-layer self-attention rows for the content pass, and
-    the outgoing content kv that [MASK] queries read (one kv stream when
+    One table of buffers: per-layer self-attention rows for the content pass,
+    then the outgoing content kv that [MASK] queries read (one kv stream when
     shared, else one per query layer). Rows are written once and never moved,
     so views handed out earlier stay valid; `length` counts condition plus
     fed tokens and is advanced by the content pass appending a chunk.
@@ -83,7 +83,7 @@ class KvCache:
     model.forward_pass1 only extends the cache it is given, so a
     generation's cache ends full. The content pass attends over every row
     of the per-layer buffers, so `capacity` enters the bits of each content
-    row, and those buffers start zero-filled.
+    row; every buffer starts zero-filled.
 
     A cache may hold several decode streams (the conditional and the
     unconditional one of CFG) that feed the same ids at the same positions.
@@ -107,60 +107,58 @@ class KvCache:
         self.streams = streams
         self.joint = None  # the multi-stream cache this one is a stream view of
         shape = (capacity, streams * config.heads, config.head_dim)
+        # the content layers' buffers, then the outgoing kv streams', all zeros:
         # masked weights are +0, and +0 times np.empty garbage could be NaN
-        self._layer_k = [np.zeros(shape, dtype) for _ in range(config.pass1_layers)]
-        self._layer_v = [np.zeros(shape, dtype) for _ in range(config.pass1_layers)]
-        self._layer_fill = [0] * config.pass1_layers
-        n_out = 1 if config.shared_kv else config.pass2_layers
-        self._out_k = [np.empty(shape, dtype) for _ in range(n_out)]
-        self._out_v = [np.empty(shape, dtype) for _ in range(n_out)]
-        self._out_fill = [0] * n_out
+        n = config.pass1_layers + (1 if config.shared_kv else config.pass2_layers)
+        self._k = [np.zeros(shape, dtype) for _ in range(n)]
+        self._v = [np.zeros(shape, dtype) for _ in range(n)]
+        self._fill = [0] * n
 
     def stream(self, s: int) -> "KvCache":
         """Read-only one-stream cache over stream s's slice of every buffer."""
         if not 0 <= s < self.streams:
             raise IndexError("stream %d outside [0, %d)" % (s, self.streams))
-        view = copy(self)  # shares the fill lists, so its length follows appends
+        view = copy(self)  # shares the fill list, so its length follows appends
         view.streams, view.joint = 1, self
         heads = slice(s * self.config.heads, (s + 1) * self.config.heads)
-        for name in ("_layer_k", "_layer_v", "_out_k", "_out_v"):
-            setattr(view, name, [b[:, heads] for b in getattr(self, name)])
+        view._k = [b[:, heads] for b in self._k]
+        view._v = [b[:, heads] for b in self._v]
         return view
 
     @property
     def length(self) -> int:
-        return self._out_fill[0]
+        return self._fill[self.config.pass1_layers]
 
     def scalar_count(self) -> int:
-        buffers = self._layer_k + self._layer_v + self._out_k + self._out_v
-        return sum(b.size for b in buffers)
+        return sum(b.size for b in self._k + self._v)
 
-    def _append(self, buf_k, buf_v, fills, idx, k, v):
+    def _append(self, i, k, v):
         if self.joint is not None:
             raise RuntimeError("a stream view is read-only; append to its joint cache")
         n = k.shape[0]
-        fill = fills[idx]
+        fill = self._fill[i]
         if fill + n > self.capacity:
             raise RuntimeError("kv cache overflow: %d + %d rows exceed capacity %d "
                                "(schedule and capacity disagree)"
                                % (fill, n, self.capacity))
-        buf_k[idx][fill:fill + n] = k
-        buf_v[idx][fill:fill + n] = v
-        fills[idx] = fill + n
+        self._k[i][fill:fill + n] = k
+        self._v[i][fill:fill + n] = v
+        self._fill[i] = fill + n
 
     def layer_append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._append(self._layer_k, self._layer_v, self._layer_fill, layer, k, v)
+        self._append(layer, k, v)
 
     def layer_rows(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """A layer's whole (k, v) buffers [capacity, ...]; rows past the fill are zero."""
-        return self._layer_k[layer], self._layer_v[layer]
+        return self._k[layer], self._v[layer]
 
     def out_append(self, stream: int, k: np.ndarray, v: np.ndarray) -> None:
-        self._append(self._out_k, self._out_v, self._out_fill, stream, k, v)
+        self._append(self.config.pass1_layers + stream, k, v)
 
     def out_kv(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """The filled (k, v) rows of each outgoing kv stream, as views."""
-        return [(k[:n], v[:n]) for k, v, n in zip(self._out_k, self._out_v, self._out_fill)]
+        a = self.config.pass1_layers
+        return [(k[:n], v[:n]) for k, v, n in zip(self._k[a:], self._v[a:], self._fill[a:])]
 
 
 def cache_scalar_count(config: md.ModelConfig, rows: int) -> int:
@@ -362,7 +360,8 @@ def _decode_region(params, class_id, known_ids, known_idx, grid_h, grid_w,
     """Decode every cell of a grid_h x grid_w grid but the known ones, in steps chunks.
 
     known_ids sit at the distinct raster indices known_idx (ValueError for a
-    repeated, negative or out-of-grid index, or an id outside [0, vocab_size))
+    non-integer, repeated, negative or out-of-grid index, or a non-integer id
+    or one outside [0, vocab_size))
     and are prefilled behind the condition at rotary positions known_idx + 1,
     PREFILL_ROWS content rows at a time (see _prefill); the cells left are
     decoded in dc's order, each step under dc's CFG scale for the fraction
@@ -376,6 +375,10 @@ def _decode_region(params, class_id, known_ids, known_idx, grid_h, grid_w,
     receives the GenerationState, empty when no cell is left.
     """
     cfg = params.config
+    for name, a in (("ids", known_ids), ("indices", known_idx)):
+        a = np.asarray(a)
+        if a.size and a.dtype.kind not in "iu":  # [] is float64 but holds nothing
+            raise ValueError("known %s must be integers, got dtype %s" % (name, a.dtype))
     known_ids = np.asarray(known_ids, dtype=np.int64)
     known_idx = np.asarray(known_idx, dtype=np.int64)
     out = np.empty(grid_h * grid_w, dtype=np.int64)
@@ -457,8 +460,8 @@ def sequential_reference_decode(params: md.ArpgParams, class_id: int,
     """Oracle for _decode_region: one token per step, no cache carried over.
 
     known_ids sit at the distinct raster indices known_idx (ValueError for a
-    repeated, negative or out-of-grid index, or an id outside the
-    vocabulary); every other cell is decoded.
+    non-integer, repeated, negative or out-of-grid index, or a non-integer id
+    or one outside the vocabulary); every other cell is decoded.
     Every step reads fresh caches fed [condition, known cells in the given
     order, decoded so far]. It consumes the rng exactly like the cached route
     at one step per cell left, so generate, inpaint and expand at that step
@@ -481,9 +484,9 @@ def inpaint_layout(partial_shape: tuple[int, ...], known, grid_h: int,
                    grid_w: int) -> np.ndarray:
     """Raster indices of inpaint's known cells on the grid_h x grid_w grid.
 
-    known is a boolean grid of that shape or a set of flat raster indices.
-    Raises ValueError for a partial grid or mask of another shape, an index
-    outside the grid, or an empty known set.
+    known is a boolean grid of that shape or a 1-d set of integer raster
+    indices. Raises ValueError for a partial grid or mask of another shape,
+    any other known, an index outside the grid, or an empty known set.
     """
     if partial_shape != (grid_h, grid_w):
         raise ValueError("partial grid has shape %r, grid is %r"
@@ -494,8 +497,11 @@ def inpaint_layout(partial_shape: tuple[int, ...], known, grid_h: int,
             raise ValueError("known mask has shape %r, grid is %r"
                              % (arr.shape, (grid_h, grid_w)))
         idx = np.flatnonzero(arr)
+    elif arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError("known must be a boolean grid or 1-d integer raster indices, "
+                         "got a %s array of shape %r" % (arr.dtype, arr.shape))
     else:
-        idx = np.unique(arr.reshape(-1))
+        idx = np.unique(arr)
     if idx.size == 0:
         raise ValueError("known set is empty; use generate instead")
     if idx.min() < 0 or idx.max() >= grid_h * grid_w:
@@ -508,10 +514,10 @@ def inpaint(params: md.ArpgParams, partial: TokenGrid, known,
             state_sink: list | None = None) -> TokenGrid:
     """Decode only the unknown positions; known tokens are kept bit-exact.
 
-    known is a boolean grid of the decode grid's shape or a set of flat
-    raster indices. Known tokens are prefilled behind the condition in raster
-    order; the remaining positions are decoded by the schedule over their own
-    count.
+    known is a boolean grid of the decode grid's shape or a 1-d set of
+    integer raster indices. Known tokens are prefilled behind the condition
+    in raster order; the remaining positions are decoded by the schedule
+    over their own count.
     """
     cfg = params.config
     grid_h, grid_w = _grid_shape(cfg, dc)

@@ -154,7 +154,7 @@ class ArpgParams:
         self.pass2: list[Pass2Layer] = []
         self.final_norm: Parameter | None = None
         self.head: Parameter | None = None
-        self.rope = RopeTable(config.head_dim, config.seq_len + 1, config.rope_base)
+        self.rope = RopeTable(config.head_dim, config.rope_base)
 
     @classmethod
     def init(cls, config: ModelConfig, rng: np.random.Generator,

@@ -31,13 +31,6 @@ def check_seed(name: str, value) -> int:
 
 # ---------------------------------------------------------------- permutations
 
-def sample_permutation(total: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform random bijection over {1..total}."""
-    if total < 1:
-        raise ValueError("total must be >= 1")
-    return rng.permutation(total) + 1
-
-
 def is_permutation(order: np.ndarray, total: int) -> bool:
     order = np.asarray(order)
     return order.shape == (total,) and np.array_equal(np.sort(order), np.arange(1, total + 1))

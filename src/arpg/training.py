@@ -448,7 +448,11 @@ def evaluate(params: ArpgParams, dataset: list[TokenGrid], dc: DecodeConfig,
     Accuracy: raster-order argmax against ground truth over min(n_eval, all)
     grids. Validity: n_generate decodes, classes round-robin, seeds dc.seed+i;
     a sample counts when the verifier assigns exactly the conditioning class.
+    Raises ValueError for n_eval or n_generate below 1.
     """
+    if n_generate < 1 or (n_eval is not None and n_eval < 1):
+        raise ValueError("n_eval and n_generate must be >= 1, got %r and %r"
+                         % (n_eval, n_generate))
     cfg = params.config
     toks, classes = dataset_arrays(dataset)
     if n_eval is not None:

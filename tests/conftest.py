@@ -41,12 +41,6 @@ def assert_grads_close(analytic: np.ndarray, numeric: np.ndarray,
             % (worst, analytic[worst], numeric[worst], diff[worst]))
 
 
-def max_rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
-
-
 # ---------------------------------------------------------------- unfused references
 # Elementwise tape nodes the tests build losses and compositions from. They
 # never broadcast: b is a tensor or a constant (array or scalar) whose

@@ -17,8 +17,7 @@ from arpg.attention import attention_backward, attention_forward, causal_mask
 from arpg.cli import run_bench
 from arpg.decoding import DecodeConfig, TokenGrid, cache_scalar_count
 from arpg.model import ArpgParams, ModelConfig, param_count
-from arpg.ordering import (DecodeSchedule, is_permutation, sample_permutation,
-                           schedule_counts)
+from arpg.ordering import DecodeSchedule, is_permutation, schedule_counts
 from arpg.training import (ToyDatasetSpec, TrainConfig, evaluate,
                            make_dataset, masked_baseline_grad_demo,
                            train_loop, verify_grid)
@@ -81,7 +80,7 @@ def test_gradients_match_finite_differences():
     # full model loss against central differences on sampled coordinates
     params = tiny_params(seed=1, dtype=np.float64)
     ids = rng.integers(0, 16, 16)
-    perm = sample_permutation(16, rng)
+    perm = rng.permutation(16) + 1
     cond = np.array([params.config.class_token(1)])
 
     def loss():
@@ -135,7 +134,7 @@ def test_future_slots_cannot_touch_past_logits():
     with nc.no_grad():
         for _ in range(100):
             ids = rng.integers(0, 16, 16)
-            perm = sample_permutation(16, rng)
+            perm = rng.permutation(16) + 1
             cut = int(rng.integers(1, 16))
             base, _ = md.forward_train_batch(params, ids[None], cond, perm[None])
             ids2 = ids.copy()
@@ -151,7 +150,7 @@ def test_later_blocks_cannot_touch_earlier_block_logits():
     rng = np.random.default_rng(5)
     counts = schedule_counts(DecodeSchedule("uniform", 4, 16))
     for trial in range(10):
-        perm = sample_permutation(16, rng)
+        perm = rng.permutation(16) + 1
         ids = [rng.integers(0, 16, n) for n in counts]
         j = int(rng.integers(0, 4))
         ids_pert = [a.copy() for a in ids]
@@ -193,7 +192,7 @@ def test_unmasked_rows_get_exact_zero_query_grads():
 def test_permutations_and_decodes_cover_every_cell():
     rng = np.random.default_rng(6)
     for _ in range(1000):
-        assert is_permutation(sample_permutation(64, rng), 64)
+        assert is_permutation(rng.permutation(64) + 1, 64)
 
     params = tiny_params(seed=7)
     kinds = ("arccos", "cosine", "uniform")
@@ -229,7 +228,7 @@ def test_cached_logits_match_rebuilt(desk_params):
             counts = schedule_counts(DecodeSchedule(
                 ("arccos", "cosine", "uniform")[trial % 3],
                 int(rng.integers(2, 12)), 64))
-            perm = sample_permutation(64, rng)
+            perm = rng.permutation(64) + 1
             cond = dec.KvCache(cfg, 65, params.dtype)
             md.forward_pass1(params, [cfg.class_token(trial % 4)], [0], cache=cond)
             decoded_ids: list[int] = []

@@ -427,9 +427,12 @@ def test_attn_export_shapes_and_rows(trained, tmp_path):
     assert np.allclose(p1.sum(axis=-1), 1.0, atol=1e-5)
     upper = np.triu(np.ones_like(p1, dtype=bool), k=1)
     assert (p1[upper] == 0.0).all()
-    p2 = np.loadtxt(out / "pass2_head0.csv", delimiter=",", ndmin=2)
-    assert p2.shape == (16, 16)
-    assert np.allclose(p2.sum(axis=-1), 1.0, atol=1e-5)
+    # query j predicts content row j + 1 and, as in training, reads rows 0..j only
+    for head in range(meta["heads"]):
+        p2 = np.loadtxt(out / ("pass2_head%d.csv" % head), delimiter=",", ndmin=2)
+        assert p2.shape == (16, 16)
+        assert np.allclose(p2.sum(axis=-1), 1.0, atol=1e-5)
+        assert (p2[upper] == 0.0).all()
     for name in meta["files"]:
         assert (out / name).exists()
 

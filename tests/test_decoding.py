@@ -65,23 +65,24 @@ def test_cache_stream_count_and_index_are_checked():
         with pytest.raises(IndexError):
             cache.stream(s)
     for s in (0, 1):
-        assert cache.stream(s)._out_k[0].shape == (5, cfg.heads, cfg.head_dim)
+        assert cache.stream(s)._k[cfg.pass1_layers].shape == (5, cfg.heads, cfg.head_dim)
 
 
 def test_unfilled_layer_rows_are_zero():
     # the content pass attends over whole layer buffers; their rows past the
-    # fill must hold zeros, not np.empty garbage
+    # fill must hold zeros, not np.empty garbage, and so do the outgoing ones
     params = tiny_params(seed=12, dtype=np.float32)
     cfg = params.config
     cache = dec.KvCache(cfg, 17, params.dtype, streams=2)
-    assert not any(b.any() for li in range(cfg.pass1_layers) for b in cache.layer_rows(li))
+    n_out = 1 if cfg.shared_kv else cfg.pass2_layers
+    assert len(cache._k) == len(cache._v) == cfg.pass1_layers + n_out
+    assert not any(b.any() for b in cache._k + cache._v)
     md.forward_pass1(params, np.array([[cfg.class_token(0)], [cfg.null_class_token]]), [0],
                      cache=cache)
     md.forward_pass1(params, [3, 7, 1], [2, 9, 5], cache=cache)
-    for li in range(cfg.pass1_layers):
-        for buf in cache.layer_rows(li):
-            assert buf.shape == (17, 2 * cfg.heads, cfg.head_dim)
-            assert buf[:4].all(axis=(1, 2)).all() and not buf[4:].any()
+    for buf in cache._k + cache._v:
+        assert buf.shape == (17, 2 * cfg.heads, cfg.head_dim)
+        assert buf[:4].all(axis=(1, 2)).all() and not buf[4:].any()
 
 
 def test_wide_prefill_scores_stay_within_the_block_bound(monkeypatch):
@@ -716,10 +717,18 @@ def test_inpaint_empty_known_rejected():
     wide = dec.TokenGrid(np.zeros((2, 8), int), 0)  # 16 cells, not 4x4
     first_row = np.zeros((2, 8), bool)
     first_row[0] = True
+    # a 0/1 int grid is not a mask: read as indices it would mark cells 0 and 1
+    bottom = np.zeros((4, 4), int)
+    bottom[2:] = 1
+    not_indices = "boolean grid or 1-d integer raster indices"
     cases = [(grid, np.zeros((4, 4), bool), "empty"),
+             (grid, [], "empty"),
              (wide, first_row, r"\(2, 8\).*\(4, 4\)"),
              (wide, np.arange(8), r"\(2, 8\).*\(4, 4\)"),
-             (grid, np.ones(16, bool), r"\(16,\).*\(4, 4\)")]
+             (grid, np.ones(16, bool), r"\(16,\).*\(4, 4\)"),
+             (grid, bottom, not_indices),
+             (grid, np.arange(4).reshape(2, 2), not_indices),
+             (grid, [0.5, 3.2], not_indices)]
     for partial, known, match in cases:
         with pytest.raises(ValueError, match=match):
             dec.inpaint(params, partial, known, 0, dec.DecodeConfig(steps=4))
@@ -829,6 +838,11 @@ def test_sequential_reference_rejects_a_bad_known_set():
     for ids in ([16, 21, 3], [3, -1, 4]):
         with pytest.raises(ValueError, match="known ids must lie in \\[0, 16\\)"):
             dec.sequential_reference_decode(params, 0, ids, [0, 1, 2], 4, 4, dc)
+    # a float or bool id or index is refused, not truncated to an integer
+    for ids, idx in (([3.9, 5.2], [0, 1]), ([3, 5], [0.7, 1.9]),
+                     ([True, False], [0, 1]), ([3, 5], [True, False])):
+        with pytest.raises(ValueError, match="must be integers"):
+            dec.sequential_reference_decode(params, 0, ids, idx, 4, 4, dc)
     out = dec.sequential_reference_decode(params, 0, [3, 4, 5], [1, 2, 3], 4, 4, dc)
     assert np.array_equal(out.flat[1:4], [3, 4, 5])
     assert out.tokens.min() >= 0 and out.tokens.max() < params.config.vocab_size
@@ -857,8 +871,7 @@ def test_every_generation_ends_with_full_caches(kind, bits, grow, pattern, cfg, 
     mc = params.config
     for cache in sink[0].caches:
         assert cache.length == cache.capacity
-        assert cache._layer_fill == [cache.capacity] * mc.pass1_layers
-        assert cache._out_fill == [cache.capacity] * len(cache._out_fill)
+        assert cache._fill == [cache.capacity] * len(cache._fill)
         joint = cache.joint or cache
         row = np.zeros((1, joint.streams * mc.heads, mc.head_dim), params.dtype)
         with pytest.raises(RuntimeError, match="kv cache overflow"):

@@ -8,15 +8,6 @@ from hypothesis import strategies as st
 from arpg import ordering as od
 
 
-def test_sample_permutation_bijection_and_determinism():
-    for seed in range(5):
-        p = od.sample_permutation(64, np.random.default_rng(seed))
-        assert od.is_permutation(p, 64)
-    a = od.sample_permutation(64, np.random.default_rng(7))
-    b = od.sample_permutation(64, np.random.default_rng(7))
-    assert np.array_equal(a, b)
-
-
 def test_raster_2x2():
     assert np.array_equal(od.fixed_order("raster", 2, 2), [1, 2, 3, 4])
 

@@ -320,6 +320,15 @@ def test_evaluate_untrained_is_chance_level():
     assert out["strict_validity"] <= out["validity"]
 
 
+def test_evaluate_rejects_empty_counts():
+    params, spec = tiny_setup(seed=16)
+    ds = tr.make_dataset(spec, 4, np.random.default_rng(17))
+    dc = dec.DecodeConfig(steps=4, seed=0)
+    for counts in (dict(n_generate=0), dict(n_eval=0), dict(n_generate=-1)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            tr.evaluate(params, ds, dc, spec=spec, **counts)
+
+
 def test_evaluate_improves_after_training():
     params, spec = tiny_setup(seed=18)
     ds = tr.make_dataset(spec, 256, np.random.default_rng(19))

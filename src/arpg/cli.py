@@ -26,13 +26,12 @@ import numpy as np
 
 from . import model as md
 from . import numcore as nc
-from .attention import causal_mask
 from .checkpoint import (load_checkpoint, restore_rng, rng_state,
                          save_checkpoint)
 from .decoding import (DecodeConfig, TokenGrid, _grid_shape, expand, expand_layout, generate,
                        inpaint, inpaint_layout)
 from .ordering import DecodeSchedule, check_int, check_seed, schedule_counts
-from .training import (OptimState, ToyDatasetSpec, TrainConfig, make_dataset,
+from .training import (OptimState, ToyDatasetSpec, TrainConfig, dataset_arrays, make_dataset,
                        masked_baseline_grad_demo, train_loop, train_step)
 
 
@@ -198,6 +197,9 @@ def cmd_train(cfg: dict, used: set[str]):
         if ck.optim is None:
             raise ValueError("checkpoint holds no optimizer state, cannot "
                              "resume: %s" % resume)
+        if (*ck.optim.betas, ck.optim.weight_decay) != (tc.beta1, tc.beta2, tc.weight_decay):
+            raise ValueError("checkpoint optimizer betas/weight_decay do not match "
+                             "train.beta1/beta2/weight_decay: %s" % resume)
         start_step = int(extra["loop_step"])
         if start_step > tc.steps:
             raise ValueError("checkpoint was saved at step %d, past "
@@ -468,7 +470,7 @@ def cmd_grad_demo(cfg: dict, used: set[str]):
         params = md.ArpgParams.init(mc, np.random.default_rng(seed),
                                     dtype=np.float64)
         spec = ToyDatasetSpec(grid_h=4, grid_w=4, vocab_size=16, num_classes=4)
-        batch = make_dataset(spec, 8, np.random.default_rng(seed))
+        batch = dataset_arrays(make_dataset(spec, 8, np.random.default_rng(seed)))
         optim = OptimState.init(params, 1e-3)
         loss = train_step(params, optim, batch, np.random.default_rng(seed + 1))
         print("two-pass model, one train step (loss %.4f): query-projection "
@@ -517,23 +519,16 @@ def cmd_attn_export(cfg: dict, used: set[str]):
         toks = TokenGrid(grid, class_id).validate(mc.vocab_size, total).flat
 
     def run():
-        # Raster teacher forcing, as in training: content row i sees
-        # [cond, x_1..x_i], and query j asks for position j + 1 over content
-        # rows 0..j, never the row holding its own target.
-        ids = np.concatenate([[mc.class_token(class_id)],
-                              toks[:-1]]).astype(np.int64)
-        positions = np.arange(total, dtype=np.int64)
-        targets = np.arange(1, total + 1, dtype=np.int64)
-        pass1_probs, pass2_probs = [], []
+        # training's own forward in raster order: query j predicts position
+        # j + 1 from content rows 0..j, never the row holding its own target
+        sink: list = []
         with nc.no_grad():
-            h = md.pass1_hidden(params, ids[None], positions[None],
-                                causal_mask(total), probs_sink=pass1_probs)
-            kv = md.project_kv(params, h, positions[None])
-            md.pass2_logits(params, kv, targets[None], causal_mask(total),
-                            probs_sink=pass2_probs)
+            md.forward_train_batch(params, toks[None], np.array([mc.class_token(class_id)]),
+                                   np.arange(1, total + 1)[None], probs_sink=sink)
 
         written = []
-        for stack, probs in (("pass1", pass1_probs), ("pass2", pass2_probs)):
+        for stack, probs in (("pass1", sink[:mc.pass1_layers]),
+                             ("pass2", sink[mc.pass1_layers:])):
             if not probs:  # a model without content layers has no pass-1 scores
                 continue
             for head in range(mc.heads):  # final layer of the stack

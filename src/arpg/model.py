@@ -273,14 +273,15 @@ def pass2_logits(params: ArpgParams, kv: list[Tensor], target_positions: np.ndar
 
 def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
                         cond_tokens: np.ndarray, perms: np.ndarray,
-                        dropout_rng: np.random.Generator | None = None
-                        ) -> tuple[Tensor, np.ndarray]:
+                        dropout_rng: np.random.Generator | None = None,
+                        probs_sink: list | None = None) -> tuple[Tensor, np.ndarray]:
     """Teacher forcing on shuffled sequences.
 
     input_ids [B, T] raster-order tokens; cond_tokens [B] embedding rows for
     the condition slot (class token, or null for CFG dropout); perms [B, T]
     1-indexed orders. Tokens and positions are shuffled together, the inputs
     right-shifted behind the condition, and every shuffled slot is predicted.
+    probs_sink goes to pass1_hidden, then pass2_logits: content layers' probs first.
     Returns (logits [B, T, V], shuffled_targets [B, T]).
     """
     b, t = input_ids.shape
@@ -290,9 +291,9 @@ def forward_train_batch(params: ArpgParams, input_ids: np.ndarray,
     shuffled = np.take_along_axis(input_ids, perms - 1, axis=1)
     in_ids = np.concatenate([cond_tokens[:, None], shuffled[:, :-1]], axis=1)
     in_pos = np.concatenate([np.zeros((b, 1), dtype=perms.dtype), perms[:, :-1]], axis=1)
-    h = pass1_hidden(params, in_ids, in_pos, causal_mask(t), dropout_rng=dropout_rng)
+    h = pass1_hidden(params, in_ids, in_pos, causal_mask(t), probs_sink, dropout_rng)
     kv = project_kv(params, h, in_pos)
-    logits = pass2_logits(params, kv, perms, causal_mask(t), dropout_rng=dropout_rng)
+    logits = pass2_logits(params, kv, perms, causal_mask(t), probs_sink, dropout_rng)
     return logits, shuffled
 
 

@@ -236,18 +236,12 @@ def lr_at(step: int, total_steps: int, base_lr: float,
 
 # ---------------------------------------------------------------- train step
 
-def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(batch, tuple):
-        toks, classes = batch
-        return np.asarray(toks), np.asarray(classes)
-    return dataset_arrays(list(batch))
-
-
 def train_step(params: ArpgParams, optim: OptimState, batch,
                rng: np.random.Generator, class_dropout: float = 0.1,
                grad_clip: float | None = None) -> float:
     """One optimization step; returns the mean cross-entropy over all slots.
 
+    batch is (tokens [B, T], class ids [B]), as dataset_arrays returns them.
     Per sample: a fresh permutation, and with probability class_dropout the
     condition is replaced by the null class. rng is consumed in that fixed
     order (permutations, then dropout, then model dropout), which is what
@@ -264,7 +258,7 @@ def _train_step(params: ArpgParams, optim: OptimState, batch,
     grad_norm is the global L2 norm of the gradients before clipping, and
     clipped says whether it exceeded grad_clip and was scaled down to it.
     """
-    toks, classes = _batch_arrays(batch)
+    toks, classes = batch
     if toks.shape[0] == 0:
         raise ValueError("batch must be nonempty")
     cfg = params.config
@@ -391,13 +385,10 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
         raise ValueError("rows must be >= 1, got %d" % rows)
     rng = np.random.default_rng(seed)
     vocab, dim = 11, 16
-    mask_id = vocab
-
-    def w(name, shape):
-        return nc.Parameter(name, rng.normal(0.0, 0.2, shape))
-    embed = w("embed", (vocab + 1, dim))
-    wq, wk, wv = (w(name, (dim, dim)) for name in ("wq", "wk", "wv"))
-    wo = w("wo", (dim, vocab))
+    # embedding row `vocab` is the mask token's; only wo is a Parameter
+    embed = rng.normal(0.0, 0.2, (vocab + 1, dim))
+    wq, wk, wv = (rng.normal(0.0, 0.2, (dim, dim)) for _ in range(3))
+    wo = nc.Parameter("wo", rng.normal(0.0, 0.2, (dim, vocab)))
     ids = rng.integers(0, vocab, rows)
     if masked is None:
         masked = rng.random(rows) < 0.5
@@ -406,27 +397,21 @@ def masked_baseline_grad_demo(seed: int, rows: int = 8,
     masked = np.asarray(masked, dtype=bool)
     if masked.shape != (rows,):
         raise ValueError("masked must hold %d flags, got shape %r" % (rows, masked.shape))
-    fed = np.where(masked, mask_id, ids)
-    x = nc.embedding(embed, fed[None])  # one batch of rows: [1, rows, dim]
-    # one head: q and k|v as [1, 1, rows, dim] views, the layout the model's heads take
-    q = nc.matmul(x, wq).data[:, None]
-    kv = np.concatenate([nc.matmul(x, wk).data, nc.matmul(x, wv).data], axis=-1)[:, None]
-    k, v = kv[..., :dim], kv[..., dim:]
+    x = embed[np.where(masked, vocab, ids)]
+    # one head: q, k and v as [1, rows, dim], the layout the model's heads take
+    q, k, v = ((x @ w)[None] for w in (wq, wk, wv))
     o, probs = attention_forward(q, k, v, cross_full_mask(rows, rows))
     # the attention output is a leaf; attention_backward carries its gradient on
-    out = nc.Tensor(o[:, 0], requires_grad=True)
-    logits = nc.reshape(nc.matmul(out, wo), (rows, vocab))
+    out = nc.Tensor(o[0], requires_grad=True)
     sel = np.flatnonzero(masked)
-    grads = (np.zeros_like(o),) * 3
     if sel.size:
-        nc.cross_entropy(nc.embedding(logits, sel), ids[sel]).backward()
-        grads = attention_backward(q, k, v, probs, o, out.grad[:, None])
+        nc.cross_entropy(nc.embedding(nc.matmul(out, wo), sel), ids[sel]).backward()
+    d_out = np.zeros_like(o) if out.grad is None else out.grad[None]
+    dq, dk, dv = attention_backward(q, k, v, probs, o, d_out)
 
     def norms(g):
-        g = g[0, 0]
-        return np.sqrt((g * g).sum(axis=-1))
+        return np.sqrt((g[0] * g[0]).sum(axis=-1))
 
-    dq, dk, dv = grads
     report = {"masked": masked.tolist(),
               "dq_norms": norms(dq).tolist(),
               "dk_norms": norms(dk).tolist(),

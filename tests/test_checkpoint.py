@@ -1,6 +1,7 @@
 """Checkpoint round-trips: values, bytes, optimizer state, rng snapshots."""
 
 import filecmp
+import json
 import tempfile
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def test_optimizer_state_round_trip(tmp_path):
                                weight_decay=0.01)
     ds = tr.make_dataset(tr.ToyDatasetSpec(grid_h=4, grid_w=4), 8,
                          np.random.default_rng(4))
-    tr.train_step(params, optim, ds, np.random.default_rng(5))
+    tr.train_step(params, optim, tr.dataset_arrays(ds), np.random.default_rng(5))
     path = tmp_path / "opt.ckpt"
     ck.save_checkpoint(path, params, optim)
     loaded = ck.load_checkpoint(path)
@@ -125,6 +126,43 @@ def test_truncated_file_names_file_and_array(tmp_path):
     path.write_bytes(blob[:30])
     with pytest.raises(ValueError, match="truncated inside its manifest"):
         ck.load_checkpoint(path)
+
+
+def _drop(name):
+    return lambda arrays: [e for e in arrays if e["name"] != name]
+
+
+def _reshape(name, shape):
+    return lambda arrays: [dict(e, shape=shape) if e["name"] == name else e for e in arrays]
+
+
+def _add_alias(name, of):
+    return lambda arrays: arrays + [dict(next(e for e in arrays if e["name"] == of), name=name)]
+
+
+@pytest.mark.parametrize("edit, text", [
+    (_drop("param.head.proj"), "checkpoint missing array 'param.head.proj'"),
+    (_reshape("param.final.norm", [4, 8]),
+     "array 'param.final.norm' has shape (4, 8), expected (32,)"),
+    (_drop("optim.v.head.proj"), "checkpoint missing array 'optim.v.head.proj'"),
+    (_add_alias("param.spare", "param.kv.norm"), "checkpoint holds unknown arrays: param.spare")],
+    ids=["missing_param", "wrong_shape", "missing_moment", "unknown_array"])
+def test_manifest_errors_name_the_array(tmp_path, edit, text):
+    # a manifest rewritten over an intact payload: every array still reads
+    # in bounds, so only the check against the model's own arrays can fail
+    path = tmp_path / "edited.ckpt"
+    params = tiny_params()
+    ck.save_checkpoint(path, params, tr.OptimState.init(params, lr=1e-3))
+    blob = path.read_bytes()
+    size = int(np.frombuffer(blob[12:20], np.uint64)[0])
+    manifest = json.loads(blob[20:20 + size])
+    manifest["arrays"] = edit(manifest["arrays"])
+    rewritten = json.dumps(manifest).encode()
+    path.write_bytes(blob[:12] + np.uint64(len(rewritten)).tobytes() + rewritten
+                     + blob[20 + size:])
+    with pytest.raises(ValueError) as err:
+        ck.load_checkpoint(path)
+    assert str(err.value) == text
 
 
 def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):

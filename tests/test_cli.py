@@ -1,5 +1,6 @@
 """Command-line round trips: files written, exit codes, resume, determinism."""
 
+import io
 import json
 import shlex
 import shutil
@@ -104,13 +105,29 @@ def test_resume_matches_uninterrupted(tmp_path):
         assert np.array_equal(pa.data, pb.data)
 
 
-@pytest.mark.parametrize("setting, text", [("data.seed=1", "different dataset"),
-                                           ("train.steps=3", "past train.steps 3")])
+def _resume_without_optimizer(tmp_path, trained) -> str:
+    """A train.resume override naming the shared checkpoint saved without its moments."""
+    loaded = ck.load_checkpoint(trained / "model.ckpt")
+    ck.save_checkpoint(tmp_path / "bare.ckpt", loaded.params, extra=loaded.meta["extra"])
+    return "train.resume=%s" % (tmp_path / "bare.ckpt")
+
+
+@pytest.mark.parametrize("setting, text", [
+    ("data.seed=1", "different dataset"),
+    ("train.steps=3", "past train.steps 3"),
+    ("model.hidden=64", "model config does not match"),
+    ("train.beta1=0.5", "betas/weight_decay do not match"),
+    ("train.beta2=0.5", "betas/weight_decay do not match"),
+    ("train.weight_decay=0.5", "betas/weight_decay do not match"),
+    pytest.param(_resume_without_optimizer, "holds no optimizer state", id="no_optimizer")])
 def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
-    # the shared checkpoint was saved at loop_step 6 of seed-0 data
+    # the shared checkpoint was saved at loop_step 6 of seed-0 data, with the
+    # default optimizer settings
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path / "cfg.json",
                     tiny_cfg(out, **{"train.resume": str(trained / "model.ckpt")}))
+    if callable(setting):
+        setting = setting(tmp_path, trained)
     assert main(["train", "--config", cfg, setting]) == 2
     assert text in capsys.readouterr().err
     assert not out.exists()
@@ -136,10 +153,18 @@ def test_bad_resume_exits_2_before_writing(trained, tmp_path, capsys, setting, t
     ("model.heads=-4", "need hidden >= 1 and heads >= 1"),
     ("model.hidden=0", "need hidden >= 1 and heads >= 1"),
     ("model.rope_base=0.0", "rope_base must be finite and > 0"),
-    ("model.rope_base=NaN", "rope_base must be finite and > 0")])
+    ("model.rope_base=NaN", "rope_base must be finite and > 0"),
+    ("train.steps", "override 'train.steps' is not key=value"),
+    ("data.grid_h=8", "data grid 8x4 holds 32 tokens, model.seq_len is 16"),
+    ("data.vocab_size=20", "data vocab/classes (20, 4) do not match model (16, 4)"),
+    ("data.num_classes=3", "data vocab/classes (16, 3) do not match model (16, 4)"),
+    pytest.param(lambda tmp: "--config=%s" % write_cfg(tmp / "list.json", [1, 2]),
+                 "config root must be a JSON object", id="config_root_list")])
 def test_bad_train_setting_exits_2_before_writing(tmp_path, capsys, setting, text):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path / "cfg.json", tiny_cfg(out))
+    if callable(setting):
+        setting = setting(tmp_path)
     assert main(["train", "--config", cfg, setting]) == 2
     assert text in capsys.readouterr().err
     assert not out.exists()
@@ -264,11 +289,13 @@ def test_unknown_decode_setting_exits_2_before_writing(trained, tmp_path, capsys
     ("decode.temperature=NaN", "must be finite"),
     ("decode.cfg_scale=NaN", "must be finite"),
     ("decode.cfg_scale=Infinity", "must be finite"),
-    ("decode.steps=100", "got 100/16")])
+    ("decode.steps=100", "got 100/16"),
+    pytest.param(None, "missing required config key: checkpoint", id="no_checkpoint")])
 def test_bad_decode_setting_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
     out = tmp_path / "out"
-    assert main(["generate", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
-                 setting]) == 2
+    # setting None leaves out the checkpoint key itself
+    args = [] if setting is None else ["checkpoint=%s" % (trained / "model.ckpt"), setting]
+    assert main(["generate", "out_dir=%s" % out] + args) == 2
     assert text in capsys.readouterr().err
     assert not out.exists()
 
@@ -437,6 +464,27 @@ def test_attn_export_shapes_and_rows(trained, tmp_path):
         assert (out / name).exists()
 
 
+def test_attn_export_writes_the_training_forward(trained, tmp_path):
+    # the CSVs hold, to their 8 digits, the last content and query layer's
+    # probs that training's forward hands its sink for the same raster tokens
+    toks = np.random.default_rng(5).integers(0, 16, (4, 4))
+    np.savetxt(tmp_path / "in.txt", toks, fmt="%d")
+    out = tmp_path / "out"
+    assert main(["attn-export", "out_dir=%s" % out, "checkpoint=%s" % (trained / "model.ckpt"),
+                 "attn.input=%s" % (tmp_path / "in.txt"), "attn.class_id=2"]) == 0
+    params = ck.load_checkpoint(trained / "model.ckpt").params
+    sink: list = []
+    with nc.no_grad():
+        forward_train_batch(params, toks.reshape(1, -1), np.array([params.config.class_token(2)]),
+                            np.arange(1, 17)[None], probs_sink=sink)
+    assert len(sink) == 4  # two content layers, then two query layers
+    for stack, probs in (("pass1", sink[1]), ("pass2", sink[3])):
+        for head in range(4):
+            expected = io.StringIO()
+            np.savetxt(expected, probs[0, head], delimiter=",", fmt="%.8e")
+            assert (out / ("%s_head%d.csv" % (stack, head))).read_text() == expected.getvalue()
+
+
 @pytest.mark.parametrize("bad_id", [20, 99])
 def test_attn_export_rejects_ids_outside_vocab(trained, tmp_path, capsys, bad_id):
     # with vocab 16 and 4 classes, 20 is the null-class embedding row; 99 is past the table
@@ -509,7 +557,9 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("setting, text", [("expand.new_h=3", "smaller than base"),
                                            ("expand.mode=tile", "mode must be"),
-                                           ("decode.grid_h=4", "not the expand target 4x6")])
+                                           ("decode.grid_h=4", "not the expand target 4x6"),
+                                           ("expand.input=absent.txt",
+                                            "token grid file not found: absent.txt")])
 def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, setting, text):
     np.savetxt(tmp_path / "in.txt", np.zeros((4, 4), dtype=np.int64), fmt="%d")
     out = tmp_path / "out"
@@ -517,7 +567,7 @@ def test_bad_expand_target_exits_2_before_writing(trained, tmp_path, capsys, set
                  "expand.input=%s" % (tmp_path / "in.txt"), "expand.new_h=4",
                  "expand.new_w=6", setting]) == 2
     assert text in capsys.readouterr().err
-    assert not (out / "config.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell_px", [-1, 0])
@@ -590,11 +640,11 @@ def test_bit_hashes_tool_is_deterministic():
     runs = [subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
             for _ in range(2)]
     lines = runs[0].splitlines()
-    assert runs[0] == runs[1] and len(lines) == 7
-    assert all(len(ln.rsplit(": ", 1)[1]) == 64 for ln in lines[:6])
+    assert runs[0] == runs[1] and len(lines) == 9
+    assert all(len(ln.rsplit(": ", 1)[1]) == 64 for ln in lines[:8])
     src = tool.parents[1] / "src" / "arpg"
     total = sum(p.read_bytes().count(b"\n") for p in src.glob("*.py"))
-    assert lines[6] == "src/arpg lines: %d" % total
+    assert lines[8] == "src/arpg lines: %d" % total
 
 
 def test_peak_sites_tool_reports_every_tape_node():

@@ -134,7 +134,7 @@ def test_initial_loss_near_uniform():
     params, spec = tiny_setup(seed=4)
     ds = tr.make_dataset(spec, 64, np.random.default_rng(5))
     optim = tr.OptimState.init(params, lr=1e-3)
-    loss = tr.train_step(params, optim, ds[:16], np.random.default_rng(6))
+    loss = tr.train_step(params, optim, tr.dataset_arrays(ds[:16]), np.random.default_rng(6))
     assert abs(loss - np.log(16)) < 0.1
 
 
@@ -188,7 +188,7 @@ def test_every_pass2_query_projection_gets_grad():
     params, spec = tiny_setup(seed=13, dtype=np.float64)
     ds = tr.make_dataset(spec, 32, np.random.default_rng(14))
     optim = tr.OptimState.init(params, lr=1e-4)
-    tr.train_step(params, optim, ds[:8], np.random.default_rng(15))
+    tr.train_step(params, optim, tr.dataset_arrays(ds[:8]), np.random.default_rng(15))
     for layer in params.pass2:
         assert np.abs(layer.wq.grad).sum() > 0
 
@@ -203,7 +203,7 @@ def test_train_step_rejects_empty_and_nan():
     ds = tr.make_dataset(tr.ToyDatasetSpec(grid_h=4, grid_w=4), 8,
                          np.random.default_rng(1))
     with pytest.raises(RuntimeError):
-        tr.train_step(params, optim, ds, np.random.default_rng(2))
+        tr.train_step(params, optim, tr.dataset_arrays(ds), np.random.default_rng(2))
 
 
 @pytest.mark.parametrize("clip", [None, 1.0])
@@ -213,7 +213,7 @@ def test_train_step_stops_on_non_finite_grad(monkeypatch, clip):
     params, spec = tiny_setup()
     optim = tr.OptimState.init(params, lr=1e-3)
     ds = tr.make_dataset(spec, 8, np.random.default_rng(1))
-    tr.train_step(params, optim, ds, np.random.default_rng(2), grad_clip=clip)
+    tr.train_step(params, optim, tr.dataset_arrays(ds), np.random.default_rng(2), grad_clip=clip)
     backward = tr.nc.Tensor.backward
 
     def planting(self):
@@ -223,7 +223,8 @@ def test_train_step_stops_on_non_finite_grad(monkeypatch, clip):
     before = [(p.data.copy(), optim.m[p.name].copy(), optim.v[p.name].copy())
               for p in params.parameters()]
     with pytest.raises(RuntimeError, match="head.proj.*step 1"):
-        tr.train_step(params, optim, ds, np.random.default_rng(3), grad_clip=clip)
+        tr.train_step(params, optim, tr.dataset_arrays(ds), np.random.default_rng(3),
+                      grad_clip=clip)
     assert optim.step == 1
     for p, kept in zip(params.parameters(), before):
         for now, then in zip((p.data, optim.m[p.name], optim.v[p.name]), kept):

@@ -15,19 +15,25 @@ sequential generate (one token per step, greedy), inpaint and expand
 rarely move when logits move in their last bits, the cache rows do. The rows
 hashed are those below each cache's `length`, the rows the last step's
 queries read, so a tree that also caches the last chunk prints the same
-digests as one that does not. BLAS threads are pinned before
-numpy loads, since training bits depend on the thread count. The package is
-imported from the `src` directory next to this script. A last line gives the
-package's line total, as `wc -l src/arpg/*.py` counts it.
+digests as one that does not. Two demo digests cover the bytes of the
+`attn-export` CSVs written from a checkpoint of those initial weights, and the
+reports of `masked_baseline_grad_demo` for seeds 0-9. BLAS threads are pinned
+before numpy loads, since training bits depend on the thread count. The
+package is imported from the `src` directory next to this script. A last line
+gives the package's line total, as `wc -l src/arpg/*.py` counts it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import hashlib
+import io
+import json
 import os
 import sys
+import tempfile
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
@@ -51,7 +57,9 @@ def main(argv=None) -> int:
     from arpg import (ArpgParams, DecodeConfig, ModelConfig, OptimState, ToyDatasetSpec,
                       TokenGrid, TrainConfig, expand, generate, inpaint, make_dataset,
                       train_step)
-    from arpg.training import dataset_arrays
+    from arpg.checkpoint import save_checkpoint
+    from arpg.cli import main as cli_main
+    from arpg.training import dataset_arrays, masked_baseline_grad_demo
 
     def digest(arrays) -> str:
         h = hashlib.sha256()
@@ -115,6 +123,23 @@ def main(argv=None) -> int:
     for kind in ("generate_parallel", "generate_sequential", "inpaint", "expand"):
         arrays = [a for r in range(args.requests) for a in outputs(kind, r)]
         print("%s, %d requests: %s" % (kind, args.requests, digest(arrays)))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(os.path.join(tmp, "init.ckpt"), params)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["attn-export", "checkpoint=%s" % os.path.join(tmp, "init.ckpt"),
+                             "out_dir=%s" % os.path.join(tmp, "attn")])
+        if code != 0:
+            raise RuntimeError("attn-export exited %d" % code)
+        h = hashlib.sha256()
+        for name in sorted(glob.glob(os.path.join(tmp, "attn", "*.csv"))):
+            h.update(os.path.basename(name).encode())
+            with open(name, "rb") as f:
+                h.update(f.read())
+    print("attn-export CSVs of the initial weights: %s" % h.hexdigest())
+    reports = [masked_baseline_grad_demo(seed) for seed in range(10)]
+    print("masked baseline grad demo, seeds 0-9: %s"
+          % hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest())
     lines = 0
     for path in glob.glob(os.path.join(SRC, "arpg", "*.py")):
         with open(path, "rb") as f:
